@@ -25,6 +25,7 @@ from .crossover import (
 )
 from .errors import (
     CapacityError,
+    ConvergenceError,
     DegenerateLadderError,
     DimensionMismatchError,
     EmptySectorError,
@@ -44,9 +45,8 @@ from .oracle import (
     build_excitation_number,
     build_hamiltonian,
     commutator,
-    eigh,
+    eigvalsh,
     hs_projection,
-    jacobi_eigh,
     sector_spectrum,
 )
 from .spectra import (

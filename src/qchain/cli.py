@@ -3,7 +3,7 @@
 Output is byte-deterministic for identical invocations: floats use the
 shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  Exit codes: 0 success, 2 usage error,
-3 empty sector, 4 capacity exceeded.
+3 empty sector, 4 capacity exceeded, 5 eigensolver did not converge.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .config import ChainConfig
 from .crossover import crossover_point
 from .errors import (
     CapacityError,
+    ConvergenceError,
     DegenerateLadderError,
     EmptySectorError,
     EmptySubspaceError,
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EMPTY_SECTOR = 3
 EXIT_CAPACITY = 4
+EXIT_NO_CONVERGENCE = 5
 
 
 def rational(text: str) -> float:
@@ -440,6 +442,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (InvalidParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,3 +43,7 @@ class PoleError(QChainError):
 
 class NegativeRadicandError(QChainError):
     """A closed-form square root turned complex outside its regime."""
+
+
+class ConvergenceError(QChainError):
+    """An iterative eigensolver hit its iteration cap without converging."""

@@ -1,0 +1,306 @@
+"""Real symmetric eigensolver: Householder reduction, implicit QL and
+inverse iteration.
+
+A dense symmetric matrix is first reduced to tridiagonal form (d, e) by
+Householder reflections (Wilkinson, *The Algebraic Eigenvalue Problem*,
+1965, ch. 5).  Eigenvalues of a tridiagonal matrix come from the implicit
+QL algorithm with Wilkinson shifts (EISPACK ``tql1``; Bowdler, Martin,
+Reinsch & Wilkinson, *Numer. Math.* 11, 1968).  Eigenvectors come from
+inverse iteration on each unreduced block, run for all of the block's
+eigenvalues at once, with the vectors of close eigenvalues re-orthogonalized
+as in LAPACK ``dstein``.
+
+Every routine is deterministic: the same input gives the same output bits.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import ConvergenceError, InvalidParameterError, NotHermitianError
+
+__all__ = [
+    "QL_MAX_ITERATIONS",
+    "INVERSE_MAX_SWEEPS",
+    "as_real",
+    "tridiagonalize",
+    "tridiagonal_eigvalsh",
+    "tridiagonal_eigh",
+]
+
+EPS = float(np.finfo(float).eps)
+SYMMETRY_TOL = 1e-12
+QL_MAX_ITERATIONS = 30  # per eigenvalue, as in EISPACK tql1
+INVERSE_MAX_SWEEPS = 5  # solves per vector, as LAPACK dstein's MAXITS
+CLUSTER_GAP = 1e-3  # eigenvalues closer than this times ||T|| are re-orthogonalized
+RESIDUAL_TOL = 16.0 * EPS  # converged: ||T x - lambda x|| <= RESIDUAL_TOL * dim * ||T||
+SIGNIFICANT_COMPONENT = 1e-8
+# inverse iteration starts from the Weyl sequence frac(k * golden ratio):
+# deterministic, without the symmetries of the matrices, and it spares
+# the memory of loading numpy.random
+START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def as_real(array, what: str = "matrix") -> np.ndarray:
+    """``array`` as a new finite float64 array.
+
+    A complex array is accepted only when every imaginary part is zero;
+    anything else raises :class:`InvalidParameterError` rather than being
+    truncated.
+    """
+    a = np.array(array)
+    if np.iscomplexobj(a):
+        if np.any(a.imag != 0.0):
+            raise InvalidParameterError(f"{what} must be real, got nonzero imaginary parts")
+        a = a.real
+    a = np.ascontiguousarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError(f"{what} must be finite")
+    return a
+
+
+def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction of a real symmetric matrix to tridiagonal form.
+
+    Returns the diagonal d and the off-diagonal e of Q^T A Q; the
+    eigenvalues are unchanged and Q is not formed.
+    """
+    a = as_real(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
+    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * max(1.0, np.abs(a).max(initial=0.0)):
+        raise NotHermitianError("the eigensolver requires a symmetric matrix")
+    n = a.shape[0]
+    e = np.zeros(max(n - 1, 0))
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        alpha = math.sqrt(float(x @ x))
+        if alpha == 0.0:
+            continue
+        if x[0] > 0.0:
+            alpha = -alpha
+        # H = I - v v^T / h maps x to alpha * e_1
+        v = x.copy()
+        v[0] -= alpha
+        h = alpha * alpha - alpha * float(x[0])
+        e[k] = alpha
+        rest = a[k + 1 :, k + 1 :]
+        p = (rest @ v) / h
+        q = p - (float(v @ p) / (2.0 * h)) * v
+        # H A H = A - v q^T - q v^T, one BLAS product for the rank-2 update
+        rest -= np.stack((v, q), axis=1) @ np.stack((q, v))
+    if n >= 2:
+        e[n - 2] = a[n - 1, n - 2]
+    return a.diagonal().copy(), e
+
+
+def _norm(d: np.ndarray, e: np.ndarray) -> float:
+    """Largest absolute row sum of the tridiagonal (d, e)."""
+    mag_e = np.abs(e)
+    rows = np.abs(d)
+    rows[:-1] += mag_e
+    rows[1:] += mag_e
+    return float(rows.max(initial=0.0))
+
+
+def _ql(d: list, e: list, tiny: float) -> list:
+    """Eigenvalues of the tridiagonal (d, e) by implicit QL with Wilkinson
+    shifts (EISPACK tql1), ascending.  Works on plain floats.
+
+    An off-diagonal deflates once it is at most ``tiny`` (eps * ||T||):
+    a test relative to the neighbouring diagonal alone never passes on a
+    block of rounding-level entries, such as the one Householder leaves
+    behind for a highly degenerate eigenvalue.
+    """
+    n = len(d)
+    d = list(d)
+    e = list(e) + [0.0]
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > tiny:
+                m += 1
+            if m == l:
+                break
+            if iterations >= QL_MAX_ITERATIONS:
+                raise ConvergenceError(
+                    f"implicit QL: eigenvalue {l} not converged after {iterations} iterations"
+                )
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            i = m - 1
+            while i >= l:
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # the rotation underflowed: deflate and restart this sweep
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                i -= 1
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return sorted(d)
+
+
+def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated (d, e), with every off-diagonal of at most eps * ||T|| set
+    to exactly zero, and that threshold."""
+    d = as_real(d, "diagonal")
+    e = as_real(e, "off-diagonal")
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise InvalidParameterError(
+            f"need a diagonal of length n and an off-diagonal of length n-1, "
+            f"got shapes {d.shape} and {e.shape}"
+        )
+    tiny = EPS * _norm(d, e)
+    return d, np.where(np.abs(e) <= tiny, 0.0, e), tiny
+
+
+def tridiagonal_eigvalsh(d, e) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal ``d`` and off-diagonal ``e``.
+
+    Raises :class:`ConvergenceError` if an eigenvalue needs more than
+    ``QL_MAX_ITERATIONS`` QL sweeps.
+    """
+    d, e, tiny = _tridiagonal(d, e)
+    return np.array(_ql(d.tolist(), e.tolist(), tiny))
+
+
+def _lu(d, e, shifts, tiny):
+    """Row-pivoted LU factors of T - shift*I for every shift at once
+    (LAPACK dlagtf).  Row i of each factor array holds one value per shift;
+    the upper factor has up to two superdiagonals (u1, u2)."""
+    m = d.size
+    k = shifts.size
+    u0 = np.empty((m, k))
+    u1 = np.empty((m, k))
+    u2 = np.empty((m, k))
+    mult = np.empty((m - 1, k))
+    swap = np.empty((m - 1, k), dtype=bool)
+    # the row still to be eliminated: columns i, i+1 (column i+2 is zero)
+    w0 = d[0] - shifts
+    w1 = np.full(k, e[0])
+    for i in range(m - 1):
+        # the next row of T - shift: columns i, i+1, i+2
+        a_next = d[i + 1] - shifts
+        c_next = e[i + 1] if i + 1 < m - 1 else 0.0
+        s = np.abs(w0) < abs(e[i])
+        swap[i] = s
+        u0[i] = np.where(s, e[i], w0)
+        u1[i] = np.where(s, a_next, w1)
+        u2[i] = np.where(s, c_next, 0.0)
+        mult[i] = mu = np.where(s, w0, e[i]) / u0[i]
+        w0 = np.where(s, w1, a_next) - mu * u1[i]
+        w1 = np.where(s, 0.0, c_next) - mu * u2[i]
+    # only the last pivot can vanish in an unreduced block: perturb it
+    u0[m - 1] = np.where(np.abs(w0) < tiny, np.where(w0 < 0.0, -tiny, tiny), w0)
+    return u0, u1, u2, mult, swap
+
+
+def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve (T - shift_j I) x_j = b_j for every column j (LAPACK dlagts)."""
+    u0, u1, u2, mult, swap = factors
+    m = b.shape[0]
+    y = np.empty_like(b)
+    carry = b[0]
+    for i in range(m - 1):
+        s = swap[i]
+        y[i] = np.where(s, b[i + 1], carry)
+        carry = np.where(s, carry, b[i + 1]) - mult[i] * y[i]
+    y[m - 1] = carry
+    x = np.empty_like(b)
+    x[m - 1] = y[m - 1] / u0[m - 1]
+    if m >= 2:
+        x[m - 2] = (y[m - 2] - u1[m - 2] * x[m - 1]) / u0[m - 2]
+    for i in range(m - 3, -1, -1):
+        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+    return x
+
+
+def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors (columns) of one unreduced tridiagonal block
+    by inverse iteration, all eigenvalues at once."""
+    m = d.size
+    if m == 1:
+        return np.ones((1, 1))
+    norm = _norm(d, e)
+    # coincident eigenvalues get distinct shifts (dstein's PERTOL)
+    shifts = values.copy()
+    pertol = 10.0 * EPS * norm
+    for j in range(1, m):
+        if shifts[j] - shifts[j - 1] < pertol:
+            shifts[j] = shifts[j - 1] + pertol
+    starts = np.flatnonzero(np.diff(values) > CLUSTER_GAP * norm) + 1
+    clusters = [
+        (lo, hi)
+        for lo, hi in zip(np.concatenate(([0], starts)), np.concatenate((starts, [m])))
+        if hi - lo > 1
+    ]
+    factors = _lu(d, e, shifts, EPS * norm)
+    x = 2.0 * ((np.arange(1, m * m + 1) * START_STEP) % 1.0).reshape(m, m) - 1.0
+    tol = RESIDUAL_TOL * m * norm
+    for sweep in range(INVERSE_MAX_SWEEPS):
+        x = _lu_solve(factors, x / np.abs(x).max(axis=0))
+        x /= np.linalg.norm(x, axis=0)
+        for lo, hi in clusters:
+            for j in range(lo + 1, hi):
+                prev = x[:, lo:j]
+                for _ in range(2):  # classical Gram-Schmidt, twice
+                    x[:, j] -= prev @ (prev.T @ x[:, j])
+                x[:, j] /= np.linalg.norm(x[:, j])
+        tx = d[:, None] * x
+        tx[:-1] += e[:, None] * x[1:]
+        tx[1:] += e[:, None] * x[:-1]
+        residual = float(np.linalg.norm(tx - x * values, axis=0).max())
+        if sweep >= 1 and residual <= tol:
+            return x
+    raise ConvergenceError(
+        f"inverse iteration: residual {residual:.3e} above {tol:.3e} "
+        f"after {INVERSE_MAX_SWEEPS} sweeps"
+    )
+
+
+def tridiagonal_eigh(d, e) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the symmetric tridiagonal matrix (d, e).
+
+    Returns ascending eigenvalues and orthonormal eigenvectors as columns.
+    The matrix is split where an off-diagonal is negligible; each vector
+    lives on one block, and equal eigenvalues of different blocks keep the
+    block order.  Each vector's first component with magnitude above 1e-8
+    is positive.
+    """
+    d, e, tiny = _tridiagonal(d, e)
+    n = d.size
+    cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [n]))
+    values = np.empty(n)
+    vectors = np.zeros((n, n))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        block_values = np.array(_ql(d[lo:hi].tolist(), e[lo : hi - 1].tolist(), tiny))
+        values[lo:hi] = block_values
+        vectors[lo:hi, lo:hi] = _block_vectors(d[lo:hi], e[lo : hi - 1], block_values)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    lead = vectors[np.argmax(np.abs(vectors) > SIGNIFICANT_COMPONENT, axis=0), np.arange(n)]
+    vectors *= np.where(lead < 0.0, -1.0, 1.0)
+    return values, vectors

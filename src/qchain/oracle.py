@@ -1,9 +1,11 @@
 """Brute-force ground truth on the full qubit (x) Fock space.
 
 Collective operators and the rotating-wave Hamiltonian are built as
-explicit dense matrices and diagonalized with an in-house cyclic Jacobi
-eigensolver, so every closed-form result in the package can be checked
-against something that knows nothing about the deformed algebra.
+explicit dense real matrices (the couplings are real cosines under the
+rotating-wave approximation).  Sector spectra come from the in-house
+Householder + implicit QL eigensolver of :mod:`qchain.linalg`, so every
+closed-form result in the package can be checked against something that
+knows nothing about the deformed algebra.
 Desk-scale verification only: dense storage, <= 12 qubits, dims <= ~4000.
 """
 
@@ -23,6 +25,7 @@ from .errors import (
     NotHermitianError,
     ZeroDenominatorError,
 )
+from .linalg import as_real, tridiagonal_eigvalsh, tridiagonalize
 
 __all__ = [
     "MAX_QUBITS",
@@ -36,8 +39,7 @@ __all__ = [
     "commutator",
     "hs_projection",
     "sector_spectrum",
-    "eigh",
-    "jacobi_eigh",
+    "eigvalsh",
 ]
 
 MAX_QUBITS = 12
@@ -76,10 +78,11 @@ def _qubit_basis(n_qubits: int, photon_number: int = 0) -> tuple[BasisLabel, ...
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex operator with its labelled basis.
+    """Dense real operator with its labelled basis.
 
     When ``hermitian`` is set the entries are checked against the
-    adjoint at construction (tolerance 1e-12 entrywise).
+    transpose at construction (tolerance 1e-12 entrywise).  Complex
+    entries are accepted only with zero imaginary parts.
     """
 
     entries: np.ndarray
@@ -87,7 +90,7 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = as_real(self.entries, "entries")
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidParameterError(f"entries must be square, got shape {entries.shape}")
@@ -96,7 +99,7 @@ class OperatorMatrix:
                 f"entries dim {entries.shape[0]} != basis length {len(self.basis)}"
             )
         if self.hermitian:
-            defect = np.abs(entries - entries.conj().T).max() if entries.size else 0.0
+            defect = np.abs(entries - entries.T).max() if entries.size else 0.0
             if defect > HERMITICITY_TOL:
                 raise NotHermitianError(f"hermitian flag set but max defect {defect:.3e}")
 
@@ -138,17 +141,17 @@ def build_collective_ops(config: ChainConfig, max_qubits: int = MAX_QUBITS) -> C
     pop = np.array([bin(b).count("1") for b in range(dim)])
     weights = config.coupling_profile()
 
-    s_z = np.zeros((dim, dim), dtype=complex)
+    s_z = np.zeros((dim, dim))
     np.fill_diagonal(s_z, pop - n / 2.0)
 
-    sig_z = np.zeros((dim, dim), dtype=complex)
+    sig_z = np.zeros((dim, dim))
     diag = np.zeros(dim)
     for j in range(n):
         bit = (occ >> j) & 1
         diag += weights[j] ** 2 * (bit - 0.5)
     np.fill_diagonal(sig_z, diag)
 
-    s_plus = np.zeros((dim, dim), dtype=complex)
+    s_plus = np.zeros((dim, dim))
     for j in range(n):
         src = occ[((occ >> j) & 1) == 0]
         s_plus[src + (1 << j), src] += weights[j]
@@ -156,7 +159,7 @@ def build_collective_ops(config: ChainConfig, max_qubits: int = MAX_QUBITS) -> C
     return CollectiveOps(
         s_z=OperatorMatrix(s_z, basis, hermitian=True),
         s_plus=OperatorMatrix(s_plus, basis),
-        s_minus=OperatorMatrix(s_plus.conj().T, basis),
+        s_minus=OperatorMatrix(s_plus.T, basis),
         sigma_z=OperatorMatrix(sig_z, basis, hermitian=True),
     )
 
@@ -169,16 +172,16 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
-    """Hilbert-Schmidt projection coefficient tr(A^dag B)/tr(B^dag B) of
+    """Hilbert-Schmidt projection coefficient tr(A^T B)/tr(B^T B) of
     sigma_z onto s_z, evaluated on the full tensor space.  For the
     collective operators this reproduces the deformation factor.
     """
     if sigma_z.basis != s_z.basis:
         raise DimensionMismatchError("operators live on different bases")
-    denom = np.vdot(s_z.entries, s_z.entries).real
+    denom = np.vdot(s_z.entries, s_z.entries)
     if denom == 0.0:
         raise ZeroDenominatorError("projection target has zero Hilbert-Schmidt norm")
-    return np.vdot(sigma_z.entries, s_z.entries).real / denom
+    return np.vdot(sigma_z.entries, s_z.entries) / denom
 
 
 def _hamiltonian_basis(n_qubits: int, fock_cutoff: int) -> tuple[BasisLabel, ...]:
@@ -209,7 +212,7 @@ def build_hamiltonian(
     occ = np.arange(qdim)
     pop = np.array([bin(b).count("1") for b in range(qdim)])
 
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     for ph in range(fock_cutoff + 1):
         base = ph * qdim
         h[base + occ, base + occ] = config.qubit_freq * (pop - n / 2.0) + config.photon_freq * ph
@@ -237,7 +240,7 @@ def build_excitation_number(
     _check_capacity(n, dim, max_qubits)
     pop = np.array([bin(b).count("1") for b in range(qdim)])
     diag = np.concatenate([pop - n / 2.0 + ph for ph in range(fock_cutoff + 1)])
-    return OperatorMatrix(np.diag(diag.astype(complex)), _hamiltonian_basis(n, fock_cutoff), hermitian=True)
+    return OperatorMatrix(np.diag(diag), _hamiltonian_basis(n, fock_cutoff), hermitian=True)
 
 
 def sector_basis(config: ChainConfig, total_excitation) -> tuple[BasisLabel, ...]:
@@ -280,7 +283,7 @@ def sector_hamiltonian(
     index = {(lab.photon_number, lab.occupation): i for i, lab in enumerate(labels)}
     weights = config.coupling_profile()
     dim = len(labels)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     for i, lab in enumerate(labels):
         ph, b = lab.photon_number, lab.occupation
         h[i, i] = config.qubit_freq * (lab.excited_count - n / 2.0) + config.photon_freq * ph
@@ -298,118 +301,12 @@ def sector_spectrum(
     config: ChainConfig, total_excitation, max_qubits: int = MAX_QUBITS
 ) -> np.ndarray:
     """Ascending eigenvalues of the Hamiltonian on one excitation sector."""
-    values, _ = eigh(sector_hamiltonian(config, total_excitation, max_qubits))
-    return values
+    return eigvalsh(sector_hamiltonian(config, total_excitation, max_qubits))
 
 
-# ---------------------------------------------------------------------------
-# In-house dense Hermitian eigensolver (cyclic complex Jacobi rotations)
-# ---------------------------------------------------------------------------
-
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
-SIGNIFICANT_COMPONENT = 1e-8
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    # direct sum over off-diagonal entries; the ||A||^2 - ||diag||^2 shortcut
-    # cancels catastrophically near convergence
-    od = a.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.linalg.norm(od))
-
-
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps row pairs in a fixed order until the off-diagonal Frobenius
-    mass drops below 1e-14 * ||M||_F (at most 100 sweeps).  Returns
-    ascending eigenvalues and orthonormal eigenvectors (columns), with a
-    deterministic order inside degenerate clusters and each vector's
-    first significant component made real positive.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if np.abs(a - a.conj().T).max(initial=0.0) > HERMITICITY_TOL * max(1.0, np.abs(a).max(initial=0.0)):
-        raise NotHermitianError("jacobi_eigh requires a Hermitian matrix")
-    v = np.eye(n, dtype=complex)
-    if n <= 1:
-        return a.real.diagonal().copy(), v
-
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    # rotations below skip_tol cannot lift the off-diagonal mass above the
-    # exit threshold, so skipping them is safe and saves late-sweep work
-    skip_tol = JACOBI_OFF_TOL * fro / (2.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= JACOBI_OFF_TOL * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip_tol:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                s_phase = s * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s_phase * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - (s * phase) * row_q
-                a[q, :] = s * row_p + (c * phase) * row_q
-                a[p, p] = app - t * mag
-                a[q, q] = aqq + t * mag
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s_phase * vcol_q
-                v[:, q] = s * vcol_p + c * np.conj(phase) * vcol_q
-
-    values = a.real.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    v = v[:, order]
-
-    # deterministic order inside degenerate clusters: ascending index of the
-    # first significant eigenvector component
-    cluster_tol = 1e-12 * (1.0 + fro)
-    first_sig = np.array(
-        [int(np.argmax(np.abs(v[:, k]) > SIGNIFICANT_COMPONENT)) for k in range(n)]
-    )
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] - values[stop - 1] <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            sub = start + np.argsort(first_sig[start:stop], kind="stable")
-            v[:, start:stop] = v[:, sub]
-            values[start:stop] = values[sub]
-        start = stop
-
-    # fix the free phase: first significant component real positive
-    for k in range(n):
-        lead = v[np.argmax(np.abs(v[:, k]) > SIGNIFICANT_COMPONENT), k]
-        if abs(lead) > 0.0:
-            v[:, k] *= np.conj(lead) / abs(lead)
-    return values, v
-
-
-def eigh(operator: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of an :class:`OperatorMatrix` flagged hermitian."""
+def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of an :class:`OperatorMatrix` flagged hermitian,
+    by Householder reduction and implicit QL; no eigenvectors are formed."""
     if not operator.hermitian:
         raise NotHermitianError("operator is not flagged hermitian")
-    return jacobi_eigh(operator.entries)
+    return tridiagonal_eigvalsh(*tridiagonalize(operator.entries))

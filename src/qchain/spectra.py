@@ -2,7 +2,9 @@
 
 The interaction part couples photon-number configurations |n; r, u-n>
 through the deformed ladder elements, giving a real symmetric
-tridiagonal matrix.  Alongside the eigensolve this module carries the
+tridiagonal matrix, diagonalized by the tridiagonal routes of
+:mod:`qchain.linalg` (implicit QL for eigenvalues, inverse iteration for
+eigenvectors).  Alongside the eigensolve this module carries the
 coefficient recursion, its combinatorial closed form, the characteristic
 polynomial, and the 4-qubit special-case formulas, each of which serves
 as an independent route to the same spectrum.
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     NegativeRadicandError,
     PoleError,
 )
-from .oracle import jacobi_eigh
+from .linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 
 __all__ = [
     "Normalization",
@@ -171,11 +172,11 @@ def solve_dressed(
     absolute total energies E = w_q * u + v.
     """
     h = build_h1_matrix(sub, deformation, detuning, coupling)
-    values, vectors = jacobi_eigh(h)
+    values, vectors = tridiagonal_eigh(np.diag(h), np.diag(h, 1))
     return [
         DressedState(
             interaction_eigenvalue=float(values[k]),
-            coefficients=vectors[:, k].real.copy(),
+            coefficients=vectors[:, k].copy(),
             normalization=Normalization.UNIT_NORM,
             total_energy=float(qubit_freq) * sub.total_excitation + float(values[k]),
         )
@@ -250,16 +251,6 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     return c
 
 
-def _descending_index_sets(n: int, p: int):
-    """Index sets {j_1 > ... > j_p} in [0, n-2] with gaps >= 2."""
-    if p == 0:
-        yield ()
-        return
-    for combo in combinations(range(n - 1), p):
-        if all(b - a >= 2 for a, b in zip(combo, combo[1:])):
-            yield tuple(reversed(combo))
-
-
 def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupling) -> np.ndarray:
     """Configuration amplitudes by the combinatorial closed form
 
@@ -267,8 +258,14 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
 
     where K_{n,p} builds on the undeformed ladder elements
     abar_{u-(j+1)} through P_n = prod_j vt_j / abar_{u-(j+1)} and a sum
-    over descending non-adjacent index tuples, each contributing
-    prod_k (j_k+1) * abar_{u-(j_k+1)}^2 / (vt_{j_k} * vt_{j_k+1}).
+    over descending non-adjacent index tuples in [0, n-2], each
+    contributing prod_k w_{j_k} with
+    w_j = (j+1) * abar_{u-(j+1)}^2 / (vt_j * vt_{j+1}).
+
+    The tuple sums are the coefficients of the independence polynomial of
+    the path 0..n-2 weighted by w, so they follow from
+    S_n(x) = S_{n-1}(x) + x * w_{n-2} * S_{n-2}(x) in O(n^2) overall,
+    still grouped by powers of R.
 
     The expression genuinely has poles at vt_j = 0; those raise
     :class:`PoleError` instead of returning huge values.
@@ -280,27 +277,26 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
     n_max = sub.photon_numbers[-1]
     vt = _scaled_offsets(v, detuning, coupling, n_max + 1)
     pole_tol = 1e-12 * max(1.0, abs(float(v)) / float(coupling))
+    if n_max >= 2:
+        bad = np.flatnonzero(np.abs(vt[:n_max]) < pole_tol)
+        if bad.size:
+            j = int(bad[0])
+            raise PoleError(f"vt_{j} = {vt[j]!r} sits on a pole of the closed form")
 
     abar = np.array([undeformed_ladder_element(r, u - j - 1) for j in range(n_max)])
+    weights = [(j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1]) for j in range(n_max - 1)]
     c = np.empty(n_max + 1)
     c[0] = 1.0
     prefactor = 1.0  # running P_n / sqrt(n!)
+    older = tuple_sums = np.array([1.0])  # S_{n-2}, S_{n-1}: coefficients K_{n,p} by p
     for n in range(1, n_max + 1):
         if n >= 2:
-            bad = [j for j in range(n) if abs(vt[j]) < pole_tol]
-            if bad:
-                raise PoleError(f"vt_{bad[0]} = {vt[bad[0]]!r} sits on a pole of the closed form")
+            grown = np.concatenate(([0.0], weights[n - 2] * older))
+            grown[: tuple_sums.size] += tuple_sums
+            older, tuple_sums = tuple_sums, grown
         prefactor *= vt[n - 1] / (abar[n - 1] * math.sqrt(n))
-        total = 0.0
-        for p in range(n // 2 + 1):
-            tuple_sum = 0.0
-            for idx in _descending_index_sets(n, p):
-                term = 1.0
-                for j in idx:
-                    term *= (j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1])
-                tuple_sum += term
-            total += (-1.0) ** p * R ** (p - n / 2.0) * tuple_sum
-        c[n] = prefactor * total
+        p = np.arange(tuple_sums.size)
+        c[n] = prefactor * float(np.sum((-1.0) ** p * R ** (p - n / 2.0) * tuple_sums))
     return c
 
 
@@ -384,7 +380,7 @@ def resonant_energies(deformation, coupling) -> ResonantLevels:
         canonical = np.zeros(4)
     else:
         h = build_h1_matrix(subspace(1, 2), R, 0.0, eta)
-        canonical, _ = jacobi_eigh(h)
+        canonical = tridiagonal_eigvalsh(np.diag(h), np.diag(h, 1))
     mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * eta
     return ResonantLevels(canonical=np.asarray(canonical), alternate=np.array([-mag, mag]))
 

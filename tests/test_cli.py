@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qchain.linalg
 from qchain.cli import main
 
 
@@ -180,6 +181,13 @@ def test_oracle_compare_reports_deformed_case(capsys):
 def test_oracle_compare_capacity_exit_code(capsys):
     code, _ = run_cli(capsys, "oracle-compare", "--n", "13", "--l", "0.5", "--u", "1")
     assert code == 4
+
+
+def test_non_convergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(qchain.linalg, "QL_MAX_ITERATIONS", 0)
+    code, out = run_cli(capsys, "oracle-compare", "--n", "4", "--l", "0.5", "--u", "1")
+    assert code == 5
+    assert out == ""
 
 
 def test_table1_routes_agree(capsys):

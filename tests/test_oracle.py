@@ -1,11 +1,17 @@
-"""Exact-diagonalization oracle: operator identities, sectors, eigensolver."""
+"""Exact-diagonalization oracle: operator identities, sectors, eigensolver.
+
+The in-house eigensolver is checked against numpy's LAPACK ``eigvalsh``,
+which the library itself never calls.
+"""
 
 import numpy as np
 import pytest
 
+import qchain.linalg
 from qchain import (
     CapacityError,
     ChainConfig,
+    ConvergenceError,
     DimensionMismatchError,
     EmptySectorError,
     InvalidParameterError,
@@ -17,12 +23,13 @@ from qchain import (
     build_hamiltonian,
     commutator,
     deformation_factor,
-    eigh,
+    eigvalsh,
     hs_projection,
-    jacobi_eigh,
     sector_spectrum,
 )
-from qchain.oracle import BasisLabel, sector_basis
+from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
+from qchain.oracle import BasisLabel, sector_basis, sector_hamiltonian
+from qchain.spectra import build_h1_matrix, subspace
 
 
 def _config(n, l, wq=1.0, w0=1.0, eta=0.0):
@@ -208,51 +215,149 @@ def test_operator_matrix_validates_hermiticity_flag():
 def test_eigh_diagonal_and_swap():
     basis = tuple(BasisLabel(0, format(b, "02b")) for b in range(4))
     diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), basis, hermitian=True)
-    values, vectors = eigh(diag)
+    assert eigvalsh(diag) == pytest.approx([-1.0, 0.5, 2.0, 3.0])
+    values, vectors = tridiagonal_eigh([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
     assert values == pytest.approx([-1.0, 0.5, 2.0, 3.0])
-    assert np.abs(np.abs(vectors.real).sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.array_equal(np.abs(vectors).sum(axis=0), np.ones(4))
 
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    values, _ = jacobi_eigh(swap)
-    assert values == pytest.approx([-1.0, 1.0], abs=1e-14)
+    assert tridiagonal_eigvalsh(*tridiagonalize(swap)) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
 
 def test_eigh_requires_hermitian_flag():
     basis = tuple(BasisLabel(0, format(b, "01b")) for b in range(2))
     op = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), basis)
     with pytest.raises(NotHermitianError):
-        eigh(op)
+        eigvalsh(op)
     with pytest.raises(NotHermitianError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        tridiagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_jacobi_random_hermitian_properties():
-    rng = np.random.default_rng(42)
-    for _ in range(3):
-        m = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-        m = (m + m.conj().T) / 2.0
-        values, vectors = jacobi_eigh(m)
-        fro = np.linalg.norm(m)
-        residual = max(
-            np.linalg.norm(m @ vectors[:, i] - values[i] * vectors[:, i]) for i in range(50)
-        )
-        assert residual <= 1e-10 * (1.0 + fro)
-        assert np.abs(vectors.conj().T @ vectors - np.eye(50)).max() <= 1e-10
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _random_tridiagonals(rng):
+    """Random, graded and ladder-like tridiagonal matrices of dims 1..60."""
+    for trial in range(60):
+        n = int(rng.integers(1, 61))
+        kind = trial % 3
+        if kind == 0:
+            d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        elif kind == 1:
+            d = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+            e = rng.normal(size=n - 1) * 10.0 ** rng.integers(-10, 3)
+        else:
+            ns = np.arange(n)
+            d = rng.uniform(-0.5, 0.5) * ns
+            e = rng.uniform(0.05, 1.0) * np.sqrt(ns[1:]) * rng.uniform(0.5, 2.0, n - 1)
+        yield d, e
+
+
+def _assert_eigenpairs(d, e, values, vectors):
+    t = _dense(d, e)
+    n = len(d)
+    scale = max(float(np.abs(np.linalg.eigvalsh(t)).max()), np.finfo(float).tiny)
+    assert np.abs(values - np.linalg.eigvalsh(t)).max() <= 1e-12 * scale * n
+    residual = np.linalg.norm(t @ vectors - vectors * values, axis=0).max()
+    assert residual <= 1e-12 * scale * n
+    assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12 * n
+
+
+def test_tridiagonal_eigh_residual_and_orthonormality():
+    for d, e in _random_tridiagonals(np.random.default_rng(42)):
+        values, vectors = tridiagonal_eigh(d, e)
+        _assert_eigenpairs(d, e, values, vectors)
+        assert np.array_equal(values, tridiagonal_eigvalsh(d, e))
+
+
+def test_tridiagonal_eigh_is_deterministic():
+    d, e = next(_random_tridiagonals(np.random.default_rng(11)))
+    first = tridiagonal_eigh(d, e)
+    second = tridiagonal_eigh(d.copy(), e.copy())
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+    a = np.random.default_rng(12).normal(size=(32, 32))
+    op = OperatorMatrix(a + a.T, tuple(BasisLabel(0, format(b, "05b")) for b in range(32)), True)
+    assert eigvalsh(op).tobytes() == eigvalsh(op).tobytes()
+
+
+def test_ascending_order_and_sign_rule():
+    for d, e in _random_tridiagonals(np.random.default_rng(7)):
+        values, vectors = tridiagonal_eigh(d, e)
         assert np.all(np.diff(values) >= 0.0)
+        for k in range(len(d)):
+            lead = vectors[np.argmax(np.abs(vectors[:, k]) > 1e-8), k]
+            assert lead > 0.0
 
 
-def test_jacobi_is_deterministic():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(20, 20))
-    m = (m + m.T) / 2.0
-    v1, w1 = jacobi_eigh(m)
-    v2, w2 = jacobi_eigh(m)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(w1, w2)
+def test_split_blocks_give_identity_vectors():
+    values, vectors = tridiagonal_eigh(np.ones(3), np.zeros(2))
+    assert np.array_equal(values, np.ones(3))
+    assert np.array_equal(vectors, np.eye(3))
+    # eta = 0 ladder: every off-diagonal vanishes, so each block is 1 x 1
+    h = build_h1_matrix(subspace(2, 3), 0.625, 0.35, 0.0)
+    values, vectors = tridiagonal_eigh(np.diag(h), np.diag(h, 1))
+    assert np.array_equal(values, 0.35 * np.arange(6))
+    assert np.array_equal(vectors, np.eye(6))
+    # a zero in the middle splits the matrix into two blocks
+    d = np.array([2.0, 0.0, 1.0, 3.0, -1.0])
+    e = np.array([0.5, 0.0, 0.7, 0.2])
+    values, vectors = tridiagonal_eigh(d, e)
+    _assert_eigenpairs(d, e, values, vectors)
+    on_first = np.all(vectors[2:] == 0.0, axis=0)
+    on_second = np.all(vectors[:2] == 0.0, axis=0)
+    assert np.array_equal(on_first, ~on_second) and on_first.sum() == 2
 
 
-def test_jacobi_degenerate_cluster_order():
-    values, vectors = jacobi_eigh(np.eye(3))
-    assert values == pytest.approx([1.0, 1.0, 1.0])
-    # degenerate vectors ordered by first significant component index
-    assert np.abs(vectors - np.eye(3)).max() <= 1e-14
+def test_wilkinson_w21_close_pairs_stay_orthogonal():
+    # W21+ has pairs of eigenvalues that agree to ~14 digits: the vectors of
+    # each pair come from one cluster and need re-orthogonalization
+    d = np.abs(np.arange(21) - 10.0)
+    e = np.ones(20)
+    values, vectors = tridiagonal_eigh(d, e)
+    assert np.diff(values)[-1] < 1e-12
+    _assert_eigenpairs(d, e, values, vectors)
+
+
+def test_highly_degenerate_eigenvalue_converges():
+    # a 30-fold zero eigenvalue leaves a block of rounding-level entries
+    # after Householder; QL must deflate it against ||T||, not against its
+    # own rounding-level diagonal
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(40, 40)))
+    a = (q * np.concatenate((np.zeros(30), rng.uniform(-1.0, 1.0, 10)))) @ q.T
+    a = (a + a.T) / 2.0
+    values = tridiagonal_eigvalsh(*tridiagonalize(a))
+    assert np.abs(values - np.linalg.eigvalsh(a)).max() <= 1e-12 * 40
+
+
+@pytest.mark.parametrize("n_qubits, u", [(8, 1), (10, 1)])
+def test_sector_eigenvalues_match_lapack(n_qubits, u):
+    cfg = _config(n_qubits, 0.437, wq=1.0, w0=1.15, eta=0.3)
+    h = sector_hamiltonian(cfg, u).entries
+    ref = np.linalg.eigvalsh(h)
+    values = sector_spectrum(cfg, u)
+    assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_complex_input_is_rejected_not_truncated():
+    hermitian = np.array([[1.0, 1j], [-1j, 1.0]])
+    with pytest.raises(InvalidParameterError):
+        tridiagonalize(hermitian)
+    with pytest.raises(InvalidParameterError):
+        tridiagonal_eigh([1.0, 2.0], [0.5 + 1e-3j])
+    basis = tuple(BasisLabel(0, format(b, "01b")) for b in range(2))
+    with pytest.raises(InvalidParameterError):
+        OperatorMatrix(hermitian, basis, hermitian=True)
+    # a complex dtype with zero imaginary parts is real input
+    assert tridiagonal_eigvalsh(*tridiagonalize(np.eye(2, dtype=complex))) == pytest.approx([1.0, 1.0])
+
+
+def test_ql_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(qchain.linalg, "QL_MAX_ITERATIONS", 0)
+    assert tridiagonal_eigvalsh([1.0, 2.0], [0.0]) == pytest.approx([1.0, 2.0])
+    with pytest.raises(ConvergenceError):
+        tridiagonal_eigvalsh([1.0, 2.0], [0.5])
+    with pytest.raises(ConvergenceError):
+        sector_spectrum(_config(2, 0.3, eta=0.2), 0)

@@ -1,6 +1,7 @@
 """Subspace solver: dressed states, coefficient routes, special-case formulas."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qchain import (
     truncated_quartic_coefficients,
     weak_coupling_energies,
 )
+from qchain.algebra import undeformed_ladder_element
 from qchain.spectra import DressedState
 
 
@@ -191,6 +193,43 @@ def test_closed_form_equals_recursion_over_random_draws():
         rec = coefficients_recursive(v, sub, R, dw, eta)
         clo = coefficients_closed(v, sub, R, dw, eta)
         assert np.abs(clo - rec).max() <= 1e-9 * max(1.0, np.abs(rec).max())
+
+
+def _closed_form_by_enumeration(v, sub, R, dw, eta):
+    """The closed form summed tuple by tuple over every descending
+    non-adjacent index set: exponential, kept as the reference."""
+    u, r = sub.total_excitation, sub.total_spin
+    n_max = sub.photon_numbers[-1]
+    vt = [(v - dw * n) / eta for n in range(n_max + 1)]
+    abar = [undeformed_ladder_element(r, u - j - 1) for j in range(n_max)]
+    c = [1.0]
+    prefactor = 1.0
+    for n in range(1, n_max + 1):
+        prefactor *= vt[n - 1] / (abar[n - 1] * math.sqrt(n))
+        total = 0.0
+        for p in range(n // 2 + 1):
+            tuple_sum = 0.0
+            for combo in combinations(range(n - 1), p):
+                if all(b - a >= 2 for a, b in zip(combo, combo[1:])):
+                    term = 1.0
+                    for j in combo:
+                        term *= (j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1])
+                    tuple_sum += term
+            total += (-1.0) ** p * R ** (p - n / 2.0) * tuple_sum
+        c.append(prefactor * total)
+    return np.array(c)
+
+
+def test_closed_form_recurrence_matches_tuple_enumeration():
+    rng = np.random.default_rng(31)
+    for r in (1.0, 2.5, 4.0, 6.0):
+        sub = subspace(r, r)  # photon numbers 0..2r
+        for _ in range(5):
+            R, dw, eta = rng.uniform(0.05, 1.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)
+            v = rng.uniform(-5.0, 5.0)
+            ref = _closed_form_by_enumeration(v, sub, R, dw, eta)
+            got = coefficients_closed(v, sub, R, dw, eta)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_closed_form_reports_poles():
