@@ -8,7 +8,6 @@ from .algebra import (
     bloch_metric,
     casimir_h,
     deformation_factor,
-    deformation_factor_closed,
     deformation_profile,
     h_curve,
     ladder_element,

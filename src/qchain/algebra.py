@@ -2,8 +2,11 @@
 
 The inhomogeneous couplings cos(j*pi*l) turn the collective ladder
 commutator into [S+, S-] = 2*R*S_z with a scalar deformation factor
-R in [1/N, 1].  Everything in this module is a pure function of plain
-scalars; the dense-matrix counterparts live in :mod:`qchain.oracle`.
+R in [1/N, 1].  :func:`deformation_profile` is the one evaluator of R,
+at O(1) per spacing; :func:`deformation_factor` is its scalar form.
+Everything in this module is a pure function of plain scalars or
+arrays of spacings; the dense-matrix counterparts live in
+:mod:`qchain.oracle`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ __all__ = [
     "DeformationFactor",
     "LadderElement",
     "deformation_factor",
-    "deformation_factor_closed",
     "deformation_profile",
     "sigma_z_deviation_weights",
     "ladder_element",
@@ -33,17 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeformationFactor:
-    """Scalar deformation factor with the route that produced it.
-
-    ``provenance`` is "sum" for the canonical cosine-sum evaluation and
-    "closed" for the Dirichlet-ratio form, which is singular at integer
-    spacing and kept only for cross-checks.
+    """Deformation factor R(N, l) of one chain, with the N and l it was
+    evaluated at; ``float(factor)`` gives the value.
     """
 
     value: float
     n_qubits: int
     spacing: float
-    provenance: str = "sum"
 
     def __float__(self) -> float:
         return self.value
@@ -63,58 +61,46 @@ class LadderElement:
     value: float
 
 
-def _validate_nl(n_qubits, spacing):
+def _validate_n(n_qubits) -> int:
     if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    return int(n_qubits)
+
+
+def _validate_nl(n_qubits, spacing):
+    n = _validate_n(n_qubits)
     spacing = float(spacing)
     if not math.isfinite(spacing) or spacing <= 0:
         raise InvalidParameterError(f"spacing must be finite and > 0, got {spacing!r}")
-    return int(n_qubits), spacing
+    return n, spacing
 
 
 def deformation_factor(n_qubits: int, spacing: float) -> DeformationFactor:
-    """Deformation factor R of an N-qubit chain at relative spacing l.
-
-    Canonical sum form::
-
-        R = 1/2 + (1/2N) * sum_{j=0}^{N-1} cos(2*j*pi*l)
-
-    which is smooth in l (no removable singularity at integer l) and
-    exactly periodic with period 1.  Bounds: 1/N <= R <= 1.
+    """Deformation factor R of an N-qubit chain at relative spacing l,
+    evaluated by :func:`deformation_profile`.  Bounds: 1/N <= R <= 1.
     """
     n, l = _validate_nl(n_qubits, spacing)
-    j = np.arange(n)
-    value = 0.5 + float(np.cos(2.0 * np.pi * l * j).sum()) / (2.0 * n)
-    return DeformationFactor(value=value, n_qubits=n, spacing=l)
+    return DeformationFactor(value=float(deformation_profile(n, l)), n_qubits=n, spacing=l)
 
 
 def deformation_profile(n_qubits: int, spacings) -> np.ndarray:
-    """Sum-form deformation factor evaluated on an array of spacings.
+    """Deformation factor R(N, l) = 1/2 + (1/2N) * sum_{j<N} cos(2*j*pi*l)
+    on an array of spacings, which must be finite and > 0.
 
-    Same formula as :func:`deformation_factor`, vectorized for sweeps and
-    stationary-point scans; spacings must be finite and > 0.
+    R has period 1 in l, so it is evaluated at d = l - round(l), which is
+    exact in floating point, in the Dirichlet form
+    R = 1/2 + sin(N*pi*d) * cos((N-1)*pi*d) / (2N * sin(pi*d)), with
+    R = 1 exactly at d = 0.  Each spacing costs O(1) time and memory, and
+    the value stays within a few ulp of R even next to integer l.
     """
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
-        raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    n = _validate_n(n_qubits)
     ls = np.asarray(spacings, dtype=float)
     if ls.size and (not np.isfinite(ls).all() or (ls <= 0).any()):
         raise InvalidParameterError("spacings must be finite and > 0")
-    j = np.arange(int(n_qubits))
-    return 0.5 + np.cos(2.0 * np.pi * np.multiply.outer(ls, j)).sum(axis=-1) / (2.0 * n_qubits)
-
-
-def deformation_factor_closed(n_qubits: int, spacing: float) -> DeformationFactor:
-    """Dirichlet-ratio form of the deformation factor::
-
-        R = [2N + 1 + sin((2N-1)*pi*l) / sin(pi*l)] / (4N)
-
-    Equal to the sum form wherever sin(pi*l) != 0; the 0/0 limit at
-    integer l is NOT handled, so callers must stay away from integers.
-    """
-    n, l = _validate_nl(n_qubits, spacing)
-    ratio = math.sin((2 * n - 1) * math.pi * l) / math.sin(math.pi * l)
-    value = (2 * n + 1 + ratio) / (4.0 * n)
-    return DeformationFactor(value=value, n_qubits=n, spacing=l, provenance="closed")
+    d = ls - np.round(ls)
+    x = np.pi * np.where(d == 0.0, 0.5, d)
+    r = 0.5 + np.sin(n * x) * np.cos((n - 1) * x) / (2.0 * n * np.sin(x))
+    return np.where(d == 0.0, 1.0, r)
 
 
 def sigma_z_deviation_weights(n_qubits: int, spacing: float) -> np.ndarray:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import deformation_factor, h_curve
-from .config import ChainConfig
+from .algebra import deformation_factor, deformation_profile, h_curve
+from .config import ChainConfig, halves, twice
 from .crossover import crossover_point
 from .errors import (
     CapacityError,
@@ -105,7 +105,7 @@ def cmd_deform_sweep(args) -> str:
             f"need 0 < l-start < l-end, got {args.l_start!r}, {args.l_end!r}"
         )
     grid = np.linspace(args.l_start, args.l_end, args.steps)
-    values = [deformation_factor(args.n, l).value for l in grid]
+    values = deformation_profile(args.n, grid).tolist()
     if args.format == "json":
         return json_text({"n": args.n, "l": grid.tolist(), "R": values})
     return csv_lines(["l", "R"], [[l, v] for l, v in zip(grid.tolist(), values)])
@@ -121,13 +121,14 @@ def cmd_hcurve(args) -> str:
 
 
 def _spin_of(args) -> float:
-    r = args.n / 2.0 if args.r is None else args.r
-    if args.r is not None:
-        if 2 * r != int(2 * r) or r < 0 or r > args.n / 2.0 or (args.n / 2.0 - r) != int(args.n / 2.0 - r):
-            raise InvalidParameterError(
-                f"total spin {args.r!r} is not an irrep of a {args.n}-qubit chain"
-            )
-    return r
+    if args.r is None:
+        return args.n / 2.0
+    r2 = twice(args.r)
+    if not 0 <= r2 <= args.n or (args.n - r2) % 2:
+        raise InvalidParameterError(
+            f"total spin {args.r!r} is not an irrep of a {args.n}-qubit chain"
+        )
+    return halves(r2)
 
 
 def cmd_spectrum(args) -> str:

@@ -16,10 +16,9 @@ def twice(x) -> int:
     integers so ladder arithmetic never touches floating-point indexing.
     """
     d = 2.0 * float(x)
-    rounded = round(d)
-    if not math.isfinite(d) or abs(d - rounded) > 1e-9:
+    if not math.isfinite(d) or abs(d - round(d)) > 1e-9:
         raise InvalidParameterError(f"{x!r} is not a half-integer")
-    return int(rounded)
+    return round(d)
 
 
 def halves(twice_x: int) -> float:

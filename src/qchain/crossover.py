@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import deformation_profile
-from .errors import InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
 
 __all__ = [
     "CrossoverReport",
@@ -28,6 +28,10 @@ __all__ = [
 
 BISECT_WIDTH = 1e-12
 DEDUPE_TOL = 1e-10
+# Largest scan grid find_stationary_points allocates: about 40 bytes per point
+# at peak, ~200 MB and ~2 s at the cap.  A crossover scan needs ~20*N points,
+# so chains up to N ~ 2.5*10**5 are admitted.
+MAX_SCAN_POINTS = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +143,22 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
     """Sorted stationary points of R(N, l) on [l_min, l_max], found as
     sign changes of :func:`stationarity_residual` on a grid of step
     <= 1/(20*(2N-1)) (at least ~20 samples per oscillation of the fastest
-    term) refined by bisection.
+    term) refined by bisection.  A grid longer than
+    :data:`MAX_SCAN_POINTS` raises :class:`CapacityError` before anything
+    is allocated.
     """
     n = _validate_n(n_qubits)
     l_min = float(l_min)
     l_max = float(l_max)
     if not (0.0 < l_min < l_max) or not math.isfinite(l_max):
         raise InvalidParameterError(f"need 0 < l_min < l_max, got [{l_min!r}, {l_max!r}]")
-    num = int(math.ceil((l_max - l_min) * 20 * (2 * n - 1))) + 1
+    span = (l_max - l_min) * 20 * (2 * n - 1)  # grid steps; inf if it overflows
+    if span + 1 > MAX_SCAN_POINTS:
+        raise CapacityError(
+            f"scanning [{l_min!r}, {l_max!r}] for N = {n} needs {span + 1:.3g} grid points, "
+            f"over the cap of {MAX_SCAN_POINTS}"
+        )
+    num = int(math.ceil(span)) + 1
     return bracketed_roots(lambda l: stationarity_residual(n, l), l_min, l_max, max(num, 50))
 
 
@@ -156,7 +168,8 @@ def crossover_point(n_qubits: int) -> CrossoverReport:
 
     The scan starts below the first stationary point (~1.43/(2N-1)) and
     overshoots 1/2 by two grid steps so a boundary extremum at exactly
-    l = 1/2 is still bracketed.
+    l = 1/2 is still bracketed.  Time and memory are O(N); a chain whose
+    scan grid exceeds :data:`MAX_SCAN_POINTS` raises :class:`CapacityError`.
     """
     n = _validate_n(n_qubits)
     step = 1.0 / (20 * (2 * n - 1))

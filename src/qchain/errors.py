@@ -10,7 +10,7 @@ class InvalidParameterError(QChainError, ValueError):
 
 
 class CapacityError(QChainError):
-    """Requested dense build exceeds the qubit-count cap."""
+    """A request exceeds a documented cap: dense-build qubits or crossover scan grid."""
 
 
 class DimensionMismatchError(QChainError, ValueError):

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import ladder_element, undeformed_ladder_element
+from .algebra import _validate_deformation, ladder_element, undeformed_ladder_element
 from .config import halves, twice
 from .errors import (
     DegenerateLadderError,
@@ -112,13 +112,6 @@ class ResonantLevels:
     alternate: np.ndarray
 
 
-def _validate_r(deformation) -> float:
-    r = float(deformation)
-    if not math.isfinite(r) or not 0.0 < r <= 1.0:
-        raise InvalidParameterError(f"deformation must lie in (0, 1], got {r!r}")
-    return r
-
-
 def subspace(total_excitation, total_spin) -> ExcitationSubspace:
     """The (u, r) ladder subspace.
 
@@ -152,7 +145,7 @@ def build_h1_matrix(sub: ExcitationSubspace, deformation, detuning, coupling) ->
     subspace basis: diagonal w~_0 * n, off-diagonal between n and n+1
     equal to eta * sqrt(n+1) * alpha_{u-n-1}^(r).
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     u = sub.total_excitation
     r = sub.total_spin
     ns = np.asarray(sub.photon_numbers)
@@ -226,7 +219,7 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     where vt_n = (v - detuning*n)/coupling.  When v is an eigenvalue of
     the subspace matrix, C_{n_max+1} vanishes (the terminating condition).
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     _require_c0(sub)
     u = sub.total_excitation
     r = sub.total_spin
@@ -270,7 +263,7 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
     The expression genuinely has poles at vt_j = 0; those raise
     :class:`PoleError` instead of returning huge values.
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     _require_c0(sub)
     u = sub.total_excitation
     r = sub.total_spin
@@ -306,7 +299,7 @@ def characteristic_polynomial(sub: ExcitationSubspace, deformation, detuning, co
     running the three-term recursion with symbolic v.  Its roots are the
     interaction eigenvalues.
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     u = sub.total_excitation
     r = sub.total_spin
     ns = sub.photon_numbers
@@ -328,7 +321,7 @@ def truncated_quartic_coefficients(deformation, detuning, coupling) -> np.ndarra
     - 36*R*eta^2*dw^2, ascending order.  Its exact roots are the
     weak-coupling energies minus qubit_freq.
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     dw = float(detuning)
     eta = float(coupling)
     return np.array([-36.0 * R * eta**2 * dw**2, -6.0 * dw**3, 11.0 * dw**2, -6.0 * dw, 1.0])
@@ -344,7 +337,7 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     shifted by w_q; they track the exact spectrum only at leading order
     in eta/dw.
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     dw = float(detuning)
     if dw == 0.0:
         raise InvalidParameterError("weak-coupling form requires nonzero detuning")
@@ -398,7 +391,7 @@ def four_qubit_reference_coefficients(v, deformation, detuning, coupling) -> dic
     it disagrees with the recursion and the eigenvectors and is kept for
     comparison output only.
     """
-    R = _validate_r(deformation)
+    R = _validate_deformation(deformation)
     vt = _scaled_offsets(v, detuning, coupling, 3)
     c1 = vt[0] / math.sqrt(6.0 * R)
     c2 = vt[0] * vt[1] / (6.0 * math.sqrt(2.0) * R) - 1.0 / math.sqrt(2.0)

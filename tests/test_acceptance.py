@@ -22,7 +22,6 @@ from qchain import (
     commutator,
     crossover_point,
     deformation_factor,
-    deformation_factor_closed,
     deformation_profile,
     find_stationary_points,
     four_qubit_reference_coefficients,
@@ -37,6 +36,7 @@ from qchain import (
     weak_coupling_energies,
 )
 from qchain.crossover import bracketed_roots
+from reference_forms import cosine_sum, dirichlet_ratio
 
 
 def criterion(num, description):
@@ -65,12 +65,15 @@ def test_criterion_02():
     for n in range(1, 13):
         grid = np.linspace(0.006, 3.0, 500)
         away = grid[np.abs(grid - np.round(grid)) >= 1e-6]
-        sums = deformation_profile(n, away)
-        for l, expected in zip(away, sums):
-            assert abs(deformation_factor_closed(n, l).value - expected) <= 1e-10
+        sums = cosine_sum(n, away)
+        closed = np.array([dirichlet_ratio(n, l) for l in away])
+        assert np.abs(closed - sums).max() <= 1e-10
+        profile = deformation_profile(n, away)
+        assert np.abs(profile - sums).max() <= 1e-10
+        assert np.abs(profile - closed).max() <= 1e-10
         for l in (1.0, 2.0, 3.0):
             assert abs(deformation_factor(n, l).value - 1.0) <= 1e-12
-        assert np.abs(sums - deformation_profile(n, away + 1.0)).max() <= 1e-12
+        assert np.abs(profile - deformation_profile(n, away + 1.0)).max() <= 1e-12
 
 
 @criterion(3, "Hilbert-Schmidt projection equals the deformation factor within 1e-10, N <= 8")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,13 +11,13 @@ from qchain import (
     bloch_metric,
     casimir_h,
     deformation_factor,
-    deformation_factor_closed,
     deformation_profile,
     h_curve,
     ladder_element,
     sigma_z_deviation_weights,
     undeformed_ladder_element,
 )
+from reference_forms import cosine_sum, dirichlet_ratio
 
 
 def test_deformation_point_values():
@@ -28,24 +29,52 @@ def test_deformation_point_values():
     assert deformation_factor(4, 1.0).value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_deformation_provenance_and_float_protocol():
-    r_sum = deformation_factor(4, 2 / 3)
-    r_closed = deformation_factor_closed(4, 2 / 3)
-    assert r_sum.provenance == "sum"
-    assert r_closed.provenance == "closed"
-    assert float(r_sum) == r_sum.value
-    assert r_closed.value == pytest.approx(r_sum.value, abs=1e-12)
+def test_deformation_float_protocol():
+    r = deformation_factor(4, 2 / 3)
+    assert float(r) == r.value
+    assert (r.n_qubits, r.spacing) == (4, 2 / 3)
+    assert r.value == pytest.approx(dirichlet_ratio(4, 2 / 3), abs=1e-12)
 
 
 def test_closed_form_matches_sum_form_away_from_integers():
     for n in range(1, 13):
         grid = np.linspace(0.006, 3.0, 500)
-        for l in grid:
-            if abs(l - round(l)) < 1e-6:
-                continue
-            assert deformation_factor_closed(n, l).value == pytest.approx(
-                deformation_factor(n, l).value, abs=1e-10
-            )
+        away = grid[np.abs(grid - np.round(grid)) >= 1e-6]
+        sums = cosine_sum(n, away)
+        ratios = [dirichlet_ratio(n, l) for l in away]
+        profile = deformation_profile(n, away)
+        assert ratios == pytest.approx(sums, abs=1e-10)
+        assert profile == pytest.approx(sums, abs=1e-10)
+        assert profile == pytest.approx(ratios, abs=1e-10)
+
+
+def _mp_cosine_sum(n, l):
+    """R(N, l) as a 40-digit cosine sum at the exact binary value of l."""
+    with mpmath.workdps(40):
+        l = mpmath.mpf(l)
+        total = mpmath.fsum(mpmath.cos(2 * j * mpmath.pi * l) for j in range(n))
+        return 0.5 + total / (2 * n)
+
+
+def test_deformation_matches_40_digit_sums():
+    rng = np.random.default_rng(11)
+    special = [2 / 3, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-12]
+    worst = 0.0
+    for n in (2, 4, 7, 30, 300, 1000):
+        ls = np.concatenate([3.0 - 3.0 * rng.random(12), special])  # (0, 3]
+        for l, value in zip(ls, deformation_profile(n, ls).tolist()):
+            worst = max(worst, float(abs(value - _mp_cosine_sum(n, l))))
+    assert worst <= 1e-15
+
+
+def test_profile_cost_does_not_grow_with_n():
+    # an O(N) route cannot reach N = 10**12; the Dirichlet envelope
+    # |R - 1/2| <= 1/(2N |sin(pi*l)|) pins the value there
+    n = 10**12
+    ls = np.array([0.3, 1.5, 2.25])
+    r = deformation_profile(n, ls)
+    assert np.all(np.abs(r - 0.5) <= 1.0 / (2 * n * np.abs(np.sin(np.pi * ls))) + 1e-15)
+    assert deformation_profile(n, [2.0])[0] == 1.0
 
 
 def test_sum_form_is_exactly_one_at_integer_spacing():
@@ -139,7 +168,10 @@ def test_ladder_undeformed_limit_is_textbook_su2():
 
 @pytest.mark.parametrize(
     "r,m,R",
-    [(2, 3, 1.0), (2, -3, 1.0), (2, 0.5, 1.0), (-1, 0, 1.0), (2, 1, 0.0), (2, 1, 1.5), (0.3, 0, 1.0)],
+    [
+        (2, 3, 1.0), (2, -3, 1.0), (2, 0.5, 1.0), (-1, 0, 1.0), (2, 1, 0.0), (2, 1, 1.5),
+        (0.3, 0, 1.0), (float("inf"), 0, 1.0), (2, float("nan"), 1.0),
+    ],
 )
 def test_ladder_rejects_bad_parameters(r, m, R):
     with pytest.raises(InvalidParameterError):

@@ -1,6 +1,7 @@
 """Command-line surface: golden bytes, exit codes, format contracts."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,32 @@ def test_crossover_command(capsys):
 def test_crossover_single_qubit_is_usage_error(capsys):
     code, _ = run_cli(capsys, "crossover", "--n", "1")
     assert code == 2
+
+
+def test_crossover_capacity_exit_code(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "crossover", "--n", "1000000000")
+    assert code == 4
+    assert out == ""
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deform", "--n", "4", "--l", "0"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "inf"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "nan"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "1/3"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "3"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "3/2"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "-1"],
+    ],
+)
+def test_out_of_domain_values_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_flag_exits_2(capsys):

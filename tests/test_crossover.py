@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from qchain import (
+    CapacityError,
     InvalidParameterError,
     chebyshev_residual,
     crossover_point,
@@ -12,7 +13,7 @@ from qchain import (
     find_stationary_points,
     stationarity_residual,
 )
-from qchain.crossover import bracketed_roots
+from qchain.crossover import MAX_SCAN_POINTS, bracketed_roots
 
 
 def test_stationarity_residual_point_values():
@@ -148,3 +149,23 @@ def test_crossover_is_a_local_and_global_minimum():
 def test_crossover_n30_reaches_the_known_minimum():
     report = crossover_point(30)
     assert report.deformation_at_crossover == pytest.approx(0.4, abs=0.02)
+
+
+def test_crossover_n_100000_stays_linear():
+    # R costs O(1) per stationary point, so this takes about a second and
+    # ~100 MB
+    n = 100_000
+    report = crossover_point(n)
+    assert report.stationary_points.size == n - 1
+    assert report.crossover_spacing * (2 * n - 1) == pytest.approx(1.43, abs=0.01)
+    assert report.deformation_at_crossover == pytest.approx(0.3914, abs=1e-3)
+
+
+def test_oversized_scans_are_refused_before_allocating():
+    with pytest.raises(CapacityError):
+        crossover_point(10**9)
+    with pytest.raises(CapacityError):
+        find_stationary_points(4, 0.1, 1e308)
+    n = MAX_SCAN_POINTS // 20
+    with pytest.raises(CapacityError):
+        find_stationary_points(n, 0.1, 0.9)
