@@ -2,13 +2,18 @@
 
 Output is byte-deterministic for identical invocations: floats use the
 shortest round-trip representation, rows keep a fixed order, and CSV
-always starts with a header line.  Exit codes: 0 success, 2 usage error,
-3 empty sector, 4 capacity exceeded, 5 eigensolver did not converge.
+always starts with a header line.  JSON output is exactly the bytes of
+``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
+``float.__repr__``; both are rendered by C code a whole column or a flat
+number list at a time, not by one Python call per value.  Exit codes:
+0 success, 2 usage error, 3 empty sector, 4 capacity exceeded, 5
+eigensolver did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -69,14 +74,61 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def csv_lines(header: list[str], rows: list[list]) -> str:
+# renderers by exact type; any other type (numpy scalars, bool) goes to fmt
+_RENDER = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    type(None): lambda _: "",
+}
+
+
+def _cell(x) -> str:
+    return _RENDER.get(type(x), fmt)(x)
+
+
+def _column(values):
+    """The cells of one nonempty column whose values share one type,
+    rendered by mapping that type's renderer over the whole column."""
+    return map(_RENDER.get(type(values[0]), fmt), values)
+
+
+def csv_lines(header: list[str], rows=(), columns=()) -> str:
+    """CSV text: the header line, then each of the mixed ``rows`` cell by
+    cell, then one line per entry of the single-typed ``columns``."""
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(map(",".join, zip(*map(_column, columns))))
     return "\n".join(lines) + "\n"
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2)`` plus a newline, for trees
+    of dicts with string keys, lists, tuples and JSON scalars.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, one call
+    per value; here each flat list of floats and ints goes through the C
+    encoder in one call instead.
+    """
+    return _json(obj, "") + "\n"
+
+
+def _json(obj, indent: str) -> str:
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join(
+            [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if set(map(type, obj)) <= {float, int}:
+        # a JSON number never contains ", ", the C encoder's item separator
+        body = json.dumps(obj)[1:-1].replace(", ", sep)
+    else:
+        body = sep.join([_json(item, inner) for item in obj])
+    return "[\n" + inner + body + "\n" + indent + "]"
 
 
 def _deformation_of(n: int, l: float) -> float:
@@ -105,19 +157,18 @@ def cmd_deform_sweep(args) -> str:
             f"need 0 < l-start < l-end, got {args.l_start!r}, {args.l_end!r}"
         )
     grid = np.linspace(args.l_start, args.l_end, args.steps)
+    spacings = grid.tolist()
     values = deformation_profile(args.n, grid).tolist()
     if args.format == "json":
-        return json_text({"n": args.n, "l": grid.tolist(), "R": values})
-    return csv_lines(["l", "R"], [[l, v] for l, v in zip(grid.tolist(), values)])
+        return json_text({"n": args.n, "l": spacings, "R": values})
+    return csv_lines(["l", "R"], columns=[spacings, values])
 
 
 def cmd_hcurve(args) -> str:
-    samples = h_curve(args.R, args.m_min, args.m_max, args.steps)
+    ms, hs = zip(*h_curve(args.R, args.m_min, args.m_max, args.steps))
     if args.format == "json":
-        return json_text(
-            {"R": args.R, "m": [m for m, _ in samples], "h": [h for _, h in samples]}
-        )
-    return csv_lines(["m", "h"], [[m, h] for m, h in samples])
+        return json_text({"R": args.R, "m": ms, "h": hs})
+    return csv_lines(["m", "h"], columns=[ms, hs])
 
 
 def _spin_of(args) -> float:
@@ -332,6 +383,7 @@ def cmd_table1(args) -> str:
 
 def cmd_crossover(args) -> str:
     report = crossover_point(args.n)
+    points = report.stationary_points.tolist()
     if args.format == "json":
         return json_text(
             {
@@ -339,7 +391,7 @@ def cmd_crossover(args) -> str:
                 "crossover_l": report.crossover_spacing,
                 "R_at_crossover": report.deformation_at_crossover,
                 "spins_per_wavelength": report.spins_per_wavelength,
-                "stationary_points": report.stationary_points.tolist(),
+                "stationary_points": points,
             }
         )
     rows = [
@@ -347,10 +399,8 @@ def cmd_crossover(args) -> str:
         ["R_at_crossover", None, report.deformation_at_crossover],
         ["spins_per_wavelength", None, report.spins_per_wavelength],
     ]
-    rows.extend(
-        ["stationary_point", k, l] for k, l in enumerate(report.stationary_points.tolist())
-    )
-    return csv_lines(["key", "index", "value"], rows)
+    columns = [["stationary_point"] * len(points), range(len(points)), points]
+    return csv_lines(["key", "index", "value"], rows, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +423,7 @@ def _add_chain_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the full command line; ``main`` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="qchain",
         description="Deformed collective-spin spectra of an inhomogeneously coupled qubit chain.",
@@ -432,9 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args never changes the parser: every call starts from a fresh
+    # namespace, so one parser serves all the calls of a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         text = args.func(args)
     except (EmptySectorError, EmptySubspaceError) as exc:

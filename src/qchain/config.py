@@ -14,9 +14,11 @@ def twice(x) -> int:
     """Return 2*x as an exact integer, rejecting anything that is not a
     half-integer.  Spin labels (r, m, u) are carried around as doubled
     integers so ladder arithmetic never touches floating-point indexing.
+    The test is exact: every half-integer is exact in binary, so a value
+    off by any amount (``2.0000000001``) is refused, not rounded.
     """
     d = 2.0 * float(x)
-    if not math.isfinite(d) or abs(d - round(d)) > 1e-9:
+    if not math.isfinite(d) or d != round(d):
         raise InvalidParameterError(f"{x!r} is not a half-integer")
     return round(d)
 

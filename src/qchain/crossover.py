@@ -100,7 +100,7 @@ def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
         raise InvalidParameterError(f"bad scan interval [{lo!r}, {hi!r}]")
     xs = np.linspace(lo, hi, max(int(num_points), 2))
     fs = np.asarray(func(xs), dtype=float)
-    roots = [float(x) for x, f in zip(xs, fs) if f == 0.0]
+    roots = xs[fs == 0.0].tolist()
     sign = np.sign(fs)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:

@@ -1,13 +1,22 @@
 """Command-line surface: golden bytes, exit codes, format contracts."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qchain.linalg
-from qchain.cli import main
+from qchain.cli import json_text, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +255,8 @@ def test_crossover_capacity_exit_code(capsys):
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "3"],
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "3/2"],
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "-1"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "2.0000000001"],
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1.0000000001"],
     ],
 )
 def test_out_of_domain_values_exit_2(capsys, argv):
@@ -303,3 +314,105 @@ def test_sweep_rejects_bad_ranges(capsys):
         capsys, "deform-sweep", "--n", "4", "--l-start", "0.1", "--l-end", "0.5", "--steps", "1"
     )
     assert code == 2
+
+
+# SHA-256 of the full stdout of each command in both formats.  The cases
+# cover None cells (eta = 0 leaves states without a vacuum component), the
+# PoleError path of table1 (closed form prints as null / empty cells), a
+# lower irrep with and without a c0 column, and every uniform-column table.
+GOLDEN_DIGESTS = [
+    (["deform", "--n", "4", "--l", "2/3"], "csv", "b5190ae8c11f3efc11f4cbec67d88aa25f49e1720594710675caf83646f49284"),
+    (["deform", "--n", "4", "--l", "2/3"], "json", "8c6e073f841bdeb1061468bcd6e328e7a30451da3425cfb3e096f8374129fe27"),
+    (["deform-sweep", "--n", "30", "--l-start", "0.01", "--l-end", "2.0", "--steps", "1000"], "csv", "b0f3ab07a4d0d8a56f7839f85b84c3c98a1576894b259037cb577ba0c7a27578"),
+    (["deform-sweep", "--n", "30", "--l-start", "0.01", "--l-end", "2.0", "--steps", "1000"], "json", "07906f58a1df4535263fcfb65b841c9986ef8fed381065d321ffbd050a71fa31"),
+    (["hcurve", "--R", "0.4", "--m-min", "-2", "--m-max", "2", "--steps", "11"], "csv", "c3add79346ff1a757ab887c62d9869ccdcb830699dd9377d74bdcadeb61c2ac1"),
+    (["hcurve", "--R", "0.4", "--m-min", "-2", "--m-max", "2", "--steps", "11"], "json", "2c46f6fcda4a8c72f030c61efb24d89fd705f9ae2edf537874e8f6c7b5cdcd92"),
+    (["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "0.1"], "csv", "f082791ca8b4bd40c7c61b7143db96290c1fe453398f886868639942e2a7b3fd"),
+    (["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "0.1"], "json", "8bd6a489c7705a1e06e1ceef45a04c967a9b8bb7f6d2dadc0d5fe84ebb80d671"),
+    (["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--wq", "0.9", "--w0", "1.4", "--eta", "0"], "csv", "8ac42e98fa4edccf498dd790c5950335e728ceb21b4cc087f3ee0fccdb86eed8"),
+    (["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--wq", "0.9", "--w0", "1.4", "--eta", "0"], "json", "0f901f6a4367ff375693cefbe8f86bd7449d591f449f3c4f8ca67168caeb6dfe"),
+    (["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--w0", "3", "--eta", "0.02"], "csv", "5151fd68438a3aa86b8f17431ea1acf023cea7f2a7bba9dd59319e890198362d"),
+    (["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--w0", "3", "--eta", "0.02"], "json", "f01f498edf3bfe9df67850bf531af7b97a001d0f2ca367fb08b4152b2c044f90"),
+    (["spectrum", "--n", "6", "--l", "0.3", "--u", "2", "--r", "1", "--eta", "0.2"], "csv", "3477c46f965e5fed0b72f0987f289f9342ad24429ccdf8a72a5eecfe7e2d1d63"),
+    (["spectrum", "--n", "6", "--l", "0.3", "--u", "2", "--r", "1", "--eta", "0.2"], "json", "9b36f9a991ac4c8470671ad1d6c223cca47c3dd127b11b38fceec48fb9be92c4"),
+    (["spectrum", "--n", "4", "--l", "0.3", "--u", "5", "--r", "1", "--eta", "0.2"], "csv", "defaa1e8c53d46e64b9baf91ad2cec1352089d9709a433976e3b4737aba960a9"),
+    (["spectrum", "--n", "4", "--l", "0.3", "--u", "5", "--r", "1", "--eta", "0.2"], "json", "18dc25aa99511462b133634f1e61d6422e834249ab67aae69e75e149e972ddab"),
+    (["oracle-compare", "--n", "4", "--l", "2/3", "--u", "1", "--w0", "1.1"], "csv", "fbf4abb0877eb21c10300d48be9da63fb3d07821d9411baf12ff85b1f85cdd2a"),
+    (["oracle-compare", "--n", "4", "--l", "2/3", "--u", "1", "--w0", "1.1"], "json", "02d11764dc0142bcdb6d5832d05ae9d267b7198326aa35447e1ea7d7d4279297"),
+    (["table1", "--eta", "0.15"], "csv", "ea95cfcb1e1af5b162b899f9d15509f8fab6331e1b22e360bf03606d602570c4"),
+    (["table1", "--eta", "0.15"], "json", "0e8729450b9c01de116c8ac8f7577e9af38a8fbe99b7aacdf6108aa13cc24fc8"),
+    (["table1", "--l", "1/2", "--w0", "1.1"], "csv", "0950c26d38cc0d836257f96d025a694f6e795d7e1ebf3584fb520ecbdaef7401"),
+    (["table1", "--l", "1/2", "--w0", "1.1"], "json", "1bfbdc064db0af952413d91286d6c95b8aa8f8ebec125af1458b5bd525d885a0"),
+    (["crossover", "--n", "1000"], "csv", "61befb4352bf69bb66f7ab6054488db323334df8ceada5fe2bc4b16bd81b826d"),
+    (["crossover", "--n", "1000"], "json", "d26992761fe075b2726c75a46ad05cd25c18d35d7166825f1b4b6fb94cbadc1b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    GOLDEN_DIGESTS,
+    ids=[f"{k:02d}-{a[0]}-{f}" for k, (a, f, _) in enumerate(GOLDEN_DIGESTS)],
+)
+def test_golden_output_digests(capsys, argv, fmt, digest):
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_table1_pole_prints_null_and_empty_cells(capsys):
+    argv = ["table1", "--l", "1/2", "--w0", "1.1"]
+    _, out = run_cli(capsys, *argv, "--format", "json")
+    assert [s["closed"] is None for s in json.loads(out)["states"]] == [False, True, False, False]
+    _, out = run_cli(capsys, *argv)
+    header, rows = parse_csv(out)
+    closed = [header.index(f"closed_c{j}") for j in range(4)]
+    assert [rows[1][k] for k in closed] == [""] * 4
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.floats().map(np.float64)
+    | st.text()
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=6)
+        | st.lists(st.floats() | st.integers(), max_size=6)
+        | st.dictionaries(st.text(), children, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_trees)
+def test_json_text_matches_indented_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "qchain", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_reused_parser_forgets_flags_of_earlier_calls(tmp_path, capsys):
+    """Flags given to one main call do not leak into the next one, which
+    omits them: each call prints what it would print in a fresh process."""
+    chain = ["spectrum", "--n", "4", "--l", "2/3", "--u", "1"]
+    target = tmp_path / "lower_irrep.json"
+    code, out = run_cli(capsys, *chain, "--r", "1", "--format", "json", "--out", str(target))
+    assert code == 0 and out == ""
+    _, out = run_cli(capsys, *chain)
+    assert out == _fresh_process(chain)
+    assert target.read_text(encoding="utf-8") == _fresh_process(
+        chain + ["--r", "1", "--format", "json"]
+    )
