@@ -37,7 +37,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .oracle import (
-    BasisLabel,
     CollectiveOps,
     OperatorMatrix,
     build_collective_ops,

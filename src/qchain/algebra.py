@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import halves, twice
+from .config import halves, twice, validate_n_qubits
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -61,14 +61,8 @@ class LadderElement:
     value: float
 
 
-def _validate_n(n_qubits) -> int:
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
-        raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-    return int(n_qubits)
-
-
 def _validate_nl(n_qubits, spacing):
-    n = _validate_n(n_qubits)
+    n = validate_n_qubits(n_qubits)
     spacing = float(spacing)
     if not math.isfinite(spacing) or spacing <= 0:
         raise InvalidParameterError(f"spacing must be finite and > 0, got {spacing!r}")
@@ -93,7 +87,7 @@ def deformation_profile(n_qubits: int, spacings) -> np.ndarray:
     R = 1 exactly at d = 0.  Each spacing costs O(1) time and memory, and
     the value stays within a few ulp of R even next to integer l.
     """
-    n = _validate_n(n_qubits)
+    n = validate_n_qubits(n_qubits)
     ls = np.asarray(spacings, dtype=float)
     if ls.size and (not np.isfinite(ls).all() or (ls <= 0).any()):
         raise InvalidParameterError("spacings must be finite and > 0")
@@ -172,10 +166,10 @@ def bloch_metric(deformation) -> tuple[float, float, float]:
     return (1.0, 1.0, R)
 
 
-def h_curve(deformation, m_min, m_max, steps: int) -> list[tuple[float, float]]:
+def h_curve(deformation, m_min, m_max, steps: int) -> tuple[list[float], list[float]]:
     """Uniform samples of the parabola h(m) = R*(m^2 + m) on [m_min, m_max],
-    for plotting the level structure.  Requires steps >= 2 and a
-    nonempty range.
+    for plotting the level structure, as the two columns ``(ms, hs)``.
+    Requires steps >= 2 and a nonempty range.
     """
     R = _validate_deformation(deformation)
     m_min = float(m_min)
@@ -186,4 +180,4 @@ def h_curve(deformation, m_min, m_max, steps: int) -> list[tuple[float, float]]:
         raise InvalidParameterError(f"steps must be an integer >= 2, got {steps!r}")
     ms = np.linspace(m_min, m_max, int(steps))
     hs = R * (ms * ms + ms)
-    return list(zip(ms.tolist(), hs.tolist()))
+    return ms.tolist(), hs.tolist()

@@ -165,7 +165,7 @@ def cmd_deform_sweep(args) -> str:
 
 
 def cmd_hcurve(args) -> str:
-    ms, hs = zip(*h_curve(args.R, args.m_min, args.m_max, args.steps))
+    ms, hs = h_curve(args.R, args.m_min, args.m_max, args.steps)
     if args.format == "json":
         return json_text({"R": args.R, "m": ms, "h": hs})
     return csv_lines(["m", "h"], columns=[ms, hs])

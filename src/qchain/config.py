@@ -23,6 +23,14 @@ def twice(x) -> int:
     return round(d)
 
 
+def validate_n_qubits(n_qubits) -> int:
+    """Return a qubit count N >= 1 as a plain int.  Python and numpy
+    integers are accepted; ``bool`` is not, although it subclasses int."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
+        raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    return int(n_qubits)
+
+
 def halves(twice_x: int) -> float:
     """Inverse of :func:`twice`; exact for integers and half-integers."""
     return twice_x / 2.0
@@ -58,8 +66,7 @@ class ChainConfig:
     coupling: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise InvalidParameterError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", validate_n_qubits(self.n_qubits))
         if not math.isfinite(self.spacing):
             raise InvalidParameterError(f"spacing must be finite, got {self.spacing!r}")
         for name in ("qubit_freq", "photon_freq"):

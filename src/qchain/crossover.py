@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import deformation_profile
+from .config import validate_n_qubits
 from .errors import CapacityError, InvalidParameterError
 
 __all__ = [
@@ -46,11 +47,12 @@ class CrossoverReport:
 
 
 def _validate_n(n_qubits) -> int:
-    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 2:
+    n = validate_n_qubits(n_qubits)
+    if n < 2:
         raise InvalidParameterError(
             f"n_qubits must be an integer >= 2 (R is constant for a single qubit), got {n_qubits!r}"
         )
-    return int(n_qubits)
+    return n
 
 
 def stationarity_residual(n_qubits: int, spacing):

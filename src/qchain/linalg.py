@@ -237,6 +237,11 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    # the sums numpy.linalg.norm(x, axis=0) forms, without numpy.linalg
+    return np.sqrt(np.add.reduce(x * x, axis=0))
+
+
 def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orthonormal eigenvectors (columns) of one unreduced tridiagonal block
     by inverse iteration, all eigenvalues at once."""
@@ -261,17 +266,18 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarr
     tol = RESIDUAL_TOL * m * norm
     for sweep in range(INVERSE_MAX_SWEEPS):
         x = _lu_solve(factors, x / np.abs(x).max(axis=0))
-        x /= np.linalg.norm(x, axis=0)
+        x /= _column_norms(x)
         for lo, hi in clusters:
             for j in range(lo + 1, hi):
                 prev = x[:, lo:j]
                 for _ in range(2):  # classical Gram-Schmidt, twice
                     x[:, j] -= prev @ (prev.T @ x[:, j])
-                x[:, j] /= np.linalg.norm(x[:, j])
+                column = x[:, j].ravel(order="K")  # summed as numpy.linalg.norm sums it
+                x[:, j] /= np.sqrt(column.dot(column))
         tx = d[:, None] * x
         tx[:-1] += e[:, None] * x[1:]
         tx[1:] += e[:, None] * x[:-1]
-        residual = float(np.linalg.norm(tx - x * values, axis=0).max())
+        residual = float(_column_norms(tx - x * values).max())
         if sweep >= 1 and residual <= tol:
             return x
     raise ConvergenceError(

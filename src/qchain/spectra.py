@@ -392,7 +392,7 @@ def four_qubit_reference_coefficients(v, deformation, detuning, coupling) -> dic
     comparison output only.
     """
     R = _validate_deformation(deformation)
-    vt = _scaled_offsets(v, detuning, coupling, 3)
+    vt = _scaled_offsets(v, detuning, coupling, 3).tolist()
     c1 = vt[0] / math.sqrt(6.0 * R)
     c2 = vt[0] * vt[1] / (6.0 * math.sqrt(2.0) * R) - 1.0 / math.sqrt(2.0)
     lead = vt[0] * vt[1] * vt[2] / (12.0 * math.sqrt(6.0) * R**1.5)

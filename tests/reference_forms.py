@@ -1,6 +1,7 @@
-"""Independent routes to the deformation factor R(N, l), kept on the test
-side as references for the library's one evaluator,
-:func:`qchain.deformation_profile`."""
+"""Independent routes kept on the test side as references: the
+deformation factor R(N, l) for the library's one evaluator,
+:func:`qchain.deformation_profile`, and a state-by-state sector
+Hamiltonian for the oracle's vectorized builder."""
 
 import math
 
@@ -20,3 +21,30 @@ def dirichlet_ratio(n, spacing):
     0/0 at integer l, so callers stay away from integers."""
     ratio = math.sin((2 * n - 1) * math.pi * spacing) / math.sin(math.pi * spacing)
     return (2 * n + 1 + ratio) / (4.0 * n)
+
+
+def sector_hamiltonian_loop(config, total_excitation):
+    """Sector Hamiltonian built one product state at a time with Python
+    integers: the states (photon number, occupation) with popcount +
+    photon number = u + N/2, photon-major, and the dense matrix on them."""
+    n = config.n_qubits
+    n_max = round(total_excitation + n / 2.0)
+    states = [
+        (ph, b)
+        for ph in range(n_max + 1)
+        for b in range(1 << n)
+        if bin(b).count("1") + ph == n_max
+    ]
+    index = {state: i for i, state in enumerate(states)}
+    weights = config.coupling_profile()
+    h = np.zeros((len(states), len(states)))
+    for i, (ph, b) in enumerate(states):
+        h[i, i] = config.qubit_freq * (bin(b).count("1") - n / 2.0) + config.photon_freq * ph
+        if ph >= 1:
+            amp = config.coupling * math.sqrt(ph)
+            for j in range(n):
+                if not (b >> j) & 1:
+                    k = index[(ph - 1, b | (1 << j))]
+                    h[k, i] += amp * weights[j]
+                    h[i, k] += amp * weights[j]
+    return states, h

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qchain import (
+    ChainConfig,
     InvalidParameterError,
     bloch_metric,
     casimir_h,
+    crossover_point,
     deformation_factor,
     deformation_profile,
     h_curve,
@@ -101,6 +103,31 @@ def test_periodicity_and_bounds():
 def test_deformation_rejects_bad_parameters(n, l):
     with pytest.raises(InvalidParameterError):
         deformation_factor(n, l)
+
+
+# every entry point that takes N, with the N it reports back
+N_ENTRY_POINTS = {
+    "ChainConfig": lambda n: ChainConfig(n_qubits=n, spacing=0.3).n_qubits,
+    "deformation_factor": lambda n: deformation_factor(n, 0.3).n_qubits,
+    "crossover_point": lambda n: crossover_point(n).n_qubits,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(N_ENTRY_POINTS))
+def test_one_n_qubits_validator(entry):
+    call = N_ENTRY_POINTS[entry]
+    for n in (4, np.int64(4), np.int32(4), np.uint8(4)):
+        result = call(n)
+        assert result == 4 and type(result) is int
+    for bad in (True, False, np.bool_(True), 0, -3, 4.0, np.float64(4.0), "4", None):
+        with pytest.raises(InvalidParameterError):
+            call(bad)
+    # only the crossover needs a second qubit: R is constant for one
+    if entry == "crossover_point":
+        with pytest.raises(InvalidParameterError):
+            call(1)
+    else:
+        assert call(1) == 1
 
 
 def test_deviation_weights_examples():
@@ -197,11 +224,15 @@ def test_bloch_metric():
 
 
 def test_h_curve_samples():
-    assert h_curve(1.0, -1, 1, 3) == pytest.approx([(-1, 0), (0, 0), (1, 2)])
-    samples = h_curve(0.4, -1, 1, 5)  # grid includes m = -1/2
-    assert min(h for _, h in samples) == pytest.approx(-0.1, abs=1e-15)
+    ms, hs = h_curve(1.0, -1, 1, 3)
+    assert ms == pytest.approx([-1, 0, 1])
+    assert hs == pytest.approx([0, 0, 2])
+    assert type(ms) is list and type(hs) is list
+    assert {type(x) for x in ms + hs} == {float}
+    _, hs = h_curve(0.4, -1, 1, 5)  # grid includes m = -1/2
+    assert min(hs) == pytest.approx(-0.1, abs=1e-15)
     for R in (0.2, 0.7, 1.0):
-        curve = dict(h_curve(R, -1, 0, 2))
+        curve = dict(zip(*h_curve(R, -1, 0, 2)))
         assert curve[-1.0] == pytest.approx(0.0, abs=1e-15)
         assert curve[0.0] == pytest.approx(0.0, abs=1e-15)
 

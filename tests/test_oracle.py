@@ -4,9 +4,12 @@ The in-house eigensolver is checked against numpy's LAPACK ``eigvalsh``,
 which the library itself never calls.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+import qchain.cli
 import qchain.linalg
 from qchain import (
     CapacityError,
@@ -28,24 +31,32 @@ from qchain import (
     sector_spectrum,
 )
 from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
-from qchain.oracle import BasisLabel, sector_basis, sector_hamiltonian
-from qchain.spectra import build_h1_matrix, subspace
+from qchain.oracle import sector_basis, sector_hamiltonian
+from qchain.spectra import build_h1_matrix, solve_dressed, subspace
+from reference_forms import sector_hamiltonian_loop
 
 
 def _config(n, l, wq=1.0, w0=1.0, eta=0.0):
     return ChainConfig(n_qubits=n, spacing=l, qubit_freq=wq, photon_freq=w0, coupling=eta)
 
 
-def test_basis_label_ordering_is_photon_major():
-    labels = [BasisLabel(1, "00"), BasisLabel(0, "11"), BasisLabel(0, "01"), BasisLabel(1, "10")]
-    assert sorted(labels) == [
-        BasisLabel(0, "01"),
-        BasisLabel(0, "11"),
-        BasisLabel(1, "00"),
-        BasisLabel(1, "10"),
-    ]
-    assert BasisLabel(0, "10").occupation == 2
-    assert BasisLabel(0, "10").excited_count == 1
+def _basis(dim):
+    """(photon number, occupation) rows of the zero-photon states 0..dim-1."""
+    return np.column_stack((np.zeros(dim, dtype=int), np.arange(dim)))
+
+
+def _excited(occupation):
+    return bin(int(occupation)).count("1")
+
+
+def test_basis_rows_are_photon_major():
+    cfg = _config(2, 0.3)
+    rows = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert build_hamiltonian(cfg, 1).basis.tolist() == [list(r) for r in rows]
+    assert build_collective_ops(cfg).s_z.basis.tolist() == [list(r) for r in rows[:4]]
+    # u = 1: popcount + photon number = u + N/2 = 2
+    assert sector_basis(cfg, 1).tolist() == [[0, 3], [1, 1], [1, 2], [2, 0]]
+    assert sector_basis(cfg, 1).dtype.kind == "i"
 
 
 def test_single_qubit_raising_operator():
@@ -125,8 +136,8 @@ def test_decoupled_hamiltonian_is_diagonal():
     h = build_hamiltonian(cfg, 2)
     off = h.entries - np.diag(np.diagonal(h.entries))
     assert np.abs(off).max() == 0.0
-    for i, label in enumerate(h.basis):
-        expected = 0.9 * (label.excited_count - 1.5) + 1.7 * label.photon_number
+    for i, (photons, occupation) in enumerate(h.basis):
+        expected = 0.9 * (_excited(occupation) - 1.5) + 1.7 * photons
         assert h.entries[i, i].real == pytest.approx(expected, abs=1e-13)
     assert abs(np.trace(h.entries).imag) == 0.0
 
@@ -151,8 +162,8 @@ def test_sector_decomposition_is_complete():
     cutoff = 2
     h = build_hamiltonian(cfg, cutoff)
     by_sector = {}
-    for label in h.basis:
-        u = label.excited_count - cfg.n_qubits / 2.0 + label.photon_number
+    for photons, occupation in h.basis:
+        u = _excited(occupation) - cfg.n_qubits / 2.0 + photons
         by_sector[u] = by_sector.get(u, 0) + 1
     assert sum(by_sector.values()) == (2**cfg.n_qubits) * (cutoff + 1)
     # each full sector whose photon range fits under the cutoff matches the
@@ -160,6 +171,33 @@ def test_sector_decomposition_is_complete():
     for u, count in by_sector.items():
         if u + cfg.n_qubits / 2.0 <= cutoff:
             assert len(sector_basis(cfg, u)) == count
+
+
+def test_sector_hamiltonian_is_a_decoupled_block_of_the_truncated_hamiltonian():
+    for n in range(1, 7):
+        cfg = _config(n, 0.437, wq=1.1, w0=0.8, eta=0.3)
+        cutoff = n + 1
+        h = build_hamiltonian(cfg, cutoff)
+        n_max = np.array([_excited(b) + photons for photons, b in h.basis])  # u + N/2
+        for u2 in range(-n, 2 * cutoff - n + 1, 2):  # every u with u + N/2 <= cutoff
+            rows = n_max == (u2 + n) // 2
+            sector = sector_hamiltonian(cfg, u2 / 2.0)
+            assert np.array_equal(sector.basis, h.basis[rows])
+            assert np.array_equal(sector.entries, h.entries[np.ix_(rows, rows)])
+            assert not h.entries[np.ix_(rows, ~rows)].any()
+            assert not h.entries[np.ix_(~rows, rows)].any()
+
+
+def test_sector_hamiltonian_matches_state_by_state_loop():
+    # same arithmetic per entry, so the vectorized builder must agree exactly
+    for n in range(1, 7):
+        for l in (0.37, 2 / 3, 1.4, 0.0):
+            cfg = _config(n, l, wq=1.1, w0=0.8, eta=0.3)
+            for n_max in range(n + 2):
+                sector = sector_hamiltonian(cfg, n_max - n / 2.0)
+                states, h = sector_hamiltonian_loop(cfg, n_max - n / 2.0)
+                assert sector.basis.tolist() == [list(state) for state in states]
+                assert np.array_equal(sector.entries, h)
 
 
 def test_sector_spectrum_decoupled_values():
@@ -202,19 +240,36 @@ def test_capacity_limits():
         build_collective_ops(_config(13, 0.3))
     with pytest.raises(CapacityError):
         build_hamiltonian(_config(12, 0.3), 3)  # dim 32768 > dense cap
+    with pytest.raises(CapacityError):
+        build_excitation_number(_config(12, 0.3), 1)  # dim 8192
+    with pytest.raises(CapacityError):
+        sector_spectrum(_config(13, 0.3), 0.5)
     with pytest.raises(InvalidParameterError):
         build_hamiltonian(_config(2, 0.3), -1)
 
 
 def test_operator_matrix_validates_hermiticity_flag():
-    basis = tuple(BasisLabel(0, format(b, "01b")) for b in range(2))
     with pytest.raises(NotHermitianError):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), basis, hermitian=True)
+        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2), hermitian=True)
+
+
+def test_operator_matrix_validates_basis():
+    with pytest.raises(DimensionMismatchError):
+        OperatorMatrix(np.eye(2), _basis(3))
+    with pytest.raises(InvalidParameterError):
+        OperatorMatrix(np.eye(2), np.arange(2))
+    with pytest.raises(InvalidParameterError):
+        OperatorMatrix(np.eye(2), _basis(2).astype(float))
+    ops = build_collective_ops(_config(1, 0.3))
+    shifted = OperatorMatrix(np.eye(2), _basis(2) + [1, 0], hermitian=True)
+    with pytest.raises(DimensionMismatchError):
+        commutator(ops.s_z, shifted)
+    with pytest.raises(DimensionMismatchError):
+        hs_projection(shifted, ops.s_z)
 
 
 def test_eigh_diagonal_and_swap():
-    basis = tuple(BasisLabel(0, format(b, "02b")) for b in range(4))
-    diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), basis, hermitian=True)
+    diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), _basis(4), hermitian=True)
     assert eigvalsh(diag) == pytest.approx([-1.0, 0.5, 2.0, 3.0])
     values, vectors = tridiagonal_eigh([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
     assert values == pytest.approx([-1.0, 0.5, 2.0, 3.0])
@@ -225,8 +280,7 @@ def test_eigh_diagonal_and_swap():
 
 
 def test_eigh_requires_hermitian_flag():
-    basis = tuple(BasisLabel(0, format(b, "01b")) for b in range(2))
-    op = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), basis)
+    op = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), _basis(2))
     with pytest.raises(NotHermitianError):
         eigvalsh(op)
     with pytest.raises(NotHermitianError):
@@ -278,7 +332,7 @@ def test_tridiagonal_eigh_is_deterministic():
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
     a = np.random.default_rng(12).normal(size=(32, 32))
-    op = OperatorMatrix(a + a.T, tuple(BasisLabel(0, format(b, "05b")) for b in range(32)), True)
+    op = OperatorMatrix(a + a.T, _basis(32), True)
     assert eigvalsh(op).tobytes() == eigvalsh(op).tobytes()
 
 
@@ -347,9 +401,8 @@ def test_complex_input_is_rejected_not_truncated():
         tridiagonalize(hermitian)
     with pytest.raises(InvalidParameterError):
         tridiagonal_eigh([1.0, 2.0], [0.5 + 1e-3j])
-    basis = tuple(BasisLabel(0, format(b, "01b")) for b in range(2))
     with pytest.raises(InvalidParameterError):
-        OperatorMatrix(hermitian, basis, hermitian=True)
+        OperatorMatrix(hermitian, _basis(2), hermitian=True)
     # a complex dtype with zero imaginary parts is real input
     assert tridiagonal_eigvalsh(*tridiagonalize(np.eye(2, dtype=complex))) == pytest.approx([1.0, 1.0])
 
@@ -361,3 +414,31 @@ def test_ql_iteration_cap_raises(monkeypatch):
         tridiagonal_eigvalsh([1.0, 2.0], [0.5])
     with pytest.raises(ConvergenceError):
         sector_spectrum(_config(2, 0.3, eta=0.2), 0)
+
+
+def test_library_never_calls_numpy_linalg(monkeypatch, capsys):
+    public = {
+        name: obj
+        for name, obj in vars(np.linalg).items()
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
+    }
+    # no qchain module keeps a reference of its own that the patch would miss
+    ids = {id(obj) for obj in public.values()}
+    for name, module in list(sys.modules.items()):
+        if name == "qchain" or name.startswith("qchain."):
+            assert not [attr for attr, value in vars(module).items() if id(value) in ids], name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in public:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert sector_spectrum(_config(6, 0.437, eta=0.3), 1).size == 57
+    assert len(solve_dressed(subspace(1, 2), 0.625, 0.1, 0.2)) == 4
+    for argv in (
+        ["oracle-compare", "--n", "6", "--l", "0.437", "--u", "1", "--eta", "0.3"],
+        ["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "0.2"],
+        ["table1", "--eta", "0.15"],
+    ):
+        assert qchain.cli.main(argv) == 0, argv
+    capsys.readouterr()

@@ -161,6 +161,7 @@ def test_table_one_formulas():
             vt[0] * vt[1] / (6 * math.sqrt(2) * R) - 1 / math.sqrt(2), abs=1e-10
         )
         ref = four_qubit_reference_coefficients(v, R, dw, eta)
+        assert {type(value) for value in ref.values()} == {float}
         assert ref["c1"] == pytest.approx(c[1], abs=1e-10)
         assert ref["c2"] == pytest.approx(c[2], abs=1e-10)
         assert ref["c3"] == pytest.approx(c[3], abs=1e-10)
