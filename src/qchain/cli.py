@@ -7,7 +7,9 @@ always starts with a header line.  JSON output is exactly the bytes of
 ``float.__repr__``; both are rendered by C code a whole column or a flat
 number list at a time, not by one Python call per value.  Exit codes:
 0 success, 2 usage error, 3 empty sector, 4 capacity exceeded, 5
-eigensolver did not converge.
+eigensolver did not converge.  Exit 4 comes before any large allocation:
+a ladder over 1001 states, an oracle over 12 qubits or dense dim 4096, or
+a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NegativeRadicandError,
     PoleError,
 )
-from .oracle import MAX_QUBITS, sector_spectrum
+from .oracle import sector_spectrum
 from .spectra import (
     coefficients_closed,
     coefficients_recursive,
@@ -267,13 +269,8 @@ def cmd_spectrum(args) -> str:
 
 
 def cmd_oracle_compare(args) -> str:
-    if args.n > MAX_QUBITS:
-        raise CapacityError(f"{args.n} qubits exceeds the dense cap of {MAX_QUBITS}")
     r = args.n / 2.0
     R = _deformation_of(args.n, args.l)
-    detuning = args.w0 - args.wq
-    sub = subspace(args.u, r)
-    states = solve_dressed(sub, R, detuning, args.eta, qubit_freq=args.wq)
     config = ChainConfig(
         n_qubits=args.n,
         spacing=args.l,
@@ -281,7 +278,11 @@ def cmd_oracle_compare(args) -> str:
         photon_freq=args.w0,
         coupling=args.eta,
     )
+    # the oracle's qubit cap refuses N > 12 before any parity or ladder check
     oracle = sector_spectrum(config, args.u)
+    detuning = args.w0 - args.wq
+    sub = subspace(args.u, r)
+    states = solve_dressed(sub, R, detuning, args.eta, qubit_freq=args.wq)
     levels = []
     for k, state in enumerate(states):
         nearest = float(oracle[np.abs(oracle - state.total_energy).argmin()])

@@ -1,18 +1,19 @@
 """Brute-force ground truth on the full qubit (x) Fock space.
 
-Collective operators and the rotating-wave Hamiltonian are built as
-explicit dense real matrices (the couplings are real cosines under the
-rotating-wave approximation) on integer (photon number, occupation)
-bases; one builder serves the truncated and the sector Hamiltonians.
-Sector spectra come from the in-house Householder + implicit QL
-eigensolver of :mod:`qchain.linalg`, so every closed-form result in the
-package can be checked against something that knows nothing about the
-deformed algebra.
-Desk-scale verification only: dense storage, <= 12 qubits, dims <= ~4000.
+Collective operators and the rotating-wave Hamiltonian are real operators
+(the couplings are real cosines under the rotating-wave approximation)
+on integer (photon number, occupation) bases, stored as their nonzero
+(row, column, value) triplets; one builder serves the truncated and the
+sector Hamiltonians.  Sector spectra come from the in-house Householder +
+implicit QL eigensolver of :mod:`qchain.linalg` on the dense matrix, so
+every closed-form result in the package can be checked against something
+that knows nothing about the deformed algebra.
+Desk-scale verification only: <= 12 qubits, dense dims <= 4096.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,27 +49,21 @@ MAX_DENSE_DIM = 4096
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense real operator with its product basis.
+    """Real operator stored as its nonzero (row, column, value) triplets.
 
     ``basis`` is an int array of shape (dim, 2) whose rows are
     (photon number, occupation): bit j of the occupation set means qubit j
     excited.  Every basis built here is photon-major, occupations
-    ascending.  When ``hermitian`` is set the entries are checked against
-    the transpose at construction (tolerance 1e-12 entrywise).  Complex
-    entries are accepted only with zero imaginary parts.
+    ascending.  Dense ``entries`` given to the constructor are kept, and
+    checked against their transpose when ``hermitian`` is set (tolerance
+    1e-12 entrywise); complex entries need zero imaginary parts.  The
+    builders here emit symmetric triplets where they flag hermitian.
     """
 
-    entries: np.ndarray
-    basis: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        entries = as_real(self.entries, "entries")
-        basis = np.asarray(self.basis)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, entries, basis, hermitian: bool = False):
+        entries = as_real(entries, "entries")
+        basis = np.asarray(basis)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidParameterError(f"entries must be square, got shape {entries.shape}")
         if basis.ndim != 2 or basis.shape[1] != 2 or not np.issubdtype(basis.dtype, np.integer):
@@ -79,14 +74,30 @@ class OperatorMatrix:
             raise DimensionMismatchError(
                 f"entries dim {entries.shape[0]} != basis length {basis.shape[0]}"
             )
-        if self.hermitian:
+        if hermitian:
             defect = np.abs(entries - entries.T).max() if entries.size else 0.0
             if defect > HERMITICITY_TOL:
                 raise NotHermitianError(f"hermitian flag set but max defect {defect:.3e}")
+        self.rows, self.cols = np.nonzero(entries)
+        self.values = entries[self.rows, self.cols]
+        self.basis, self.hermitian, self.entries = basis, hermitian, entries
+
+    @classmethod
+    def _from_triplets(cls, basis, rows, cols, values, hermitian=False) -> OperatorMatrix:
+        op = cls.__new__(cls)
+        op.basis, op.rows, op.cols, op.values, op.hermitian = basis, rows, cols, values, hermitian
+        return op
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self.basis)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense float64 matrix, formed on first access and cached."""
+        entries = np.zeros((self.dim, self.dim))
+        entries[self.rows, self.cols] = self.values
+        return entries
 
 
 @dataclass(frozen=True)
@@ -99,9 +110,10 @@ class CollectiveOps:
     sigma_z: OperatorMatrix
 
 
-def _check_capacity(n_qubits: int, dim: int):
+def _check_capacity(n_qubits: int, photon_levels: int = 1):
     if n_qubits > MAX_QUBITS:
         raise CapacityError(f"{n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
+    dim = (1 << n_qubits) * photon_levels
     if dim > MAX_DENSE_DIM:
         raise CapacityError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
 
@@ -116,9 +128,9 @@ def _grid(n_qubits: int, photons) -> np.ndarray:
     )
 
 
-def _popcount(occupations: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Number of excited qubits in each occupation."""
-    return sum((occupations >> j) & 1 for j in range(n_qubits))
+def _bits(occupations: np.ndarray, n_qubits: int) -> np.ndarray:
+    """bits[j, k] = 1 where qubit j is excited in occupations[k]."""
+    return (occupations >> np.arange(n_qubits)[:, None]) & 1
 
 
 def build_collective_ops(config: ChainConfig) -> CollectiveOps:
@@ -130,30 +142,32 @@ def build_collective_ops(config: ChainConfig) -> CollectiveOps:
     exact operator identity.
     """
     n = config.n_qubits
-    dim = 1 << n
-    _check_capacity(n, dim)
+    _check_capacity(n)
     basis = _grid(n, [0])
-    occ = basis[:, 1]
     weights = config.coupling_profile()
 
-    s_z = np.diag(_popcount(occ, n) - n / 2.0)
-
-    diag = np.zeros(dim)
+    bits = _bits(basis[:, 1], n)
+    sig_z = np.zeros(len(basis))
     for j in range(n):
-        diag += weights[j] ** 2 * (((occ >> j) & 1) - 0.5)
-    sig_z = np.diag(diag)
+        sig_z += weights[j] ** 2 * (bits[j] - 0.5)
 
-    s_plus = np.zeros((dim, dim))
-    for j in range(n):
-        src = occ[((occ >> j) & 1) == 0]
-        s_plus[src + (1 << j), src] += weights[j]
+    # S+ has the edge (b + 2^j, b) of weight cos(j*pi*l) where qubit j is down
+    qubit, src = np.nonzero(bits == 0)
+    dst = src + (1 << qubit)
+    weight = weights[qubit]
 
     return CollectiveOps(
-        s_z=OperatorMatrix(s_z, basis, hermitian=True),
-        s_plus=OperatorMatrix(s_plus, basis),
-        s_minus=OperatorMatrix(s_plus.T, basis),
-        sigma_z=OperatorMatrix(sig_z, basis, hermitian=True),
+        s_z=_diagonal(basis, bits.sum(axis=0) - n / 2.0),
+        s_plus=OperatorMatrix._from_triplets(basis, dst, src, weight),
+        s_minus=OperatorMatrix._from_triplets(basis, src, dst, weight),
+        sigma_z=_diagonal(basis, sig_z),
     )
+
+
+def _diagonal(basis: np.ndarray, values: np.ndarray) -> OperatorMatrix:
+    """Diagonal operator; every diagonal entry is stored, zeros included."""
+    index = np.arange(len(basis))
+    return OperatorMatrix._from_triplets(basis, index, index, values, hermitian=True)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -165,15 +179,19 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
     """Hilbert-Schmidt projection coefficient tr(A^T B)/tr(B^T B) of
-    sigma_z onto s_z, evaluated on the full tensor space.  For the
-    collective operators this reproduces the deformation factor.
+    sigma_z onto s_z on the full tensor space, from the stored triplets:
+    for the collective operators, one dot product of two diagonals.  It
+    reproduces the deformation factor.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
         raise DimensionMismatchError("operators live on different bases")
-    denom = np.vdot(s_z.entries, s_z.entries)
+    denom = s_z.values @ s_z.values
     if denom == 0.0:
         raise ZeroDenominatorError("projection target has zero Hilbert-Schmidt norm")
-    return np.vdot(sigma_z.entries, s_z.entries) / denom
+    # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
+    keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
+    _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+    return sigma_z.values[ia] @ s_z.values[ib] / denom
 
 
 def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
@@ -182,19 +200,17 @@ def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
     unexcited, so every hopping term stays inside it."""
     n = config.n_qubits
     photons, occupations = basis.T
-    dim = len(basis)
-    h = np.zeros((dim, dim))
-    h[np.diag_indices(dim)] = (
-        config.qubit_freq * (_popcount(occupations, n) - n / 2.0) + config.photon_freq * photons
-    )
+    bits = _bits(occupations, n)
     key = (photons << n) | occupations  # ascending in a photon-major basis
-    amp = config.coupling * np.sqrt(photons)
-    for j, weight in enumerate(config.coupling_profile()):
-        src = np.flatnonzero((photons >= 1) & (((occupations >> j) & 1) == 0))
-        dst = np.searchsorted(key, key[src] - (1 << n) + (1 << j))
-        h[dst, src] += amp[src] * weight
-        h[src, dst] += amp[src] * weight
-    return OperatorMatrix(h, basis, hermitian=True)
+    hops = config.coupling * np.sqrt(photons) * config.coupling_profile()[:, None]
+    # qubit j takes up a photon of state src; zero hops (eta = 0) are not stored
+    qubit, src = np.nonzero((hops != 0.0) & (bits == 0))
+    dst = np.searchsorted(key, key[src] - (1 << n) + (1 << qubit))
+    hop = hops[qubit, src]
+    diag = config.qubit_freq * (bits.sum(axis=0) - n / 2.0) + config.photon_freq * photons
+    index = np.arange(len(basis))
+    rows, cols = np.concatenate((index, dst, src)), np.concatenate((index, src, dst))
+    return OperatorMatrix._from_triplets(basis, rows, cols, np.concatenate((diag, hop, hop)), True)
 
 
 def _truncated_basis(config: ChainConfig, fock_cutoff: int) -> np.ndarray:
@@ -202,7 +218,7 @@ def _truncated_basis(config: ChainConfig, fock_cutoff: int) -> np.ndarray:
     if not isinstance(fock_cutoff, (int, np.integer)) or fock_cutoff < 0:
         raise InvalidParameterError(f"fock_cutoff must be an integer >= 0, got {fock_cutoff!r}")
     n = config.n_qubits
-    _check_capacity(n, (1 << n) * (int(fock_cutoff) + 1))
+    _check_capacity(n, int(fock_cutoff) + 1)
     return _grid(n, range(fock_cutoff + 1))
 
 
@@ -222,8 +238,7 @@ def build_excitation_number(config: ChainConfig, fock_cutoff: int) -> OperatorMa
     :func:`build_hamiltonian`."""
     basis = _truncated_basis(config, fock_cutoff)
     n = config.n_qubits
-    diag = _popcount(basis[:, 1], n) - n / 2.0 + basis[:, 0]
-    return OperatorMatrix(np.diag(diag), basis, hermitian=True)
+    return _diagonal(basis, _bits(basis[:, 1], n).sum(axis=0) - n / 2.0 + basis[:, 0])
 
 
 def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:
@@ -233,7 +248,7 @@ def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:
     is exact, not truncated.
     """
     n = config.n_qubits
-    _check_capacity(n, 1 << n)
+    _check_capacity(n)
     n_max2 = twice(total_excitation) + n  # doubled value of u + N/2
     if n_max2 < 0 or n_max2 % 2 != 0:
         raise EmptySectorError(
@@ -241,7 +256,7 @@ def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:
         )
     n_max = n_max2 // 2
     grid = _grid(n, range(max(0, n_max - n), n_max + 1))
-    return grid[_popcount(grid[:, 1], n) + grid[:, 0] == n_max]
+    return grid[_bits(grid[:, 1], n).sum(axis=0) + grid[:, 0] == n_max]
 
 
 def sector_hamiltonian(config: ChainConfig, total_excitation) -> OperatorMatrix:

@@ -1,7 +1,8 @@
 """Independent routes kept on the test side as references: the
 deformation factor R(N, l) for the library's one evaluator,
-:func:`qchain.deformation_profile`, and a state-by-state sector
-Hamiltonian for the oracle's vectorized builder."""
+:func:`qchain.deformation_profile`, a state-by-state sector Hamiltonian
+for the oracle's vectorized builder, and dense collective operators for
+the oracle's triplet storage."""
 
 import math
 
@@ -48,3 +49,21 @@ def sector_hamiltonian_loop(config, total_excitation):
                     h[k, i] += amp * weights[j]
                     h[i, k] += amp * weights[j]
     return states, h
+
+
+def collective_ops_dense(config):
+    """S_z, S_+, S_- and Sigma_z as dense 2^N x 2^N matrices, diagonals
+    set whole and each raising term added into zeros one qubit at a time."""
+    n = config.n_qubits
+    dim = 1 << n
+    occ = np.arange(dim)
+    weights = config.coupling_profile()
+    s_z = np.diag(np.array([bin(b).count("1") for b in range(dim)]) - n / 2.0)
+    diag = np.zeros(dim)
+    for j in range(n):
+        diag += weights[j] ** 2 * (((occ >> j) & 1) - 0.5)
+    s_plus = np.zeros((dim, dim))
+    for j in range(n):
+        src = occ[((occ >> j) & 1) == 0]
+        s_plus[src + (1 << j), src] += weights[j]
+    return {"s_z": s_z, "s_plus": s_plus, "s_minus": s_plus.T.copy(), "sigma_z": np.diag(diag)}

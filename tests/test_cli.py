@@ -245,6 +245,16 @@ def test_crossover_capacity_exit_code(capsys):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("command", ["spectrum", "oracle-compare"])
+def test_huge_chain_capacity_exit_code(capsys, command):
+    # refused before the ladder (5*10^8 + 2 states) or the sector is built
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, "--n", "1000000000", "--l", "0.3", "--u", "1")
+    assert code == 4
+    assert out == ""
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize(
     "argv",
     [

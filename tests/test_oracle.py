@@ -5,6 +5,7 @@ which the library itself never calls.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from qchain import (
 from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
-from reference_forms import sector_hamiltonian_loop
+from reference_forms import collective_ops_dense, sector_hamiltonian_loop
 
 
 def _config(n, l, wq=1.0, w0=1.0, eta=0.0):
@@ -72,6 +73,29 @@ def test_two_qubit_half_spacing_couples_only_qubit_zero():
     expected[1, 0] = 1.0  # |00> -> |01>
     expected[3, 2] = 1.0  # |10> -> |11>
     assert np.abs(ops.s_plus.entries - expected).max() <= 1e-12
+
+
+def test_collective_operators_match_dense_reference_bit_for_bit():
+    for n in range(1, 9):
+        for l in (0.37, 2 / 3, 1.4, 0.0):
+            ops = build_collective_ops(_config(n, l))
+            for name, dense in collective_ops_dense(_config(n, l)).items():
+                entries = getattr(ops, name).entries
+                assert entries.dtype == np.float64 and entries.shape == dense.shape
+                assert entries.tobytes() == dense.tobytes(), (n, l, name)
+
+
+def test_collective_projection_forms_no_dense_matrix():
+    # one dense 4096 x 4096 float64 matrix alone would take 134 MB
+    tracemalloc.start()
+    try:
+        ops = build_collective_ops(_config(12, 0.37))
+        value = hs_projection(ops.sigma_z, ops.s_z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert value == pytest.approx(deformation_factor(12, 0.37).value, abs=1e-10)
 
 
 def test_collective_commutator_identities():
@@ -116,7 +140,7 @@ def test_hs_projection_reproduces_deformation_factor():
     assert hs_projection(ops.sigma_z, ops.s_z) == pytest.approx(0.625, abs=1e-12)
     ops3 = build_collective_ops(_config(3, 2.0))
     assert hs_projection(ops3.sigma_z, ops3.s_z) == pytest.approx(1.0, abs=1e-12)
-    for n in range(1, 7):
+    for n in range(1, 13):
         for l in np.linspace(0.08, 2.0, 6):
             ops = build_collective_ops(_config(n, l))
             assert hs_projection(ops.sigma_z, ops.s_z) == pytest.approx(
@@ -136,6 +160,7 @@ def test_decoupled_hamiltonian_is_diagonal():
     h = build_hamiltonian(cfg, 2)
     off = h.entries - np.diag(np.diagonal(h.entries))
     assert np.abs(off).max() == 0.0
+    assert not np.signbit(off).any()  # no -0.0 from a zero hop of negative weight
     for i, (photons, occupation) in enumerate(h.basis):
         expected = 0.9 * (_excited(occupation) - 1.5) + 1.7 * photons
         assert h.entries[i, i].real == pytest.approx(expected, abs=1e-13)

@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from qchain import (
+    CapacityError,
     ChainConfig,
     DegenerateLadderError,
     EmptySubspaceError,
@@ -30,7 +31,7 @@ from qchain import (
     weak_coupling_energies,
 )
 from qchain.algebra import undeformed_ladder_element
-from qchain.spectra import DressedState
+from qchain.spectra import MAX_LADDER_DIM, DressedState
 
 
 def test_subspace_examples():
@@ -53,6 +54,10 @@ def test_subspace_errors():
         subspace(1, 1.5)  # u - r not an integer
     with pytest.raises(InvalidParameterError):
         subspace(1, -1)
+    assert subspace(500, 500).dim == MAX_LADDER_DIM
+    for u, r in ((500.5, 500.5), (1, 5e8)):
+        with pytest.raises(CapacityError):
+            subspace(u, r)
 
 
 def test_h1_matrix_examples():
