@@ -10,7 +10,7 @@ class InvalidParameterError(QChainError, ValueError):
 
 
 class CapacityError(QChainError):
-    """A request exceeds a documented cap: dense-build qubits or crossover scan grid."""
+    """A request exceeds a documented cap: oracle size, ladder size or crossover scan grid."""
 
 
 class DimensionMismatchError(QChainError, ValueError):
