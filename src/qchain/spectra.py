@@ -48,8 +48,8 @@ __all__ = [
     "four_qubit_reference_coefficients",
 ]
 
-# Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, and
-# took 2.4 / 4.3 / 5.2 s and 175 / 255 / 354 MB at dim 801 / 1001 / 1201.
+# Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, and took
+# 2.4 / 4.3 / 5.2 s and 175 / 255 / 354 MB at dim 801 / 1001 / 1201 (2-core Xeon VM).
 MAX_LADDER_DIM = 1001
 
 
