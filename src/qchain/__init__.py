@@ -4,7 +4,6 @@ dense-diagonalization oracle for every closed form."""
 
 from .algebra import (
     DeformationFactor,
-    LadderElement,
     bloch_metric,
     casimir_h,
     deformation_factor,

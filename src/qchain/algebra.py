@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import halves, twice, validate_n_qubits
+from .config import twice, validate_n_qubits
 from .errors import InvalidParameterError
 
 __all__ = [
     "DeformationFactor",
-    "LadderElement",
     "deformation_factor",
     "deformation_profile",
     "sigma_z_deviation_weights",
@@ -45,20 +44,6 @@ class DeformationFactor:
 
     def __float__(self) -> float:
         return self.value
-
-
-@dataclass(frozen=True)
-class LadderElement:
-    """One off-diagonal matrix element of the deformed ladder operators.
-
-    ``value`` is alpha_m^(r) = sqrt(R*(r-m)*(r+m+1)), the amplitude with
-    which S+ connects |r, m> to |r, m+1>.
-    """
-
-    total_spin: float
-    moment: float
-    deformation: float
-    value: float
 
 
 def _validate_nl(n_qubits, spacing):
@@ -117,7 +102,7 @@ def _validate_deformation(deformation) -> float:
     return r
 
 
-def ladder_element(total_spin, moment, deformation) -> LadderElement:
+def ladder_element(total_spin, moment, deformation) -> float:
     """Deformed ladder element alpha_m^(r) = sqrt(R*(r-m)*(r+m+1)).
 
     Conventions: S+|r,m> = alpha_m^(r) |r,m+1> and
@@ -135,18 +120,12 @@ def ladder_element(total_spin, moment, deformation) -> LadderElement:
     if (r2 - m2) % 2 != 0:
         raise InvalidParameterError(f"r - m must be an integer, got r = {total_spin!r}, m = {moment!r}")
     # (r - m)(r + m + 1) in exact integer arithmetic on doubled indices
-    product = (r2 - m2) * (r2 + m2 + 2) // 4
-    return LadderElement(
-        total_spin=halves(r2),
-        moment=halves(m2),
-        deformation=R,
-        value=math.sqrt(R * product),
-    )
+    return math.sqrt(R * ((r2 - m2) * (r2 + m2 + 2) // 4))
 
 
 def undeformed_ladder_element(total_spin, moment) -> float:
     """Textbook SU(2) element sqrt((r-m)*(r+m+1)), i.e. R = 1."""
-    return ladder_element(total_spin, moment, 1.0).value
+    return ladder_element(total_spin, moment, 1.0)
 
 
 def casimir_h(moment, deformation) -> float:

@@ -18,7 +18,7 @@ class DimensionMismatchError(QChainError, ValueError):
 
 
 class NotHermitianError(QChainError, ValueError):
-    """Eigensolver input lacks the hermitian flag or property."""
+    """Eigensolver input is not symmetric."""
 
 
 class ZeroDenominatorError(QChainError, ZeroDivisionError):

@@ -70,8 +70,12 @@ def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
     a = as_real(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
-    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * max(1.0, np.abs(a).max(initial=0.0)):
+    defect = a - a.T  # the only dim^2 temporary of the check
+    if np.abs(defect, out=defect).max(initial=0.0) > SYMMETRY_TOL * max(
+        1.0, a.max(initial=0.0), -a.min(initial=0.0)
+    ):
         raise NotHermitianError("the eigensolver requires a symmetric matrix")
+    del defect
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
     for k in range(n - 2):

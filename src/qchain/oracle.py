@@ -4,16 +4,16 @@ Collective operators and the rotating-wave Hamiltonian are real operators
 (the couplings are real cosines under the rotating-wave approximation)
 on integer (photon number, occupation) bases, stored as their nonzero
 (row, column, value) triplets; one builder serves the truncated and the
-sector Hamiltonians.  Sector spectra come from the in-house Householder +
-implicit QL eigensolver of :mod:`qchain.linalg` on the dense matrix, so
-every closed-form result in the package can be checked against something
-that knows nothing about the deformed algebra.
+sector Hamiltonians.  Sector spectra come from the dense matrix, formed
+for the solve only, by the in-house Householder + implicit QL eigensolver
+of :mod:`qchain.linalg`, which also checks its symmetry, so every
+closed-form result in the package can be checked against something that
+knows nothing about the deformed algebra.
 Desk-scale verification only: <= 12 qubits, dense dims <= 4096.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     EmptySectorError,
     InvalidParameterError,
-    NotHermitianError,
     ZeroDenominatorError,
 )
 from .linalg import as_real, tridiagonal_eigvalsh, tridiagonalize
@@ -46,8 +45,6 @@ __all__ = [
 MAX_QUBITS = 12
 MAX_DENSE_DIM = 4096
 
-HERMITICITY_TOL = 1e-12
-
 
 class OperatorMatrix:
     """Real operator stored as its nonzero (row, column, value) triplets.
@@ -55,13 +52,13 @@ class OperatorMatrix:
     ``basis`` is an int array of shape (dim, 2) whose rows are
     (photon number, occupation): bit j of the occupation set means qubit j
     excited.  Every basis built here is photon-major, occupations
-    ascending.  Dense ``entries`` given to the constructor are kept, and
-    checked against their transpose when ``hermitian`` is set (tolerance
-    1e-12 entrywise); complex entries need zero imaginary parts.  The
-    builders here emit symmetric triplets where they flag hermitian.
+    ascending.  Dense ``entries`` given to the constructor are stored as
+    their nonzeros; complex entries need zero imaginary parts.  Symmetry
+    is not checked here: :func:`eigvalsh` checks it when it reduces the
+    matrix.
     """
 
-    def __init__(self, entries, basis, hermitian: bool = False):
+    def __init__(self, entries, basis):
         entries = as_real(entries, "entries")
         basis = np.asarray(basis)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -74,27 +71,23 @@ class OperatorMatrix:
             raise DimensionMismatchError(
                 f"entries dim {entries.shape[0]} != basis length {basis.shape[0]}"
             )
-        if hermitian:
-            defect = np.abs(entries - entries.T).max() if entries.size else 0.0
-            if defect > HERMITICITY_TOL:
-                raise NotHermitianError(f"hermitian flag set but max defect {defect:.3e}")
         self.rows, self.cols = np.nonzero(entries)
         self.values = entries[self.rows, self.cols]
-        self.basis, self.hermitian, self.entries = basis, hermitian, entries
+        self.basis = basis
 
     @classmethod
-    def _from_triplets(cls, basis, rows, cols, values, hermitian=False) -> OperatorMatrix:
+    def _from_triplets(cls, basis, rows, cols, values) -> OperatorMatrix:
         op = cls.__new__(cls)
-        op.basis, op.rows, op.cols, op.values, op.hermitian = basis, rows, cols, values, hermitian
+        op.basis, op.rows, op.cols, op.values = basis, rows, cols, values
         return op
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
+    @property
     def entries(self) -> np.ndarray:
-        """The dense float64 matrix, formed on first access and cached."""
+        """The dense float64 matrix, formed anew on each access."""
         entries = np.zeros((self.dim, self.dim))
         entries[self.rows, self.cols] = self.values
         return entries
@@ -167,7 +160,7 @@ def build_collective_ops(config: ChainConfig) -> CollectiveOps:
 def _diagonal(basis: np.ndarray, values: np.ndarray) -> OperatorMatrix:
     """Diagonal operator; every diagonal entry is stored, zeros included."""
     index = np.arange(len(basis))
-    return OperatorMatrix._from_triplets(basis, index, index, values, hermitian=True)
+    return OperatorMatrix._from_triplets(basis, index, index, values)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -210,7 +203,7 @@ def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
     diag = config.qubit_freq * (bits.sum(axis=0) - n / 2.0) + config.photon_freq * photons
     index = np.arange(len(basis))
     rows, cols = np.concatenate((index, dst, src)), np.concatenate((index, src, dst))
-    return OperatorMatrix._from_triplets(basis, rows, cols, np.concatenate((diag, hop, hop)), True)
+    return OperatorMatrix._from_triplets(basis, rows, cols, np.concatenate((diag, hop, hop)))
 
 
 def _truncated_basis(config: ChainConfig, fock_cutoff: int) -> np.ndarray:
@@ -270,8 +263,7 @@ def sector_spectrum(config: ChainConfig, total_excitation) -> np.ndarray:
 
 
 def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
-    """Ascending eigenvalues of an :class:`OperatorMatrix` flagged hermitian,
-    by Householder reduction and implicit QL; no eigenvectors are formed."""
-    if not operator.hermitian:
-        raise NotHermitianError("operator is not flagged hermitian")
+    """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
+    Householder reduction and implicit QL; no eigenvectors are formed.
+    Raises :class:`NotHermitianError` if the operator is not symmetric."""
     return tridiagonal_eigvalsh(*tridiagonalize(operator.entries))

@@ -1,8 +1,9 @@
 """Diagonalization of the deformed collective model in one (u, r) subspace.
 
 The interaction part couples photon-number configurations |n; r, u-n>
-through the deformed ladder elements, giving a real symmetric
-tridiagonal matrix, diagonalized by the tridiagonal routes of
+only to n +- 1, through the deformed ladder elements, so each ladder is
+built once as the diagonal and off-diagonal (d, e) of a real symmetric
+tridiagonal matrix and diagonalized by the tridiagonal routes of
 :mod:`qchain.linalg` (implicit QL for eigenvalues, inverse iteration for
 eigenvectors).  Alongside the eigensolve this module carries the
 coefficient recursion, its combinatorial closed form, the characteristic
@@ -18,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import _validate_deformation, ladder_element, undeformed_ladder_element
+from .algebra import _validate_deformation
 from .config import halves, twice
 from .errors import (
     CapacityError,
@@ -149,21 +150,29 @@ def subspace(total_excitation, total_spin) -> ExcitationSubspace:
     )
 
 
-def build_h1_matrix(sub: ExcitationSubspace, deformation, detuning, coupling) -> np.ndarray:
+def _alphas(sub: ExcitationSubspace, R: float) -> np.ndarray:
+    """alpha_{u-n-1}^(r) = sqrt(R*(r-m)*(r+m+1)) at m = u-n-1 for every
+    photon number n of the ladder but the last."""
+    u2, r2 = twice(sub.total_excitation), twice(sub.total_spin)
+    # (r - m)(r + m + 1) in exact integer arithmetic on doubled indices
+    products = [(r2 - u2 + 2 * n + 2) * (r2 + u2 - 2 * n) // 4 for n in sub.photon_numbers[:-1]]
+    return np.sqrt(R * np.array(products, dtype=float))
+
+
+def build_h1_matrix(
+    sub: ExcitationSubspace, deformation, detuning, coupling
+) -> tuple[np.ndarray, np.ndarray]:
     """Interaction matrix w~_0 * a^dag a + eta*(S+ a + S- a^dag) on the
-    subspace basis: diagonal w~_0 * n, off-diagonal between n and n+1
-    equal to eta * sqrt(n+1) * alpha_{u-n-1}^(r).
+    subspace basis as its diagonal d and off-diagonal e: d = w~_0 * n, and
+    the element between n and n+1 is eta * sqrt(n+1) * alpha_{u-n-1}^(r).
+    The coupling eta must be finite and >= 0.
     """
     R = _validate_deformation(deformation)
-    u = sub.total_excitation
-    r = sub.total_spin
+    eta = float(coupling)
+    if not math.isfinite(eta) or eta < 0.0:
+        raise InvalidParameterError(f"coupling must be finite and >= 0, got {coupling!r}")
     ns = np.asarray(sub.photon_numbers)
-    h = np.diag(float(detuning) * ns.astype(float))
-    for k, n in enumerate(ns[:-1]):
-        amp = float(coupling) * math.sqrt(n + 1) * ladder_element(r, u - n - 1, R).value
-        h[k, k + 1] = amp
-        h[k + 1, k] = amp
-    return h
+    return float(detuning) * ns.astype(float), eta * np.sqrt(ns[1:]) * _alphas(sub, R)
 
 
 def solve_dressed(
@@ -173,8 +182,7 @@ def solve_dressed(
     by ascending interaction eigenvalue.  Pass ``qubit_freq`` to obtain
     absolute total energies E = w_q * u + v.
     """
-    h = build_h1_matrix(sub, deformation, detuning, coupling)
-    values, vectors = tridiagonal_eigh(np.diag(h), np.diag(h, 1))
+    values, vectors = tridiagonal_eigh(*build_h1_matrix(sub, deformation, detuning, coupling))
     return [
         DressedState(
             interaction_eigenvalue=float(values[k]),
@@ -244,8 +252,7 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     c = np.empty(n_max + 1)
     c[0] = 1.0
     denom = 1.0
-    for n in range(1, n_max + 1):
-        step = ladder_element(r, u - n, R).value
+    for n, step in enumerate(_alphas(sub, R).tolist(), start=1):
         if step == 0.0:
             raise DegenerateLadderError(f"alpha_(u-{n}) vanishes; transform undefined")
         denom *= math.sqrt(n) * step
@@ -274,8 +281,6 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
     """
     R = _validate_deformation(deformation)
     _require_c0(sub)
-    u = sub.total_excitation
-    r = sub.total_spin
     n_max = sub.photon_numbers[-1]
     vt = _scaled_offsets(v, detuning, coupling, n_max + 1)
     pole_tol = 1e-12 * max(1.0, abs(float(v)) / float(coupling))
@@ -285,7 +290,7 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
             j = int(bad[0])
             raise PoleError(f"vt_{j} = {vt[j]!r} sits on a pole of the closed form")
 
-    abar = np.array([undeformed_ladder_element(r, u - j - 1) for j in range(n_max)])
+    abar = _alphas(sub, 1.0)
     weights = [(j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1]) for j in range(n_max - 1)]
     c = np.empty(n_max + 1)
     c[0] = 1.0
@@ -308,19 +313,12 @@ def characteristic_polynomial(sub: ExcitationSubspace, deformation, detuning, co
     running the three-term recursion with symbolic v.  Its roots are the
     interaction eigenvalues.
     """
-    R = _validate_deformation(deformation)
-    u = sub.total_excitation
-    r = sub.total_spin
-    ns = sub.photon_numbers
-    eta = float(coupling)
-    dw = float(detuning)
+    d, e = build_h1_matrix(sub, deformation, detuning, coupling)
     prev = np.array([1.0])  # p_0
-    cur = np.array([-dw * ns[0], 1.0])  # v - diagonal_0
-    for k in range(1, len(ns)):
-        n = ns[k]
-        off = eta * math.sqrt(n) * ladder_element(r, u - n, R).value
-        shifted = np.concatenate(([0.0], cur)) - dw * n * np.concatenate((cur, [0.0]))
-        nxt = shifted - off * off * np.concatenate((prev, [0.0, 0.0]))
+    cur = np.array([-d[0], 1.0])  # v - d_0
+    for k in range(1, d.size):
+        shifted = np.concatenate(([0.0], cur)) - d[k] * np.concatenate((cur, [0.0]))
+        nxt = shifted - e[k - 1] * e[k - 1] * np.concatenate((prev, [0.0, 0.0]))
         prev, cur = cur, nxt
     return cur
 
@@ -372,19 +370,10 @@ def resonant_energies(deformation, coupling) -> ResonantLevels:
     +-sqrt((15 +- 3*sqrt(17))*R)*eta; the ``alternate`` pair is the
     sign-flipped-quartic closed form kept for comparison reports.
     """
-    R = float(deformation)
-    eta = float(coupling)
-    if not math.isfinite(R) or not 0.0 <= R <= 1.0:
-        raise InvalidParameterError(f"deformation must lie in [0, 1], got {deformation!r}")
-    if not math.isfinite(eta) or eta < 0.0:
-        raise InvalidParameterError(f"coupling must be >= 0, got {coupling!r}")
-    if R == 0.0 or eta == 0.0:
-        canonical = np.zeros(4)
-    else:
-        h = build_h1_matrix(subspace(1, 2), R, 0.0, eta)
-        canonical = tridiagonal_eigvalsh(np.diag(h), np.diag(h, 1))
-    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * eta
-    return ResonantLevels(canonical=np.asarray(canonical), alternate=np.array([-mag, mag]))
+    R = _validate_deformation(deformation)
+    canonical = tridiagonal_eigvalsh(*build_h1_matrix(subspace(1, 2), R, 0.0, coupling))
+    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * float(coupling)
+    return ResonantLevels(canonical=canonical, alternate=np.array([-mag, mag]))
 
 
 def four_qubit_reference_coefficients(v, deformation, detuning, coupling) -> dict:

@@ -1,12 +1,16 @@
 """Independent routes kept on the test side as references: the
 deformation factor R(N, l) for the library's one evaluator,
 :func:`qchain.deformation_profile`, a state-by-state sector Hamiltonian
-for the oracle's vectorized builder, and dense collective operators for
-the oracle's triplet storage."""
+for the oracle's vectorized builder, dense collective operators for
+the oracle's triplet storage, and the dense ladder matrix for the
+tridiagonal (d, e) of :func:`qchain.build_h1_matrix`."""
 
 import math
 
 import numpy as np
+
+from qchain import ladder_element
+from qchain.algebra import _validate_deformation
 
 
 def cosine_sum(n, spacings):
@@ -67,3 +71,18 @@ def collective_ops_dense(config):
         src = occ[((occ >> j) & 1) == 0]
         s_plus[src + (1 << j), src] += weights[j]
     return {"s_z": s_z, "s_plus": s_plus, "s_minus": s_plus.T.copy(), "sigma_z": np.diag(diag)}
+
+
+def h1_matrix_dense(sub, deformation, detuning, coupling):
+    """The ladder interaction matrix as a dense dim x dim array, its
+    off-diagonal filled one validated ladder element at a time."""
+    R = _validate_deformation(deformation)
+    u = sub.total_excitation
+    r = sub.total_spin
+    ns = np.asarray(sub.photon_numbers)
+    h = np.diag(float(detuning) * ns.astype(float))
+    for k, n in enumerate(ns[:-1]):
+        amp = float(coupling) * math.sqrt(n + 1) * ladder_element(r, u - n - 1, R)
+        h[k, k + 1] = amp
+        h[k + 1, k] = amp
+    return h

@@ -113,9 +113,9 @@ def test_criterion_05():
         for R in np.arange(0.1, 1.0001, 0.1):
             for m2 in range(-r2, r2 + 1, 2):
                 m = m2 / 2.0
-                a_m = ladder_element(r, m, R).value
+                a_m = ladder_element(r, m, R)
                 if m > -r:
-                    a_prev = ladder_element(r, m - 1, R).value
+                    a_prev = ladder_element(r, m - 1, R)
                     assert abs(a_m**2 - a_prev**2 + 2.0 * m * R) <= 1e-12
                 assert abs(a_m**2 + R * m * (m + 1) - R * r * (r + 1)) <= 1e-12
 

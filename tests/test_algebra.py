@@ -161,9 +161,9 @@ def _ladder_squares_by_difference_equation(r, R):
 
 
 def test_ladder_point_values():
-    assert ladder_element(2, 1, 1.0).value == pytest.approx(2.0, abs=1e-15)
-    assert ladder_element(2, 2, 0.625).value == 0.0
-    assert ladder_element(2, 1, 0.625).value == pytest.approx(math.sqrt(2.5), abs=1e-15)
+    assert ladder_element(2, 1, 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert ladder_element(2, 2, 0.625) == 0.0
+    assert ladder_element(2, 1, 0.625) == pytest.approx(math.sqrt(2.5), abs=1e-15)
 
 
 def test_ladder_difference_equation_and_casimir_constancy():
@@ -173,10 +173,10 @@ def test_ladder_difference_equation_and_casimir_constancy():
             oracle = _ladder_squares_by_difference_equation(r, R)
             for m2 in range(-r2, r2 + 1, 2):
                 m = m2 / 2.0
-                a_m = ladder_element(r, m, R).value
+                a_m = ladder_element(r, m, R)
                 assert a_m**2 == pytest.approx(oracle[m], abs=1e-12)
                 if m > -r:
-                    a_prev = ladder_element(r, m - 1, R).value
+                    a_prev = ladder_element(r, m - 1, R)
                     assert a_m**2 - a_prev**2 == pytest.approx(-2.0 * m * R, abs=1e-12)
                 # Casimir eigenvalue is independent of m
                 assert a_m**2 + R * m * (m + 1) == pytest.approx(

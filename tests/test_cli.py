@@ -267,6 +267,9 @@ def test_huge_chain_capacity_exit_code(capsys, command):
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "-1"],
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--r", "2.0000000001"],
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1.0000000001"],
+        # a negative coupling, off the resonant ladder as well as on it
+        ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--eta", "-0.1", "--w0", "1.3"],
+        ["spectrum", "--n", "6", "--l", "0.3", "--u", "2", "--r", "1", "--eta", "-0.1"],
     ],
 )
 def test_out_of_domain_values_exit_2(capsys, argv):

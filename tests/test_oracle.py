@@ -127,7 +127,7 @@ def test_deformed_commutator_is_only_an_approximation_with_vanishing_limit():
 
 def test_commutator_of_identity_vanishes_and_dims_must_match():
     ops = build_collective_ops(_config(2, 0.3))
-    ident = OperatorMatrix(np.eye(4), ops.s_z.basis, hermitian=True)
+    ident = OperatorMatrix(np.eye(4), ops.s_z.basis)
     assert np.abs(commutator(ident, ops.s_plus).entries).max() == 0.0
     other = build_collective_ops(_config(3, 0.3))
     with pytest.raises(DimensionMismatchError):
@@ -150,7 +150,7 @@ def test_hs_projection_reproduces_deformation_factor():
 
 def test_hs_projection_zero_denominator():
     ops = build_collective_ops(_config(2, 0.3))
-    zero = OperatorMatrix(np.zeros((4, 4)), ops.s_z.basis, hermitian=True)
+    zero = OperatorMatrix(np.zeros((4, 4)), ops.s_z.basis)
     with pytest.raises(ZeroDenominatorError):
         hs_projection(ops.sigma_z, zero)
 
@@ -273,11 +273,6 @@ def test_capacity_limits():
         build_hamiltonian(_config(2, 0.3), -1)
 
 
-def test_operator_matrix_validates_hermiticity_flag():
-    with pytest.raises(NotHermitianError):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2), hermitian=True)
-
-
 def test_operator_matrix_validates_basis():
     with pytest.raises(DimensionMismatchError):
         OperatorMatrix(np.eye(2), _basis(3))
@@ -286,7 +281,7 @@ def test_operator_matrix_validates_basis():
     with pytest.raises(InvalidParameterError):
         OperatorMatrix(np.eye(2), _basis(2).astype(float))
     ops = build_collective_ops(_config(1, 0.3))
-    shifted = OperatorMatrix(np.eye(2), _basis(2) + [1, 0], hermitian=True)
+    shifted = OperatorMatrix(np.eye(2), _basis(2) + [1, 0])
     with pytest.raises(DimensionMismatchError):
         commutator(ops.s_z, shifted)
     with pytest.raises(DimensionMismatchError):
@@ -294,7 +289,7 @@ def test_operator_matrix_validates_basis():
 
 
 def test_eigh_diagonal_and_swap():
-    diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), _basis(4), hermitian=True)
+    diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), _basis(4))
     assert eigvalsh(diag) == pytest.approx([-1.0, 0.5, 2.0, 3.0])
     values, vectors = tridiagonal_eigh([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
     assert values == pytest.approx([-1.0, 0.5, 2.0, 3.0])
@@ -304,8 +299,8 @@ def test_eigh_diagonal_and_swap():
     assert tridiagonal_eigvalsh(*tridiagonalize(swap)) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
 
-def test_eigh_requires_hermitian_flag():
-    op = OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), _basis(2))
+def test_eigvalsh_rejects_non_symmetric_operator():
+    op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2))
     with pytest.raises(NotHermitianError):
         eigvalsh(op)
     with pytest.raises(NotHermitianError):
@@ -357,7 +352,7 @@ def test_tridiagonal_eigh_is_deterministic():
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
     a = np.random.default_rng(12).normal(size=(32, 32))
-    op = OperatorMatrix(a + a.T, _basis(32), True)
+    op = OperatorMatrix(a + a.T, _basis(32))
     assert eigvalsh(op).tobytes() == eigvalsh(op).tobytes()
 
 
@@ -375,8 +370,7 @@ def test_split_blocks_give_identity_vectors():
     assert np.array_equal(values, np.ones(3))
     assert np.array_equal(vectors, np.eye(3))
     # eta = 0 ladder: every off-diagonal vanishes, so each block is 1 x 1
-    h = build_h1_matrix(subspace(2, 3), 0.625, 0.35, 0.0)
-    values, vectors = tridiagonal_eigh(np.diag(h), np.diag(h, 1))
+    values, vectors = tridiagonal_eigh(*build_h1_matrix(subspace(2, 3), 0.625, 0.35, 0.0))
     assert np.array_equal(values, 0.35 * np.arange(6))
     assert np.array_equal(vectors, np.eye(6))
     # a zero in the middle splits the matrix into two blocks
@@ -420,6 +414,21 @@ def test_sector_eigenvalues_match_lapack(n_qubits, u):
     assert np.abs(values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_eigvalsh_holds_no_dense_copy():
+    # N = 8, u = 1: dim 219, a 0.38 MB dense matrix; the operator keeps only
+    # its triplets, and the symmetry check adds one dim^2 temporary
+    op = sector_hamiltonian(_config(8, 0.437, wq=1.0, w0=1.15, eta=0.3), 1)
+    matrix_bytes = op.dim**2 * 8
+    tracemalloc.start()
+    try:
+        eigvalsh(op)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * matrix_bytes
+    assert held < 0.05e6
+
+
 def test_complex_input_is_rejected_not_truncated():
     hermitian = np.array([[1.0, 1j], [-1j, 1.0]])
     with pytest.raises(InvalidParameterError):
@@ -427,7 +436,7 @@ def test_complex_input_is_rejected_not_truncated():
     with pytest.raises(InvalidParameterError):
         tridiagonal_eigh([1.0, 2.0], [0.5 + 1e-3j])
     with pytest.raises(InvalidParameterError):
-        OperatorMatrix(hermitian, _basis(2), hermitian=True)
+        OperatorMatrix(hermitian, _basis(2))
     # a complex dtype with zero imaginary parts is real input
     assert tridiagonal_eigvalsh(*tridiagonalize(np.eye(2, dtype=complex))) == pytest.approx([1.0, 1.0])
 

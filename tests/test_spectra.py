@@ -32,6 +32,7 @@ from qchain import (
 )
 from qchain.algebra import undeformed_ladder_element
 from qchain.spectra import MAX_LADDER_DIM, DressedState
+from reference_forms import h1_matrix_dense
 
 
 def test_subspace_examples():
@@ -61,18 +62,33 @@ def test_subspace_errors():
 
 
 def test_h1_matrix_examples():
-    h = build_h1_matrix(subspace(1, 2), 0.625, 0.0, 1.0)
-    assert np.diag(h, 1) == pytest.approx(
-        [math.sqrt(3.75), math.sqrt(7.5), math.sqrt(7.5)], abs=1e-14
-    )
-    assert np.abs(h - h.T).max() == 0.0
+    d, e = build_h1_matrix(subspace(1, 2), 0.625, 0.0, 1.0)
+    assert e == pytest.approx([math.sqrt(3.75), math.sqrt(7.5), math.sqrt(7.5)], abs=1e-14)
+    assert np.array_equal(d, np.zeros(4))
 
-    h0 = build_h1_matrix(subspace(1, 2), 0.625, -0.7, 0.0)
-    assert np.abs(h0 - np.diag([-0.7 * n for n in range(4)])).max() <= 1e-15
+    d0, e0 = build_h1_matrix(subspace(1, 2), 0.625, -0.7, 0.0)
+    assert np.abs(d0 - np.array([-0.7 * n for n in range(4)])).max() <= 1e-15
+    assert np.array_equal(e0, np.zeros(3))
 
-    jc = build_h1_matrix(subspace(0.5, 0.5), 1.0, 0.0, 0.3)
-    values = np.linalg.eigvalsh(jc)
+    d, e = build_h1_matrix(subspace(0.5, 0.5), 1.0, 0.0, 0.3)
+    values = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     assert values == pytest.approx([-0.3, 0.3], abs=1e-14)
+
+
+def test_h1_matrix_equals_dense_reference_byte_for_byte():
+    ladders = [(u2 / 2, r2 / 2) for r2 in range(25) for u2 in range(-r2, r2 + 11, 2)]
+    ladders.append((3.0 - 2.0**52, 2.0**52))
+    for u, r in ladders:
+        sub = subspace(u, r)
+        for R in (1.0, 0.625, 1 / 3, 1e-3):
+            for eta in (0.0, 0.17, 2.5):
+                for dw in (0.0, -0.31):
+                    h = h1_matrix_dense(sub, R, dw, eta)
+                    d, e = build_h1_matrix(sub, R, dw, eta)
+                    assert d.tobytes() == np.diag(h).tobytes(), (u, r, R, eta, dw)
+                    assert e.tobytes() == np.diag(h, 1).tobytes(), (u, r, R, eta, dw)
+    for R in (1.0, 0.625, 1 / 3, 1e-3):
+        assert resonant_energies(R, 0.0).canonical.tobytes() == np.zeros(4).tobytes()
 
 
 def test_solve_dressed_dim_one():
@@ -313,4 +329,8 @@ def test_resonant_energies_closed_forms():
             assert levels.alternate == pytest.approx([-mag, mag], abs=1e-12)
             # the alternate pair is NOT part of the spectrum
             assert np.abs(levels.canonical - levels.alternate[1]).min() > 0.1 * eta
-    assert resonant_energies(0.0, 0.5).canonical == pytest.approx([0.0] * 4)
+    with pytest.raises(InvalidParameterError):
+        resonant_energies(0.0, 0.5)
+    for eta in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            resonant_energies(0.625, eta)
