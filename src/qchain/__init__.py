@@ -16,7 +16,6 @@ from .algebra import (
 from .config import ChainConfig
 from .crossover import (
     CrossoverReport,
-    chebyshev_residual,
     crossover_point,
     find_stationary_points,
     stationarity_residual,
@@ -52,7 +51,6 @@ from .spectra import (
     Normalization,
     ResonantLevels,
     build_h1_matrix,
-    characteristic_polynomial,
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
@@ -60,7 +58,6 @@ from .spectra import (
     resonant_energies,
     solve_dressed,
     subspace,
-    truncated_quartic_coefficients,
     weak_coupling_energies,
 )
 

@@ -5,11 +5,14 @@ shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
 ``float.__repr__``; both are rendered by C code a whole column or a flat
-number list at a time, not by one Python call per value.  Exit codes:
-0 success, 2 usage error, 3 empty sector, 4 capacity exceeded, 5
-eigensolver did not converge.  Exit 4 comes before any large allocation:
-a ladder over 1001 states, an oracle over 12 qubits or dense dim 4096, or
-a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
+number list at a time, not by one Python call per value.  Commands
+compute only what they print: ``oracle-compare`` and ``table1`` take the
+model ladder's eigenvalues alone, without eigenvectors.  Exit codes:
+0 success, 2 usage error (a non-finite number flag among them), 3 empty
+sector, 4 capacity exceeded, 5 eigensolver did not converge.  Exit 4
+comes before any large allocation: a ladder over 1001 states, an oracle
+over 12 qubits or dense dim 4096, or a crossover scan over
+``crossover.MAX_SCAN_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,8 +39,10 @@ from .errors import (
     NegativeRadicandError,
     PoleError,
 )
+from .linalg import tridiagonal_eigvalsh
 from .oracle import sector_spectrum
 from .spectra import (
+    build_h1_matrix,
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
@@ -61,7 +67,7 @@ def rational(text: str) -> float:
         if "/" in text:
             return float(Fraction(text))
         return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a number or p/q rational: {text!r}") from exc
 
 
@@ -280,18 +286,18 @@ def cmd_oracle_compare(args) -> str:
     )
     # the oracle's qubit cap refuses N > 12 before any parity or ladder check
     oracle = sector_spectrum(config, args.u)
-    detuning = args.w0 - args.wq
     sub = subspace(args.u, r)
-    states = solve_dressed(sub, R, detuning, args.eta, qubit_freq=args.wq)
+    # only the model's energies are printed: eigenvalues alone, no vectors
+    values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, args.w0 - args.wq, args.eta))
     levels = []
-    for k, state in enumerate(states):
-        nearest = float(oracle[np.abs(oracle - state.total_energy).argmin()])
+    for k, energy in enumerate((args.wq * sub.total_excitation + values).tolist()):
+        nearest = float(oracle[np.abs(oracle - energy).argmin()])
         levels.append(
             {
                 "index": k,
-                "model": state.total_energy,
+                "model": energy,
                 "oracle": nearest,
-                "deviation": abs(state.total_energy - nearest),
+                "deviation": abs(energy - nearest),
             }
         )
     max_dev = max(level["deviation"] for level in levels)
@@ -320,21 +326,18 @@ def cmd_table1(args) -> str:
     R = _deformation_of(n, args.l)
     detuning = args.w0 - args.wq
     sub = subspace(1, 2)
-    states = solve_dressed(sub, R, detuning, args.eta, qubit_freq=args.wq)
-    undeformed = solve_dressed(sub, 1.0, detuning, args.eta, qubit_freq=args.wq)
+    values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, detuning, args.eta)).tolist()
+    undeformed = tridiagonal_eigvalsh(*build_h1_matrix(sub, 1.0, detuning, args.eta)).tolist()
 
     entries = []
-    for k, state in enumerate(states):
-        v = state.interaction_eigenvalue
+    for k, v in enumerate(values):
         rec = coefficients_recursive(v, sub, R, detuning, args.eta)
         try:
             closed = coefficients_closed(v, sub, R, detuning, args.eta).tolist()
         except PoleError:
             closed = None
         formulas = four_qubit_reference_coefficients(v, R, detuning, args.eta)
-        ref = coefficients_recursive(
-            undeformed[k].interaction_eigenvalue, sub, 1.0, detuning, args.eta
-        )
+        ref = coefficients_recursive(undeformed[k], sub, 1.0, detuning, args.eta)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (np.abs(rec[1:]) / np.abs(ref[1:])).tolist()
         entries.append(
@@ -493,6 +496,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    for dest, value in vars(args).items():
+        # refused here, with the flag's name, before numpy warns about it
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: argument {flag}: not a finite number: {value!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         text = args.func(args)
     except (EmptySectorError, EmptySubspaceError) as exc:

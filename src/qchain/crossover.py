@@ -21,7 +21,6 @@ from .errors import CapacityError, InvalidParameterError
 __all__ = [
     "CrossoverReport",
     "stationarity_residual",
-    "chebyshev_residual",
     "bracketed_roots",
     "find_stationary_points",
     "crossover_point",
@@ -68,25 +67,6 @@ def stationarity_residual(n_qubits: int, spacing):
     theta = np.pi * np.asarray(spacing, dtype=float)
     k = 2 * n - 1
     out = np.sin(k * theta) * np.cos(theta) - k * np.cos(k * theta) * np.sin(theta)
-    return float(out) if np.isscalar(spacing) else out
-
-
-def chebyshev_residual(n_qubits: int, spacing):
-    """Chebyshev form U_{2N-1}(x) - 2N*T_{2N-1}(x) at x = cos(pi*l),
-    evaluated by the stable three-term recurrence
-    T_{k+1} = 2x*T_k - T_{k-1} (same for U, seeded U_1 = 2x).  Shares its
-    zeros on (0, 1) with :func:`stationarity_residual`.
-    """
-    n = _validate_n(n_qubits)
-    x = np.cos(np.pi * np.asarray(spacing, dtype=float))
-    t_prev = np.ones_like(x)
-    t_cur = x.copy()
-    u_prev = np.ones_like(x)
-    u_cur = 2.0 * x
-    for _ in range(2 * n - 2):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-        u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
-    out = u_cur - 2.0 * n * t_cur
     return float(out) if np.isscalar(spacing) else out
 
 

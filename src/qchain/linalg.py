@@ -65,9 +65,17 @@ def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Householder reduction of a real symmetric matrix to tridiagonal form.
 
     Returns the diagonal d and the off-diagonal e of Q^T A Q; the
-    eigenvalues are unchanged and Q is not formed.
+    eigenvalues are unchanged and Q is not formed.  Each column costs one
+    matrix-vector product and one rank-2 update, a single BLAS product.
+    ``matrix`` is left as it is: the reduction overwrites the copy
+    :func:`as_real` makes.
     """
-    a = as_real(matrix)
+    return _tridiagonalize_in_place(as_real(matrix))
+
+
+def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tridiagonalize` of a finite float64 array that the reduction
+    overwrites, for callers that form the matrix for the reduction alone."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
     defect = a - a.T  # the only dim^2 temporary of the check
@@ -93,8 +101,16 @@ def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
         rest = a[k + 1 :, k + 1 :]
         p = (rest @ v) / h
         q = p - (float(v @ p) / (2.0 * h)) * v
-        # H A H = A - v q^T - q v^T, one BLAS product for the rank-2 update
-        rest -= np.stack((v, q), axis=1) @ np.stack((q, v))
+        # H A H = A - v q^T - q v^T, one BLAS product of the C-contiguous
+        # (m, 2) [v q] and (2, m) [q; v] for the rank-2 update
+        m = v.size
+        vq = np.empty((m, 2))
+        vq[:, 0] = v
+        vq[:, 1] = q
+        qv = np.empty((2, m))
+        qv[0] = q
+        qv[1] = v
+        rest -= vq @ qv
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
     return a.diagonal().copy(), e

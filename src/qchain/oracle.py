@@ -26,7 +26,7 @@ from .errors import (
     InvalidParameterError,
     ZeroDenominatorError,
 )
-from .linalg import as_real, tridiagonal_eigvalsh, tridiagonalize
+from .linalg import _tridiagonalize_in_place, as_real, tridiagonal_eigvalsh
 
 __all__ = [
     "MAX_QUBITS",
@@ -266,4 +266,5 @@ def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
     Householder reduction and implicit QL; no eigenvectors are formed.
     Raises :class:`NotHermitianError` if the operator is not symmetric."""
-    return tridiagonal_eigvalsh(*tridiagonalize(operator.entries))
+    # the dense matrix is formed anew for this solve, so it is reduced in place
+    return tridiagonal_eigvalsh(*_tridiagonalize_in_place(operator.entries))

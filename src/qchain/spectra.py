@@ -6,9 +6,11 @@ built once as the diagonal and off-diagonal (d, e) of a real symmetric
 tridiagonal matrix and diagonalized by the tridiagonal routes of
 :mod:`qchain.linalg` (implicit QL for eigenvalues, inverse iteration for
 eigenvectors).  Alongside the eigensolve this module carries the
-coefficient recursion, its combinatorial closed form, the characteristic
-polynomial, and the 4-qubit special-case formulas, each of which serves
-as an independent route to the same spectrum.
+coefficient recursion, its combinatorial closed form and the 4-qubit
+special-case formulas, each of which serves as an independent route to
+the same spectrum.  The characteristic polynomial and the truncated
+weak-coupling quartic, which no command prints, live in the tests as
+references.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "rescale_to_c0",
     "coefficients_recursive",
     "coefficients_closed",
-    "characteristic_polynomial",
-    "truncated_quartic_coefficients",
     "weak_coupling_energies",
     "resonant_energies",
     "four_qubit_reference_coefficients",
@@ -307,42 +307,15 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
     return c
 
 
-def characteristic_polynomial(sub: ExcitationSubspace, deformation, detuning, coupling) -> np.ndarray:
-    """Monic characteristic polynomial of the subspace interaction matrix,
-    ascending coefficient order (numpy polynomial convention), obtained by
-    running the three-term recursion with symbolic v.  Its roots are the
-    interaction eigenvalues.
-    """
-    d, e = build_h1_matrix(sub, deformation, detuning, coupling)
-    prev = np.array([1.0])  # p_0
-    cur = np.array([-d[0], 1.0])  # v - d_0
-    for k in range(1, d.size):
-        shifted = np.concatenate(([0.0], cur)) - d[k] * np.concatenate((cur, [0.0]))
-        nxt = shifted - e[k - 1] * e[k - 1] * np.concatenate((prev, [0.0, 0.0]))
-        prev, cur = cur, nxt
-    return cur
-
-
-def truncated_quartic_coefficients(deformation, detuning, coupling) -> np.ndarray:
-    """Weak-coupling quartic v^4 - 6*dw*v^3 + 11*dw^2*v^2 - 6*dw^3*v
-    - 36*R*eta^2*dw^2, ascending order.  Its exact roots are the
-    weak-coupling energies minus qubit_freq.
-    """
-    R = _validate_deformation(deformation)
-    dw = float(detuning)
-    eta = float(coupling)
-    return np.array([-36.0 * R * eta**2 * dw**2, -6.0 * dw**3, 11.0 * dw**2, -6.0 * dw, 1.0])
-
-
 def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.ndarray:
     """The four weak-coupling total energies of the 4-qubit one-excitation
     ladder, ascending::
 
         E = w_q + (3/2)*dw +- (1/2)*sqrt(5*dw^2 +- 4*dw*sqrt(dw^2 + 36*R*eta^2))
 
-    These are exactly the roots of :func:`truncated_quartic_coefficients`
-    shifted by w_q; they track the exact spectrum only at leading order
-    in eta/dw.
+    These are exactly the roots of the truncated weak-coupling quartic
+    v^4 - 6*dw*v^3 + 11*dw^2*v^2 - 6*dw^3*v - 36*R*eta^2*dw^2 shifted by
+    w_q; they track the exact spectrum only at leading order in eta/dw.
     """
     R = _validate_deformation(deformation)
     dw = float(detuning)

@@ -2,15 +2,21 @@
 deformation factor R(N, l) for the library's one evaluator,
 :func:`qchain.deformation_profile`, a state-by-state sector Hamiltonian
 for the oracle's vectorized builder, dense collective operators for
-the oracle's triplet storage, and the dense ladder matrix for the
-tridiagonal (d, e) of :func:`qchain.build_h1_matrix`."""
+the oracle's triplet storage, the dense ladder matrix for the
+tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, the Householder
+reduction with ``np.stack`` operands for :func:`qchain.linalg.tridiagonalize`,
+and the cross-checks no command prints: the Chebyshev stationarity
+residual, the ladder's characteristic polynomial and the truncated
+weak-coupling quartic."""
 
 import math
 
 import numpy as np
 
-from qchain import ladder_element
+from qchain import build_h1_matrix, ladder_element
 from qchain.algebra import _validate_deformation
+from qchain.crossover import _validate_n
+from qchain.linalg import as_real
 
 
 def cosine_sum(n, spacings):
@@ -86,3 +92,76 @@ def h1_matrix_dense(sub, deformation, detuning, coupling):
         h[k, k + 1] = amp
         h[k + 1, k] = amp
     return h
+
+
+def tridiagonalize_stack(matrix):
+    """Householder reduction as :func:`qchain.linalg.tridiagonalize`, with
+    the rank-2 update's [v q] and [q; v] operands built by ``np.stack``
+    each column; the symmetry check is left to the library."""
+    a = as_real(matrix)
+    n = a.shape[0]
+    e = np.zeros(max(n - 1, 0))
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        alpha = math.sqrt(float(x @ x))
+        if alpha == 0.0:
+            continue
+        if x[0] > 0.0:
+            alpha = -alpha
+        v = x.copy()
+        v[0] -= alpha
+        h = alpha * alpha - alpha * float(x[0])
+        e[k] = alpha
+        rest = a[k + 1 :, k + 1 :]
+        p = (rest @ v) / h
+        q = p - (float(v @ p) / (2.0 * h)) * v
+        rest -= np.stack((v, q), axis=1) @ np.stack((q, v))
+    if n >= 2:
+        e[n - 2] = a[n - 1, n - 2]
+    return a.diagonal().copy(), e
+
+
+def chebyshev_residual(n_qubits: int, spacing):
+    """Chebyshev form U_{2N-1}(x) - 2N*T_{2N-1}(x) at x = cos(pi*l),
+    evaluated by the stable three-term recurrence
+    T_{k+1} = 2x*T_k - T_{k-1} (same for U, seeded U_1 = 2x).  Shares its
+    zeros on (0, 1) with :func:`qchain.crossover.stationarity_residual`.
+    """
+    n = _validate_n(n_qubits)
+    x = np.cos(np.pi * np.asarray(spacing, dtype=float))
+    t_prev = np.ones_like(x)
+    t_cur = x.copy()
+    u_prev = np.ones_like(x)
+    u_cur = 2.0 * x
+    for _ in range(2 * n - 2):
+        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
+        u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
+    out = u_cur - 2.0 * n * t_cur
+    return float(out) if np.isscalar(spacing) else out
+
+
+def characteristic_polynomial(sub, deformation, detuning, coupling) -> np.ndarray:
+    """Monic characteristic polynomial of the subspace interaction matrix,
+    ascending coefficient order (numpy polynomial convention), obtained by
+    running the three-term recursion with symbolic v.  Its roots are the
+    interaction eigenvalues.
+    """
+    d, e = build_h1_matrix(sub, deformation, detuning, coupling)
+    prev = np.array([1.0])  # p_0
+    cur = np.array([-d[0], 1.0])  # v - d_0
+    for k in range(1, d.size):
+        shifted = np.concatenate(([0.0], cur)) - d[k] * np.concatenate((cur, [0.0]))
+        nxt = shifted - e[k - 1] * e[k - 1] * np.concatenate((prev, [0.0, 0.0]))
+        prev, cur = cur, nxt
+    return cur
+
+
+def truncated_quartic_coefficients(deformation, detuning, coupling) -> np.ndarray:
+    """Weak-coupling quartic v^4 - 6*dw*v^3 + 11*dw^2*v^2 - 6*dw^3*v
+    - 36*R*eta^2*dw^2, ascending order.  Its exact roots are the
+    energies of :func:`qchain.weak_coupling_energies` minus qubit_freq.
+    """
+    R = _validate_deformation(deformation)
+    dw = float(detuning)
+    eta = float(coupling)
+    return np.array([-36.0 * R * eta**2 * dw**2, -6.0 * dw**3, 11.0 * dw**2, -6.0 * dw, 1.0])

@@ -15,8 +15,6 @@ from qchain import (
     build_collective_ops,
     build_excitation_number,
     build_hamiltonian,
-    characteristic_polynomial,
-    chebyshev_residual,
     coefficients_closed,
     coefficients_recursive,
     commutator,
@@ -32,11 +30,16 @@ from qchain import (
     solve_dressed,
     stationarity_residual,
     subspace,
-    truncated_quartic_coefficients,
     weak_coupling_energies,
 )
 from qchain.crossover import bracketed_roots
-from reference_forms import cosine_sum, dirichlet_ratio
+from reference_forms import (
+    characteristic_polynomial,
+    chebyshev_residual,
+    cosine_sum,
+    dirichlet_ratio,
+    truncated_quartic_coefficients,
+)
 
 
 def criterion(num, description):

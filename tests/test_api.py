@@ -15,12 +15,11 @@ PACKAGE = [
     "NegativeRadicandError", "Normalization", "NotHermitianError", "OperatorMatrix", "PoleError",
     "QChainError", "ResonantLevels", "ZeroDenominatorError", "bloch_metric",
     "build_collective_ops", "build_excitation_number", "build_h1_matrix", "build_hamiltonian",
-    "casimir_h", "characteristic_polynomial", "chebyshev_residual", "coefficients_closed",
-    "coefficients_recursive", "commutator", "crossover_point", "deformation_factor",
-    "deformation_profile", "eigvalsh", "find_stationary_points",
-    "four_qubit_reference_coefficients", "h_curve", "hs_projection", "ladder_element",
-    "rescale_to_c0", "resonant_energies", "sector_spectrum", "sigma_z_deviation_weights",
-    "solve_dressed", "stationarity_residual", "subspace", "truncated_quartic_coefficients",
+    "casimir_h", "coefficients_closed", "coefficients_recursive", "commutator",
+    "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",
+    "find_stationary_points", "four_qubit_reference_coefficients", "h_curve", "hs_projection",
+    "ladder_element", "rescale_to_c0", "resonant_energies", "sector_spectrum",
+    "sigma_z_deviation_weights", "solve_dressed", "stationarity_residual", "subspace",
     "undeformed_ladder_element", "weak_coupling_energies",
 ]
 
@@ -31,8 +30,8 @@ MODULES = {
         "undeformed_ladder_element",
     ],
     "crossover": [
-        "CrossoverReport", "bracketed_roots", "chebyshev_residual", "crossover_point",
-        "find_stationary_points", "stationarity_residual",
+        "CrossoverReport", "bracketed_roots", "crossover_point", "find_stationary_points",
+        "stationarity_residual",
     ],
     "linalg": [
         "INVERSE_MAX_SWEEPS", "QL_MAX_ITERATIONS", "as_real", "tridiagonal_eigh",
@@ -45,10 +44,9 @@ MODULES = {
     ],
     "spectra": [
         "DressedState", "ExcitationSubspace", "Normalization", "ResonantLevels",
-        "build_h1_matrix", "characteristic_polynomial", "coefficients_closed",
-        "coefficients_recursive", "four_qubit_reference_coefficients", "rescale_to_c0",
-        "resonant_energies", "solve_dressed", "subspace", "truncated_quartic_coefficients",
-        "weak_coupling_energies",
+        "build_h1_matrix", "coefficients_closed", "coefficients_recursive",
+        "four_qubit_reference_coefficients", "rescale_to_c0", "resonant_energies",
+        "solve_dressed", "subspace", "weak_coupling_energies",
     ],
 }
 

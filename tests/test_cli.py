@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,37 @@ def test_out_of_domain_values_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table1", "--w0", "inf"], "--w0"),
+        (["deform-sweep", "--n", "4", "--l-start", "0.1", "--l-end", "inf", "--steps", "3"], "--l-end"),
+        (["hcurve", "--R", "1", "--m-min", "0", "--m-max", "inf", "--steps", "3"], "--m-max"),
+        (["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--wq", "nan"], "--wq"),
+        (["oracle-compare", "--n", "4", "--l", "0.5", "--u", "1", "--eta=-inf"], "--eta"),
+        (["deform", "--n", "4", "--l", "NaN"], "--l"),
+        (["hcurve", "--R=-Infinity", "--m-min", "0", "--m-max", "1", "--steps", "3"], "--R"),
+    ],
+)
+def test_non_finite_flags_exit_2_naming_the_flag(capsys, argv, flag):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+    assert "Warning" not in captured.err
+    assert caught == []
+
+
+def test_rational_too_large_for_a_double_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "--n", "4", "--l", "1" + "0" * 400 + "/3"])
+    assert exc.value.code == 2
+    assert "argument --l:" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -7,13 +7,13 @@ from numpy.polynomial import polynomial as P
 from qchain import (
     CapacityError,
     InvalidParameterError,
-    chebyshev_residual,
     crossover_point,
     deformation_profile,
     find_stationary_points,
     stationarity_residual,
 )
 from qchain.crossover import MAX_SCAN_POINTS, bracketed_roots
+from reference_forms import chebyshev_residual
 
 
 def test_stationarity_residual_point_values():

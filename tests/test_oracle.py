@@ -34,7 +34,11 @@ from qchain import (
 from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
-from reference_forms import collective_ops_dense, sector_hamiltonian_loop
+from reference_forms import (
+    collective_ops_dense,
+    sector_hamiltonian_loop,
+    tridiagonalize_stack,
+)
 
 
 def _config(n, l, wq=1.0, w0=1.0, eta=0.0):
@@ -307,6 +311,62 @@ def test_eigvalsh_rejects_non_symmetric_operator():
         tridiagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _sector_matrices():
+    """The dense Hamiltonian of every excitation sector of N <= 7 qubits
+    (u + N/2 = 0..N; above N the dimension stays 2^N) at four spacings."""
+    for n in range(1, 8):
+        for l in (0.37, 2.0 / 3.0, 1.4, 0.0):
+            cfg = _config(n, l, wq=1.0, w0=1.15, eta=0.3)
+            for n_max in range(n + 1):
+                yield sector_hamiltonian(cfg, n_max - n / 2.0)
+
+
+def _random_symmetric(rng):
+    for n in range(2, 151):
+        a = rng.normal(size=(n, n))
+        yield a + a.T
+
+
+def _same_bits(first, second):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(first, second, strict=True))
+
+
+def test_tridiagonalize_matches_stack_reference_bit_for_bit():
+    # the rank-2 update's operands are built without np.stack: same BLAS
+    # product, same shapes, so the same bits, in place or on a copy
+    for op in _sector_matrices():
+        reference = tridiagonalize_stack(op.entries)
+        assert _same_bits(tridiagonalize(op.entries), reference), op.dim
+        assert eigvalsh(op).tobytes() == tridiagonal_eigvalsh(*reference).tobytes()
+    for a in _random_symmetric(np.random.default_rng(17)):
+        kept = a.copy()
+        assert _same_bits(tridiagonalize(a), tridiagonalize_stack(a)), a.shape
+        assert np.array_equal(a, kept)  # the public reduction leaves its input alone
+
+
+def _ladders():
+    """Ladders of dims 1..101 (r = 50), then a sweep of deformation,
+    detuning (negative too) and coupling at a few dims: eta = 0 and
+    rounding-level couplings split the ladder into blocks."""
+    for u in range(-50, 51):
+        yield build_h1_matrix(subspace(u, 50), 0.625, 0.35, 0.2)
+    for u in (-50, -49, -48, -44, -30, 0, 50):
+        for R in (1.0, 0.31):
+            for detuning in (0.45, 0.0, -0.8):
+                for eta in (0.0, 3e-17, 1e-15, 1.7):
+                    yield build_h1_matrix(subspace(u, 50), R, detuning, eta)
+
+
+def test_tridiagonal_eigvalsh_is_eigh_values_bit_for_bit():
+    partly_split = 0
+    for d, e in _ladders():
+        values, _ = tridiagonal_eigh(d, e)
+        assert values.tobytes() == tridiagonal_eigvalsh(d, e).tobytes(), (d.size, e[:1])
+        negligible = np.abs(e) <= np.finfo(float).eps * qchain.linalg._norm(d, e)
+        partly_split += bool(negligible.any() and not negligible.all())
+    assert partly_split > 0
+
+
 def _dense(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
@@ -416,7 +476,8 @@ def test_sector_eigenvalues_match_lapack(n_qubits, u):
 
 def test_eigvalsh_holds_no_dense_copy():
     # N = 8, u = 1: dim 219, a 0.38 MB dense matrix; the operator keeps only
-    # its triplets, and the symmetry check adds one dim^2 temporary
+    # its triplets, the matrix formed for the solve is reduced in place, and
+    # the symmetry check adds one dim^2 temporary
     op = sector_hamiltonian(_config(8, 0.437, wq=1.0, w0=1.15, eta=0.3), 1)
     matrix_bytes = op.dim**2 * 8
     tracemalloc.start()
@@ -425,7 +486,7 @@ def test_eigvalsh_holds_no_dense_copy():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * matrix_bytes
+    assert peak <= 2.5 * matrix_bytes
     assert held < 0.05e6
 
 

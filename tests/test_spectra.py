@@ -17,7 +17,6 @@ from qchain import (
     Normalization,
     PoleError,
     build_h1_matrix,
-    characteristic_polynomial,
     coefficients_closed,
     coefficients_recursive,
     deformation_factor,
@@ -27,12 +26,15 @@ from qchain import (
     sector_spectrum,
     solve_dressed,
     subspace,
-    truncated_quartic_coefficients,
     weak_coupling_energies,
 )
 from qchain.algebra import undeformed_ladder_element
 from qchain.spectra import MAX_LADDER_DIM, DressedState
-from reference_forms import h1_matrix_dense
+from reference_forms import (
+    characteristic_polynomial,
+    h1_matrix_dense,
+    truncated_quartic_coefficients,
+)
 
 
 def test_subspace_examples():
