@@ -11,7 +11,6 @@ from .algebra import (
     h_curve,
     ladder_element,
     sigma_z_deviation_weights,
-    undeformed_ladder_element,
 )
 from .config import ChainConfig
 from .crossover import (
@@ -26,7 +25,6 @@ from .errors import (
     DegenerateLadderError,
     DimensionMismatchError,
     EmptySectorError,
-    EmptySubspaceError,
     InvalidParameterError,
     NegativeRadicandError,
     NotHermitianError,
@@ -48,13 +46,11 @@ from .oracle import (
 from .spectra import (
     DressedState,
     ExcitationSubspace,
-    Normalization,
     ResonantLevels,
     build_h1_matrix,
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
-    rescale_to_c0,
     resonant_energies,
     solve_dressed,
     subspace,

@@ -25,7 +25,6 @@ __all__ = [
     "deformation_profile",
     "sigma_z_deviation_weights",
     "ladder_element",
-    "undeformed_ladder_element",
     "casimir_h",
     "bloch_metric",
     "h_curve",
@@ -102,6 +101,11 @@ def _validate_deformation(deformation) -> float:
     return r
 
 
+def _ladder_product(r2: int, m2: int) -> int:
+    """(r - m)(r + m + 1) in exact integer arithmetic on doubled indices."""
+    return (r2 - m2) * (r2 + m2 + 2) // 4
+
+
 def ladder_element(total_spin, moment, deformation) -> float:
     """Deformed ladder element alpha_m^(r) = sqrt(R*(r-m)*(r+m+1)).
 
@@ -119,13 +123,7 @@ def ladder_element(total_spin, moment, deformation) -> float:
         raise InvalidParameterError(f"moment {moment!r} outside [-r, r] for r = {total_spin!r}")
     if (r2 - m2) % 2 != 0:
         raise InvalidParameterError(f"r - m must be an integer, got r = {total_spin!r}, m = {moment!r}")
-    # (r - m)(r + m + 1) in exact integer arithmetic on doubled indices
-    return math.sqrt(R * ((r2 - m2) * (r2 + m2 + 2) // 4))
-
-
-def undeformed_ladder_element(total_spin, moment) -> float:
-    """Textbook SU(2) element sqrt((r-m)*(r+m+1)), i.e. R = 1."""
-    return ladder_element(total_spin, moment, 1.0)
+    return math.sqrt(R * _ladder_product(r2, m2))
 
 
 def casimir_h(moment, deformation) -> float:

@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -32,9 +33,7 @@ from .crossover import crossover_point
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DegenerateLadderError,
     EmptySectorError,
-    EmptySubspaceError,
     InvalidParameterError,
     NegativeRadicandError,
     PoleError,
@@ -46,7 +45,6 @@ from .spectra import (
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
-    rescale_to_c0,
     resonant_energies,
     solve_dressed,
     subspace,
@@ -201,11 +199,12 @@ def cmd_spectrum(args) -> str:
     state_rows = []
     for k, state in enumerate(states):
         ratio = None
-        if has_c0:
-            try:
-                ratio = rescale_to_c0(state, sub).coefficients.tolist()
-            except DegenerateLadderError:
-                ratio = None  # no vacuum component (e.g. eta = 0 eigenstates)
+        c0 = state.coefficients[0]
+        # eta = 0 eigenstates, among others, have no vacuum component
+        if has_c0 and c0 != 0.0:
+            scaled = state.coefficients / c0
+            scaled[0] = 1.0
+            ratio = scaled.tolist()
         state_rows.append(
             {
                 "index": k,
@@ -484,6 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_crossover)
 
+    for p in sub.choices.values():
+        # argparse alone takes only plain negative decimals such as -0.5 for values;
+        # take every negative number ``rational`` accepts (-1/2, -1e-1, -inf) too
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -504,7 +507,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         text = args.func(args)
-    except (EmptySectorError, EmptySubspaceError) as exc:
+    except EmptySectorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SECTOR
     except CapacityError as exc:

@@ -26,11 +26,8 @@ class ZeroDenominatorError(QChainError, ZeroDivisionError):
 
 
 class EmptySectorError(QChainError):
-    """No basis states satisfy the excitation-sector constraint."""
-
-
-class EmptySubspaceError(QChainError):
-    """The (u, r) ladder subspace contains no valid configurations."""
+    """No basis states satisfy the excitation constraint: an empty oracle
+    sector or an empty (u, r) ladder."""
 
 
 class DegenerateLadderError(QChainError):

@@ -7,26 +7,26 @@ tridiagonal matrix and diagonalized by the tridiagonal routes of
 :mod:`qchain.linalg` (implicit QL for eigenvalues, inverse iteration for
 eigenvectors).  Alongside the eigensolve this module carries the
 coefficient recursion, its combinatorial closed form and the 4-qubit
-special-case formulas, each of which serves as an independent route to
-the same spectrum.  The characteristic polynomial and the truncated
-weak-coupling quartic, which no command prints, live in the tests as
-references.
+special-case formulas, each an independent route to the same spectrum.
+The matrix and the recursion take alpha and alpha^2 from one array of
+the exact ladder products (r-m)*(r+m+1).  The characteristic polynomial
+and the truncated weak-coupling quartic, which no command prints, live
+in the tests as references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .algebra import _validate_deformation
+from .algebra import _ladder_product, _validate_deformation
 from .config import halves, twice
 from .errors import (
     CapacityError,
     DegenerateLadderError,
-    EmptySubspaceError,
+    EmptySectorError,
     InvalidParameterError,
     NegativeRadicandError,
     PoleError,
@@ -34,14 +34,12 @@ from .errors import (
 from .linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 
 __all__ = [
-    "Normalization",
     "ExcitationSubspace",
     "DressedState",
     "ResonantLevels",
     "subspace",
     "build_h1_matrix",
     "solve_dressed",
-    "rescale_to_c0",
     "coefficients_recursive",
     "coefficients_closed",
     "weak_coupling_energies",
@@ -52,11 +50,6 @@ __all__ = [
 # Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, and took
 # 2.4 / 4.3 / 5.2 s and 175 / 255 / 354 MB at dim 801 / 1001 / 1201 (2-core Xeon VM).
 MAX_LADDER_DIM = 1001
-
-
-class Normalization(Enum):
-    C0_IS_ONE = "c0_is_one"
-    UNIT_NORM = "unit_norm"
 
 
 @dataclass(frozen=True)
@@ -75,29 +68,18 @@ class ExcitationSubspace:
     def dim(self) -> int:
         return len(self.photon_numbers)
 
-    @property
-    def moments(self) -> tuple[float, ...]:
-        return tuple(self.total_excitation - n for n in self.photon_numbers)
-
-    @property
-    def labels(self) -> tuple[tuple[int, float, float], ...]:
-        """Ordered (photon_number, total_spin, moment) triples."""
-        return tuple(
-            (n, self.total_spin, self.total_excitation - n) for n in self.photon_numbers
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DressedState:
     """One eigenpair of the subspace interaction matrix.
 
-    ``coefficients[k]`` multiplies the configuration with photon number
-    ``photon_numbers[k]``; ``total_energy`` = qubit_freq * u + v.
+    ``coefficients`` is the unit-norm eigenvector: ``coefficients[k]``
+    multiplies the configuration with photon number ``photon_numbers[k]``.
+    ``total_energy`` = qubit_freq * u + v.
     """
 
     interaction_eigenvalue: float
     coefficients: np.ndarray
-    normalization: Normalization
     total_energy: float
 
 
@@ -123,7 +105,7 @@ def subspace(total_excitation, total_spin) -> ExcitationSubspace:
 
     Raises
     ------
-    EmptySubspaceError
+    EmptySectorError
         If u < -r, or if u - r is not an integer (no photon number can
         then produce a valid moment).
     CapacityError
@@ -134,9 +116,9 @@ def subspace(total_excitation, total_spin) -> ExcitationSubspace:
     if r2 < 0:
         raise InvalidParameterError(f"total_spin must be >= 0, got {total_spin!r}")
     if u2 < -r2:
-        raise EmptySubspaceError(f"u = {total_excitation!r} lies below -r = {halves(-r2)!r}")
+        raise EmptySectorError(f"u = {total_excitation!r} lies below -r = {halves(-r2)!r}")
     if (u2 - r2) % 2 != 0:
-        raise EmptySubspaceError(
+        raise EmptySectorError(
             f"u - r must be an integer, got u = {total_excitation!r}, r = {total_spin!r}"
         )
     n_lo = max(0, (u2 - r2) // 2)
@@ -150,13 +132,18 @@ def subspace(total_excitation, total_spin) -> ExcitationSubspace:
     )
 
 
-def _alphas(sub: ExcitationSubspace, R: float) -> np.ndarray:
-    """alpha_{u-n-1}^(r) = sqrt(R*(r-m)*(r+m+1)) at m = u-n-1 for every
-    photon number n of the ladder but the last."""
+def _ladder_products(sub: ExcitationSubspace) -> np.ndarray:
+    """The exact integers (r-m)*(r+m+1) at m = u-n-1 for every photon
+    number n of the ladder but the last, stored as floats."""
     u2, r2 = twice(sub.total_excitation), twice(sub.total_spin)
-    # (r - m)(r + m + 1) in exact integer arithmetic on doubled indices
-    products = [(r2 - u2 + 2 * n + 2) * (r2 + u2 - 2 * n) // 4 for n in sub.photon_numbers[:-1]]
-    return np.sqrt(R * np.array(products, dtype=float))
+    return np.array(
+        [_ladder_product(r2, u2 - 2 * n - 2) for n in sub.photon_numbers[:-1]], dtype=float
+    )
+
+
+def _alphas(sub: ExcitationSubspace, R: float) -> np.ndarray:
+    """alpha_{u-n-1}^(r) = sqrt(R*(r-m)*(r+m+1)) along the ladder."""
+    return np.sqrt(R * _ladder_products(sub))
 
 
 def build_h1_matrix(
@@ -178,37 +165,19 @@ def build_h1_matrix(
 def solve_dressed(
     sub: ExcitationSubspace, deformation, detuning, coupling, qubit_freq: float = 0.0
 ) -> list[DressedState]:
-    """All dressed states of the subspace, unit-norm coefficients, ordered
-    by ascending interaction eigenvalue.  Pass ``qubit_freq`` to obtain
-    absolute total energies E = w_q * u + v.
+    """All dressed states of the subspace, ordered by ascending interaction
+    eigenvalue, each with its unit-norm eigenvector.  Pass ``qubit_freq``
+    to obtain absolute total energies E = w_q * u + v.
     """
     values, vectors = tridiagonal_eigh(*build_h1_matrix(sub, deformation, detuning, coupling))
     return [
         DressedState(
             interaction_eigenvalue=float(values[k]),
             coefficients=vectors[:, k].copy(),
-            normalization=Normalization.UNIT_NORM,
             total_energy=float(qubit_freq) * sub.total_excitation + float(values[k]),
         )
         for k in range(sub.dim)
     ]
-
-
-def rescale_to_c0(state: DressedState, sub: ExcitationSubspace) -> DressedState:
-    """Rescale a dressed state so the n = 0 component is exactly 1."""
-    if sub.photon_numbers[0] != 0:
-        raise InvalidParameterError("photon number 0 is not part of this subspace")
-    c0 = state.coefficients[0]
-    if c0 == 0.0:
-        raise DegenerateLadderError("n = 0 component vanishes; cannot rescale")
-    coeffs = state.coefficients / c0
-    coeffs[0] = 1.0
-    return DressedState(
-        interaction_eigenvalue=state.interaction_eigenvalue,
-        coefficients=coeffs,
-        normalization=Normalization.C0_IS_ONE,
-        total_energy=state.total_energy,
-    )
 
 
 def _scaled_offsets(v, detuning, coupling, count):
@@ -238,21 +207,19 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     """
     R = _validate_deformation(deformation)
     _require_c0(sub)
-    u = sub.total_excitation
-    r = sub.total_spin
     n_max = sub.photon_numbers[-1]
     vt = _scaled_offsets(v, detuning, coupling, n_max + 1)
+    alpha_sq = R * _ladder_products(sub)  # alpha_{u-n}^2 at index n - 1
     big_c = np.empty(n_max + 1)
     big_c[0] = 1.0
     if n_max >= 1:
         big_c[1] = vt[0]
-    for n in range(1, n_max):
-        alpha_sq = R * (r - (u - n)) * (r + (u - n) + 1)
-        big_c[n + 1] = vt[n] * big_c[n] - n * alpha_sq * big_c[n - 1]
+    for n, step_sq in enumerate(alpha_sq[:-1].tolist(), start=1):
+        big_c[n + 1] = vt[n] * big_c[n] - n * step_sq * big_c[n - 1]
     c = np.empty(n_max + 1)
     c[0] = 1.0
     denom = 1.0
-    for n, step in enumerate(_alphas(sub, R).tolist(), start=1):
+    for n, step in enumerate(np.sqrt(alpha_sq).tolist(), start=1):
         if step == 0.0:
             raise DegenerateLadderError(f"alpha_(u-{n}) vanishes; transform undefined")
         denom *= math.sqrt(n) * step
@@ -290,6 +257,7 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
             j = int(bad[0])
             raise PoleError(f"vt_{j} = {vt[j]!r} sits on a pole of the closed form")
 
+    # squares of rounded roots, not the exact products: the table1 golden bytes rest on them
     abar = _alphas(sub, 1.0)
     weights = [(j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1]) for j in range(n_max - 1)]
     c = np.empty(n_max + 1)

@@ -17,7 +17,6 @@ from qchain import (
     h_curve,
     ladder_element,
     sigma_z_deviation_weights,
-    undeformed_ladder_element,
 )
 from reference_forms import cosine_sum, dirichlet_ratio
 
@@ -189,7 +188,7 @@ def test_ladder_undeformed_limit_is_textbook_su2():
         m = -r
         while m <= r:
             expected = math.sqrt((r - m) * (r + m + 1))
-            assert undeformed_ladder_element(r, m) == pytest.approx(expected, abs=1e-13)
+            assert ladder_element(r, m, 1.0) == pytest.approx(expected, abs=1e-13)
             m += 1.0
 
 

@@ -11,23 +11,21 @@ import qchain
 PACKAGE = [
     "CapacityError", "ChainConfig", "CollectiveOps", "ConvergenceError", "CrossoverReport",
     "DeformationFactor", "DegenerateLadderError", "DimensionMismatchError", "DressedState",
-    "EmptySectorError", "EmptySubspaceError", "ExcitationSubspace", "InvalidParameterError",
-    "NegativeRadicandError", "Normalization", "NotHermitianError", "OperatorMatrix", "PoleError",
+    "EmptySectorError", "ExcitationSubspace", "InvalidParameterError", "NegativeRadicandError",
+    "NotHermitianError", "OperatorMatrix", "PoleError",
     "QChainError", "ResonantLevels", "ZeroDenominatorError", "bloch_metric",
     "build_collective_ops", "build_excitation_number", "build_h1_matrix", "build_hamiltonian",
     "casimir_h", "coefficients_closed", "coefficients_recursive", "commutator",
     "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",
     "find_stationary_points", "four_qubit_reference_coefficients", "h_curve", "hs_projection",
-    "ladder_element", "rescale_to_c0", "resonant_energies", "sector_spectrum",
-    "sigma_z_deviation_weights", "solve_dressed", "stationarity_residual", "subspace",
-    "undeformed_ladder_element", "weak_coupling_energies",
+    "ladder_element", "resonant_energies", "sector_spectrum", "sigma_z_deviation_weights",
+    "solve_dressed", "stationarity_residual", "subspace", "weak_coupling_energies",
 ]
 
 MODULES = {
     "algebra": [
         "DeformationFactor", "bloch_metric", "casimir_h", "deformation_factor",
         "deformation_profile", "h_curve", "ladder_element", "sigma_z_deviation_weights",
-        "undeformed_ladder_element",
     ],
     "crossover": [
         "CrossoverReport", "bracketed_roots", "crossover_point", "find_stationary_points",
@@ -43,10 +41,9 @@ MODULES = {
         "eigvalsh", "hs_projection", "sector_spectrum",
     ],
     "spectra": [
-        "DressedState", "ExcitationSubspace", "Normalization", "ResonantLevels",
-        "build_h1_matrix", "coefficients_closed", "coefficients_recursive",
-        "four_qubit_reference_coefficients", "rescale_to_c0", "resonant_energies",
-        "solve_dressed", "subspace", "weak_coupling_energies",
+        "DressedState", "ExcitationSubspace", "ResonantLevels", "build_h1_matrix",
+        "coefficients_closed", "coefficients_recursive", "four_qubit_reference_coefficients",
+        "resonant_energies", "solve_dressed", "subspace", "weak_coupling_energies",
     ],
 }
 

@@ -143,6 +143,42 @@ def test_spectrum_json_shape(capsys):
     assert doc["weak_coupling"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4", "--l", "2/3", "--u", "1"],
+        ["--n", "4", "--l", "2/3", "--u", "1", "--eta", "0"],
+        ["--n", "6", "--l", "0.3", "--u", "-3"],  # dim 1
+        ["--n", "9", "--l", "1/5", "--u", "2.5", "--w0", "1.3", "--eta", "0.4"],
+        ["--n", "6", "--l", "0.3", "--u", "1", "--r", "1"],  # a lower irrep
+        ["--n", "40", "--l", "0.41", "--u", "4", "--r", "10", "--w0", "0.8", "--eta", "0"],
+        ["--n", "100", "--l", "0.37", "--u", "50", "--w0", "1.05"],  # dim 101
+        ["--n", "2", "--l", "0.3", "--u", "3"],  # u > r: no photon number 0
+        ["--n", "7", "--l", "0.6", "--u", "6.5", "--r", "1.5", "--eta", "0"],
+    ],
+)
+def test_spectrum_c_columns_divide_the_unit_norm_columns_by_a0(capsys, argv):
+    """Each c_k cell is a_k / a_0 with c_0 = 1; the c cells are empty when
+    a_0 = 0, and missing when photon number 0 is not in the ladder."""
+    code, out = run_cli(capsys, "spectrum", *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    a_cols = [j for j, name in enumerate(header) if name.startswith("a")]
+    c_cols = [j for j, name in enumerate(header) if name.startswith("c")]
+    has_c0 = header[a_cols[0]] == "a0"
+    assert len(c_cols) == (len(a_cols) if has_c0 else 0)
+    for row in rows:
+        if row[0] != "state" or not has_c0:
+            continue
+        a = [float(row[j]) for j in a_cols]
+        c = [row[j] for j in c_cols]
+        if a[0] == 0.0:
+            assert c == [""] * len(c)
+            continue
+        assert float(c[0]) == 1.0
+        assert [float(x) for x in c[1:]] == [x / a[0] for x in a[1:]]
+
+
 def test_spectrum_empty_sector_exit_code(capsys):
     code, _ = run_cli(capsys, "spectrum", "--n", "4", "--l", "0.5", "--u", "-3")
     assert code == 3
@@ -308,6 +344,23 @@ def test_rational_too_large_for_a_double_exits_2(capsys):
         main(["deform", "--n", "4", "--l", "1" + "0" * 400 + "/3"])
     assert exc.value.code == 2
     assert "argument --l:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["spectrum", "--n", "3", "--l", "2/3"], "--u", "-1/2"),
+        (["spectrum", "--n", "2", "--l", "1/3", "--r", "1", "--format", "json"], "--u", "-1e0"),
+        (["hcurve", "--R", "0.4", "--m-max", "2", "--steps", "3"], "--m-min", "-1/2"),
+        (["hcurve", "--R", "1", "--m-max", "-1/4", "--steps", "4"], "--m-min", "-2.5e0"),
+        (["deform", "--n", "4"], "--l", "-1e-1"),  # the library refuses the spacing
+        (["deform", "--n", "4"], "--l", "-inf"),
+    ],
+)
+def test_negative_values_read_the_same_after_a_space_as_after_equals(capsys, argv, flag, value):
+    spaced = main([*argv, flag, value]), capsys.readouterr()
+    joined = main([*argv, f"{flag}={value}"]), capsys.readouterr()
+    assert spaced == joined
 
 
 def test_unknown_flag_exits_2(capsys):
