@@ -46,12 +46,11 @@ from .oracle import (
 from .spectra import (
     DressedState,
     ExcitationSubspace,
-    ResonantLevels,
     build_h1_matrix,
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
-    resonant_energies,
+    resonant_alternate_energies,
     solve_dressed,
     subspace,
     weak_coupling_energies,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import twice, validate_n_qubits
+from .config import twice, validate_n_qubits, validate_steps
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -146,15 +146,13 @@ def bloch_metric(deformation) -> tuple[float, float, float]:
 def h_curve(deformation, m_min, m_max, steps: int) -> tuple[list[float], list[float]]:
     """Uniform samples of the parabola h(m) = R*(m^2 + m) on [m_min, m_max],
     for plotting the level structure, as the two columns ``(ms, hs)``.
-    Requires steps >= 2 and a nonempty range.
+    Requires 2 <= steps <= ``config.MAX_SWEEP_STEPS`` and a nonempty range.
     """
     R = _validate_deformation(deformation)
     m_min = float(m_min)
     m_max = float(m_max)
     if not (math.isfinite(m_min) and math.isfinite(m_max)) or m_min >= m_max:
         raise InvalidParameterError(f"empty moment range [{m_min!r}, {m_max!r}]")
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise InvalidParameterError(f"steps must be an integer >= 2, got {steps!r}")
-    ms = np.linspace(m_min, m_max, int(steps))
+    ms = np.linspace(m_min, m_max, validate_steps(steps))
     hs = R * (ms * ms + ms)
     return ms.tolist(), hs.tolist()

@@ -6,13 +6,14 @@ always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
 ``float.__repr__``; both are rendered by C code a whole column or a flat
 number list at a time, not by one Python call per value.  Commands
-compute only what they print: ``oracle-compare`` and ``table1`` take the
-model ladder's eigenvalues alone, without eigenvectors.  Exit codes:
-0 success, 2 usage error (a non-finite number flag among them), 3 empty
-sector, 4 capacity exceeded, 5 eigensolver did not converge.  Exit 4
-comes before any large allocation: a ladder over 1001 states, an oracle
-over 12 qubits or dense dim 4096, or a crossover scan over
-``crossover.MAX_SCAN_POINTS`` points.
+compute only what they print, with one eigensolve per ladder:
+``oracle-compare`` and ``table1`` take eigenvalues alone, and the
+resonant rows of ``spectrum`` are the eigenvalues of its states.  Exit
+codes: 0 success, 2 usage error (a non-finite number flag, or an
+overflow), 3 empty sector, 4 capacity exceeded, 5 eigensolver did not
+converge.  Exit 4 comes before any large allocation: a ladder over 1001
+states, an oracle over 12 qubits or dense dim 4096, a sweep over 10^6
+steps, or a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import deformation_factor, deformation_profile, h_curve
-from .config import ChainConfig, halves, twice
+from .config import ChainConfig, halves, twice, validate_steps
 from .crossover import crossover_point
 from .errors import (
     CapacityError,
@@ -45,7 +46,7 @@ from .spectra import (
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
-    resonant_energies,
+    resonant_alternate_energies,
     solve_dressed,
     subspace,
     weak_coupling_energies,
@@ -156,13 +157,12 @@ def cmd_deform(args) -> str:
 
 
 def cmd_deform_sweep(args) -> str:
-    if args.steps < 2:
-        raise InvalidParameterError(f"steps must be >= 2, got {args.steps}")
+    steps = validate_steps(args.steps)
     if not 0.0 < args.l_start < args.l_end:
         raise InvalidParameterError(
             f"need 0 < l-start < l-end, got {args.l_start!r}, {args.l_end!r}"
         )
-    grid = np.linspace(args.l_start, args.l_end, args.steps)
+    grid = np.linspace(args.l_start, args.l_end, steps)
     spacings = grid.tolist()
     values = deformation_profile(args.n, grid).tolist()
     if args.format == "json":
@@ -193,7 +193,7 @@ def cmd_spectrum(args) -> str:
     R = _deformation_of(args.n, args.l)
     detuning = args.w0 - args.wq
     sub = subspace(args.u, r)
-    states = solve_dressed(sub, R, detuning, args.eta, qubit_freq=args.wq)
+    states = solve_dressed(sub, R, detuning, args.eta)
     has_c0 = sub.photon_numbers[0] == 0
 
     state_rows = []
@@ -209,7 +209,7 @@ def cmd_spectrum(args) -> str:
             {
                 "index": k,
                 "v": state.interaction_eigenvalue,
-                "E": state.total_energy,
+                "E": args.wq * sub.total_excitation + state.interaction_eigenvalue,
                 "c0_is_one": ratio,
                 "unit_norm": state.coefficients.tolist(),
             }
@@ -225,9 +225,9 @@ def cmd_spectrum(args) -> str:
             except NegativeRadicandError:
                 weak = None
         else:
-            levels = resonant_energies(R, args.eta)
-            res_canonical = levels.canonical.tolist()
-            res_alternate = levels.alternate.tolist()
+            # the resonant levels are this ladder's eigenvalues: no second eigensolve
+            res_canonical = [row["v"] for row in state_rows]
+            res_alternate = resonant_alternate_energies(R, args.eta).tolist()
 
     if args.format == "json":
         return json_text(
@@ -266,10 +266,9 @@ def cmd_spectrum(args) -> str:
         for k, energy in enumerate(weak):
             rows.append(["weak_coupling", k, energy - args.wq * args.u, energy, R] + blank_coeffs)
     if res_canonical is not None:
-        for k, v in enumerate(res_canonical):
-            rows.append(["resonant_canonical", k, v, args.wq * args.u + v, R] + blank_coeffs)
-        for k, v in enumerate(res_alternate):
-            rows.append(["resonant_alternate", k, v, args.wq * args.u + v, R] + blank_coeffs)
+        for kind, levels in (("canonical", res_canonical), ("alternate", res_alternate)):
+            for k, v in enumerate(levels):
+                rows.append([f"resonant_{kind}", k, v, args.wq * args.u + v, R] + blank_coeffs)
     return csv_lines(header, rows)
 
 
@@ -506,7 +505,12 @@ def main(argv=None) -> int:
             print(f"error: argument {flag}: not a finite number: {value!r}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        text = args.func(args)
+        # finite flags too large or small for floats: a usage error, not a leaked warning
+        with np.errstate(all="raise", under="ignore"):
+            text = args.func(args)
+    except FloatingPointError as exc:
+        print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except EmptySectorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SECTOR

@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import CapacityError, InvalidParameterError
+
+# Most points a sweep samples: 10^5 / 10^6 steps took 0.55 / 3.2 s and
+# 57 / 294 MB peak RSS in `deform-sweep` (2-core VM, one BLAS thread).
+MAX_SWEEP_STEPS = 1_000_000
 
 
 def twice(x) -> int:
@@ -29,6 +33,23 @@ def validate_n_qubits(n_qubits) -> int:
     if isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
         raise InvalidParameterError(f"n_qubits must be a positive integer, got {n_qubits!r}")
     return int(n_qubits)
+
+
+def validate_coupling(coupling) -> float:
+    """Return a coupling amplitude eta as a float that is finite and >= 0."""
+    eta = float(coupling)
+    if not math.isfinite(eta) or eta < 0.0:
+        raise InvalidParameterError(f"coupling must be finite and >= 0, got {coupling!r}")
+    return eta
+
+
+def validate_steps(steps) -> int:
+    """Return a sweep's point count, 2 to MAX_SWEEP_STEPS, as a plain int."""
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise InvalidParameterError(f"steps must be an integer >= 2, got {steps!r}")
+    if steps > MAX_SWEEP_STEPS:
+        raise CapacityError(f"{steps} sweep steps exceed {MAX_SWEEP_STEPS}")
+    return int(steps)
 
 
 def halves(twice_x: int) -> float:
@@ -67,13 +88,10 @@ class ChainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", validate_n_qubits(self.n_qubits))
-        if not math.isfinite(self.spacing):
-            raise InvalidParameterError(f"spacing must be finite, got {self.spacing!r}")
-        for name in ("qubit_freq", "photon_freq"):
+        for name in ("spacing", "qubit_freq", "photon_freq"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
-        if not math.isfinite(self.coupling) or self.coupling < 0:
-            raise InvalidParameterError(f"coupling must be finite and >= 0, got {self.coupling!r}")
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+        object.__setattr__(self, "coupling", validate_coupling(self.coupling))
 
     @property
     def detuning(self) -> float:

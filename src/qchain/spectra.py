@@ -8,6 +8,8 @@ tridiagonal matrix and diagonalized by the tridiagonal routes of
 eigenvectors).  Alongside the eigensolve this module carries the
 coefficient recursion, its combinatorial closed form and the 4-qubit
 special-case formulas, each an independent route to the same spectrum.
+The 4-qubit resonant levels +-sqrt((15 +- 3*sqrt(17))*R)*eta are the
+eigenvalues of the (u=1, r=2) ladder, so they come from the one eigensolve.
 The matrix and the recursion take alpha and alpha^2 from one array of
 the exact ladder products (r-m)*(r+m+1).  The characteristic polynomial
 and the truncated weak-coupling quartic, which no command prints, live
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _ladder_product, _validate_deformation
-from .config import halves, twice
+from .config import halves, twice, validate_coupling
 from .errors import (
     CapacityError,
     DegenerateLadderError,
@@ -31,19 +33,18 @@ from .errors import (
     NegativeRadicandError,
     PoleError,
 )
-from .linalg import tridiagonal_eigh, tridiagonal_eigvalsh
+from .linalg import tridiagonal_eigh
 
 __all__ = [
     "ExcitationSubspace",
     "DressedState",
-    "ResonantLevels",
     "subspace",
     "build_h1_matrix",
     "solve_dressed",
     "coefficients_recursive",
     "coefficients_closed",
     "weak_coupling_energies",
-    "resonant_energies",
+    "resonant_alternate_energies",
     "four_qubit_reference_coefficients",
 ]
 
@@ -75,29 +76,11 @@ class DressedState:
 
     ``coefficients`` is the unit-norm eigenvector: ``coefficients[k]``
     multiplies the configuration with photon number ``photon_numbers[k]``.
-    ``total_energy`` = qubit_freq * u + v.
+    The total energy is E = w_q * u + v; the caller forms it.
     """
 
     interaction_eigenvalue: float
     coefficients: np.ndarray
-    total_energy: float
-
-
-@dataclass(frozen=True, eq=False)
-class ResonantLevels:
-    """Zero-detuning interaction eigenvalues of the 4-qubit one-excitation
-    ladder.
-
-    ``canonical`` holds the eigensolver values, which coincide with
-    +-sqrt((15 +- 3*sqrt(17))*R)*eta, the roots of
-    v^4 - 30*R*eta^2*v^2 + 72*R^2*eta^4.  ``alternate`` holds
-    +-sqrt((15 + 3*sqrt(33))*R)*eta, the real roots obtained when the
-    constant term's sign is flipped to -72*R^2*eta^4; it is retained for
-    comparison output only.
-    """
-
-    canonical: np.ndarray
-    alternate: np.ndarray
 
 
 def subspace(total_excitation, total_spin) -> ExcitationSubspace:
@@ -141,11 +124,6 @@ def _ladder_products(sub: ExcitationSubspace) -> np.ndarray:
     )
 
 
-def _alphas(sub: ExcitationSubspace, R: float) -> np.ndarray:
-    """alpha_{u-n-1}^(r) = sqrt(R*(r-m)*(r+m+1)) along the ladder."""
-    return np.sqrt(R * _ladder_products(sub))
-
-
 def build_h1_matrix(
     sub: ExcitationSubspace, deformation, detuning, coupling
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,44 +133,44 @@ def build_h1_matrix(
     The coupling eta must be finite and >= 0.
     """
     R = _validate_deformation(deformation)
-    eta = float(coupling)
-    if not math.isfinite(eta) or eta < 0.0:
-        raise InvalidParameterError(f"coupling must be finite and >= 0, got {coupling!r}")
+    eta = validate_coupling(coupling)
     ns = np.asarray(sub.photon_numbers)
-    return float(detuning) * ns.astype(float), eta * np.sqrt(ns[1:]) * _alphas(sub, R)
+    alphas = np.sqrt(R * _ladder_products(sub))  # alpha_{u-n-1}^(r)
+    return float(detuning) * ns.astype(float), eta * np.sqrt(ns[1:]) * alphas
 
 
-def solve_dressed(
-    sub: ExcitationSubspace, deformation, detuning, coupling, qubit_freq: float = 0.0
-) -> list[DressedState]:
+def solve_dressed(sub: ExcitationSubspace, deformation, detuning, coupling) -> list[DressedState]:
     """All dressed states of the subspace, ordered by ascending interaction
-    eigenvalue, each with its unit-norm eigenvector.  Pass ``qubit_freq``
-    to obtain absolute total energies E = w_q * u + v.
+    eigenvalue v, each with its unit-norm eigenvector.
     """
     values, vectors = tridiagonal_eigh(*build_h1_matrix(sub, deformation, detuning, coupling))
     return [
-        DressedState(
-            interaction_eigenvalue=float(values[k]),
-            coefficients=vectors[:, k].copy(),
-            total_energy=float(qubit_freq) * sub.total_excitation + float(values[k]),
-        )
+        DressedState(interaction_eigenvalue=float(values[k]), coefficients=vectors[:, k].copy())
         for k in range(sub.dim)
     ]
 
 
 def _scaled_offsets(v, detuning, coupling, count):
     """vt_n = (v - detuning*n)/coupling for n = 0..count-1."""
-    eta = float(coupling)
-    if eta <= 0.0:
+    eta = validate_coupling(coupling)
+    if eta == 0.0:
         raise InvalidParameterError(f"coupling must be > 0, got {coupling!r}")
     return np.array([(float(v) - float(detuning) * n) / eta for n in range(count)])
 
 
-def _require_c0(sub: ExcitationSubspace):
+def _coefficient_products(sub: ExcitationSubspace) -> np.ndarray:
+    """The ladder products of a subspace the coefficient formulas apply to:
+    one with photon number 0 whose ladder elements, the formulas' divisors,
+    are all nonzero."""
     if sub.photon_numbers[0] != 0:
         raise InvalidParameterError(
             "coefficient formulas require photon number 0 in the subspace (u <= r)"
         )
+    products = _ladder_products(sub)
+    if not products.all():
+        n = int(np.argmin(products != 0.0)) + 1
+        raise DegenerateLadderError(f"alpha_(u-{n}) vanishes; transform undefined")
+    return products
 
 
 def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, coupling) -> np.ndarray:
@@ -206,10 +184,9 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     the subspace matrix, C_{n_max+1} vanishes (the terminating condition).
     """
     R = _validate_deformation(deformation)
-    _require_c0(sub)
+    alpha_sq = R * _coefficient_products(sub)  # alpha_{u-n}^2 at index n - 1
     n_max = sub.photon_numbers[-1]
     vt = _scaled_offsets(v, detuning, coupling, n_max + 1)
-    alpha_sq = R * _ladder_products(sub)  # alpha_{u-n}^2 at index n - 1
     big_c = np.empty(n_max + 1)
     big_c[0] = 1.0
     if n_max >= 1:
@@ -220,8 +197,6 @@ def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, co
     c[0] = 1.0
     denom = 1.0
     for n, step in enumerate(np.sqrt(alpha_sq).tolist(), start=1):
-        if step == 0.0:
-            raise DegenerateLadderError(f"alpha_(u-{n}) vanishes; transform undefined")
         denom *= math.sqrt(n) * step
         c[n] = big_c[n] / denom
     return c
@@ -247,7 +222,8 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
     :class:`PoleError` instead of returning huge values.
     """
     R = _validate_deformation(deformation)
-    _require_c0(sub)
+    # squares of rounded roots, not the exact products: the table1 golden bytes rest on them
+    abar = np.sqrt(_coefficient_products(sub))
     n_max = sub.photon_numbers[-1]
     vt = _scaled_offsets(v, detuning, coupling, n_max + 1)
     pole_tol = 1e-12 * max(1.0, abs(float(v)) / float(coupling))
@@ -257,8 +233,6 @@ def coefficients_closed(v, sub: ExcitationSubspace, deformation, detuning, coupl
             j = int(bad[0])
             raise PoleError(f"vt_{j} = {vt[j]!r} sits on a pole of the closed form")
 
-    # squares of rounded roots, not the exact products: the table1 golden bytes rest on them
-    abar = _alphas(sub, 1.0)
     weights = [(j + 1) * abar[j] ** 2 / (vt[j] * vt[j + 1]) for j in range(n_max - 1)]
     c = np.empty(n_max + 1)
     c[0] = 1.0
@@ -289,7 +263,7 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     dw = float(detuning)
     if dw == 0.0:
         raise InvalidParameterError("weak-coupling form requires nonzero detuning")
-    eta = float(coupling)
+    eta = validate_coupling(coupling)
     inner = math.sqrt(dw * dw + 36.0 * R * eta * eta)
     energies = []
     for outer_sign in (-1.0, 1.0):
@@ -304,17 +278,18 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     return np.sort(np.array(energies))
 
 
-def resonant_energies(deformation, coupling) -> ResonantLevels:
-    """Zero-detuning interaction eigenvalues of the (u=1, r=2) subspace.
+def resonant_alternate_energies(deformation, coupling) -> np.ndarray:
+    """The pair +-sqrt((15 + 3*sqrt(33))*R)*eta, ascending.
 
-    The canonical values come from the eigensolver and equal
-    +-sqrt((15 +- 3*sqrt(17))*R)*eta; the ``alternate`` pair is the
-    sign-flipped-quartic closed form kept for comparison reports.
+    The zero-detuning (u=1, r=2) ladder has the eigenvalues
+    +-sqrt((15 +- 3*sqrt(17))*R)*eta, the roots of
+    v^4 - 30*R*eta^2*v^2 + 72*R^2*eta^4.  This pair holds the real roots
+    obtained when the constant term's sign is flipped to -72*R^2*eta^4;
+    it is not part of the spectrum and is kept for comparison output only.
     """
     R = _validate_deformation(deformation)
-    canonical = tridiagonal_eigvalsh(*build_h1_matrix(subspace(1, 2), R, 0.0, coupling))
-    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * float(coupling)
-    return ResonantLevels(canonical=canonical, alternate=np.array([-mag, mag]))
+    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * validate_coupling(coupling)
+    return np.array([-mag, mag])
 
 
 def four_qubit_reference_coefficients(v, deformation, detuning, coupling) -> dict:

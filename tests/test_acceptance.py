@@ -25,7 +25,7 @@ from qchain import (
     four_qubit_reference_coefficients,
     hs_projection,
     ladder_element,
-    resonant_energies,
+    resonant_alternate_energies,
     sector_spectrum,
     solve_dressed,
     stationarity_residual,
@@ -187,34 +187,39 @@ def test_criterion_08():
     wq, w0, eta = 1.0, 1.1, 0.1
     for n in (2, 3, 4, 6):
         u = 1.0 if n % 2 == 0 else 1.5  # odd chains carry half-integer sectors
-        states = solve_dressed(subspace(u, n / 2), 1.0, w0 - wq, eta, qubit_freq=wq)
+        states = solve_dressed(subspace(u, n / 2), 1.0, w0 - wq, eta)
         oracle = sector_spectrum(
             ChainConfig(n_qubits=n, spacing=0.0, qubit_freq=wq, photon_freq=w0, coupling=eta), u
         )
-        assert max(np.abs(oracle - s.total_energy).min() for s in states) <= 1e-8
+        energies = [wq * u + s.interaction_eigenvalue for s in states]
+        assert max(np.abs(oracle - energy).min() for energy in energies) <= 1e-8
 
         deviations = []
         for l in (0.1, 0.01, 0.001):
             R = deformation_factor(n, l).value
-            model = solve_dressed(subspace(u, n / 2), R, w0 - wq, eta, qubit_freq=wq)
+            model = solve_dressed(subspace(u, n / 2), R, w0 - wq, eta)
             sector = sector_spectrum(
                 ChainConfig(n_qubits=n, spacing=l, qubit_freq=wq, photon_freq=w0, coupling=eta),
                 u,
             )
-            deviations.append(max(np.abs(sector - s.total_energy).min() for s in model))
+            energies = [wq * u + s.interaction_eigenvalue for s in model]
+            deviations.append(max(np.abs(sector - energy).min() for energy in energies))
         assert deviations[0] > deviations[1] > deviations[2]
 
 
 @criterion(9, "4-qubit resonant spectrum matches +-sqrt((15 +- 3*sqrt(17))R)*eta within 1e-9")
 def test_criterion_09():
     R, eta = 0.625, 0.7
-    levels = resonant_energies(R, eta)
+    canonical = np.array(
+        [s.interaction_eigenvalue for s in solve_dressed(subspace(1, 2), R, 0.0, eta)]
+    )
     expected = sorted(
         s * math.sqrt((15 + e * 3 * math.sqrt(17)) * R) * eta for s in (1, -1) for e in (1, -1)
     )
-    assert np.abs(levels.canonical - np.array(expected)).max() <= 1e-9
+    assert np.abs(canonical - np.array(expected)).max() <= 1e-9
     print(
-        f"  note: sign-flipped-quartic closed form gives +-{levels.alternate[1]:.6f} "
+        f"  note: sign-flipped-quartic closed form gives +-"
+        f"{resonant_alternate_energies(R, eta)[1]:.6f} "
         f"(emitted for comparison, not asserted)"
     )
 
@@ -228,7 +233,7 @@ def test_criterion_10():
     for energy in energies:
         assert abs(P.polyval(energy - wq, quartic)) <= 1e-9 * abs(dw) ** 4
     exact = np.array(
-        [s.total_energy for s in solve_dressed(subspace(1, 2), R, dw, eta, qubit_freq=wq)]
+        [wq * 1 + s.interaction_eigenvalue for s in solve_dressed(subspace(1, 2), R, dw, eta)]
     )
     assert np.abs(energies - exact).max() <= 40 * R * eta**2 / abs(dw)
 

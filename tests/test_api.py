@@ -13,12 +13,12 @@ PACKAGE = [
     "DeformationFactor", "DegenerateLadderError", "DimensionMismatchError", "DressedState",
     "EmptySectorError", "ExcitationSubspace", "InvalidParameterError", "NegativeRadicandError",
     "NotHermitianError", "OperatorMatrix", "PoleError",
-    "QChainError", "ResonantLevels", "ZeroDenominatorError", "bloch_metric",
+    "QChainError", "ZeroDenominatorError", "bloch_metric",
     "build_collective_ops", "build_excitation_number", "build_h1_matrix", "build_hamiltonian",
     "casimir_h", "coefficients_closed", "coefficients_recursive", "commutator",
     "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",
     "find_stationary_points", "four_qubit_reference_coefficients", "h_curve", "hs_projection",
-    "ladder_element", "resonant_energies", "sector_spectrum", "sigma_z_deviation_weights",
+    "ladder_element", "resonant_alternate_energies", "sector_spectrum", "sigma_z_deviation_weights",
     "solve_dressed", "stationarity_residual", "subspace", "weak_coupling_energies",
 ]
 
@@ -41,9 +41,9 @@ MODULES = {
         "eigvalsh", "hs_projection", "sector_spectrum",
     ],
     "spectra": [
-        "DressedState", "ExcitationSubspace", "ResonantLevels", "build_h1_matrix",
+        "DressedState", "ExcitationSubspace", "build_h1_matrix",
         "coefficients_closed", "coefficients_recursive", "four_qubit_reference_coefficients",
-        "resonant_energies", "solve_dressed", "subspace", "weak_coupling_energies",
+        "resonant_alternate_energies", "solve_dressed", "subspace", "weak_coupling_energies",
     ],
 }
 

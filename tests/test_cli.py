@@ -99,6 +99,31 @@ def test_spectrum_resonant_output(capsys):
     assert alternate == pytest.approx([-mag, mag], abs=1e-12)
 
 
+def test_spectrum_solves_the_resonant_ladder_once(capsys, monkeypatch):
+    calls = []
+    ql = qchain.linalg._ql
+    monkeypatch.setattr(qchain.linalg, "_ql", lambda *a: calls.append(1) or ql(*a))
+    code, _ = run_cli(capsys, "spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "0.3")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eta", ["0", "0.17", "2.5"])
+def test_spectrum_resonant_rows_are_the_state_rows(capsys, eta):
+    # R = 0.625, R(4, 0.31), R(6, 0.05) and R = 1, on the (u = 1, r = 2) ladder
+    for n, l in (("4", "2/3"), ("4", "0.31"), ("6", "0.05"), ("8", "1")):
+        for wq in ("1", "0.37", "-2.5"):
+            code, out = run_cli(
+                capsys, "spectrum", "--n", n, "--l", l, "--u", "1", "--r", "2",
+                "--wq", wq, "--w0", wq, "--eta", eta,
+            )
+            assert code == 0
+            _, rows = parse_csv(out)
+            states = [row[2:4] for row in rows if row[0] == "state"]
+            resonant = [row[2:4] for row in rows if row[0] == "resonant_canonical"]
+            assert resonant == states, (n, l, wq)
+
+
 def test_spectrum_decoupled_energy_column(capsys):
     _, out = run_cli(
         capsys,
@@ -403,6 +428,42 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert target.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("steps", ["1000001", "100000000000000000000"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["deform-sweep", "--n", "4", "--l-start", "0.1", "--l-end", "0.5"],
+        ["hcurve", "--R", "0.4", "--m-min", "-1", "--m-max", "1"],
+    ],
+)
+def test_sweep_step_cap_exit_code(capsys, command, steps):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *command, "--steps", steps)
+    assert code == 4
+    assert out == ""
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hcurve", "--R", "0.5", "--m-min", "-1e308", "--m-max", "1e308", "--steps", "3"],
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e200"],
+        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e160"],
+    ],
+)
+def test_overflowing_flags_exit_2(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "overflow" in captured.err
+    assert "Warning" not in captured.err
+    assert caught == []
+
+
 def test_sweep_rejects_bad_ranges(capsys):
     code, _ = run_cli(
         capsys, "deform-sweep", "--n", "4", "--l-start", "0.5", "--l-end", "0.1", "--steps", "10"
@@ -496,7 +557,10 @@ def test_json_text_matches_indented_json_dumps(obj):
 def _fresh_process(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-m", "qchain", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", "-m", "qchain", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

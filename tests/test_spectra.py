@@ -11,6 +11,7 @@ from numpy.polynomial import polynomial as P
 from qchain import (
     CapacityError,
     ChainConfig,
+    DegenerateLadderError,
     EmptySectorError,
     InvalidParameterError,
     NegativeRadicandError,
@@ -21,13 +22,13 @@ from qchain import (
     deformation_factor,
     four_qubit_reference_coefficients,
     ladder_element,
-    resonant_energies,
+    resonant_alternate_energies,
     sector_spectrum,
     solve_dressed,
     subspace,
     weak_coupling_energies,
 )
-from qchain.spectra import MAX_LADDER_DIM
+from qchain.spectra import MAX_LADDER_DIM, ExcitationSubspace
 from reference_forms import (
     characteristic_polynomial,
     h1_matrix_dense,
@@ -85,15 +86,16 @@ def test_h1_matrix_equals_dense_reference_byte_for_byte():
                     assert d.tobytes() == np.diag(h).tobytes(), (u, r, R, eta, dw)
                     assert e.tobytes() == np.diag(h, 1).tobytes(), (u, r, R, eta, dw)
     for R in (1.0, 0.625, 1 / 3, 1e-3):
-        assert resonant_energies(R, 0.0).canonical.tobytes() == np.zeros(4).tobytes()
+        resonant = [s.interaction_eigenvalue for s in solve_dressed(subspace(1, 2), R, 0.0, 0.0)]
+        assert np.array(resonant).tobytes() == np.zeros(4).tobytes()
 
 
 def test_solve_dressed_dim_one():
-    states = solve_dressed(subspace(-1, 1), 0.8, 0.45, 0.2, qubit_freq=1.3)
+    states = solve_dressed(subspace(-1, 1), 0.8, 0.45, 0.2)
     assert len(states) == 1
     assert states[0].interaction_eigenvalue == pytest.approx(0.0, abs=1e-15)
     assert states[0].coefficients == pytest.approx([1.0])
-    assert states[0].total_energy == pytest.approx(1.3 * -1, abs=1e-15)
+    assert 1.3 * -1 + states[0].interaction_eigenvalue == pytest.approx(1.3 * -1, abs=1e-15)
     # u > r: the single configuration carries a nonzero photon number
     high = solve_dressed(subspace(3, 0), 0.8, 0.45, 0.2)
     assert high[0].interaction_eigenvalue == pytest.approx(3 * 0.45, abs=1e-15)
@@ -111,10 +113,10 @@ def test_solve_dressed_resonant_symmetry_and_norm():
 def test_solve_dressed_matches_oracle_at_homogeneous_coupling():
     for n in (2, 4):
         cfg = ChainConfig(n_qubits=n, spacing=0.0, qubit_freq=1.0, photon_freq=1.15, coupling=0.2)
-        states = solve_dressed(subspace(1, n / 2), 1.0, cfg.detuning, 0.2, qubit_freq=1.0)
+        states = solve_dressed(subspace(1, n / 2), 1.0, cfg.detuning, 0.2)
         oracle = sector_spectrum(cfg, 1)
         for s in states:
-            assert np.abs(oracle - s.total_energy).min() <= 1e-8
+            assert np.abs(oracle - (1.0 * 1 + s.interaction_eigenvalue)).min() <= 1e-8
 
 
 def test_recursion_matches_eigenvectors():
@@ -324,7 +326,7 @@ def test_weak_coupling_tracks_exact_spectrum():
     dw = 100 * eta
     approx = weak_coupling_energies(R, dw, eta, wq)
     exact = np.array(
-        [s.total_energy for s in solve_dressed(subspace(1, 2), R, dw, eta, qubit_freq=wq)]
+        [wq * 1 + s.interaction_eigenvalue for s in solve_dressed(subspace(1, 2), R, dw, eta)]
     )
     assert np.abs(approx - exact).max() <= 40 * R * eta**2 / abs(dw)
 
@@ -339,19 +341,64 @@ def test_weak_coupling_errors():
 def test_resonant_energies_closed_forms():
     for R in (0.3, 0.625, 1.0):
         for eta in (0.4, 1.0):
-            levels = resonant_energies(R, eta)
+            canonical = np.array(
+                [s.interaction_eigenvalue for s in solve_dressed(subspace(1, 2), R, 0.0, eta)]
+            )
             expected = sorted(
                 s * math.sqrt((15 + e * 3 * math.sqrt(17)) * R) * eta
                 for s in (1, -1)
                 for e in (1, -1)
             )
-            assert levels.canonical == pytest.approx(expected, abs=1e-9)
+            assert canonical == pytest.approx(expected, abs=1e-9)
+            alternate = resonant_alternate_energies(R, eta)
             mag = math.sqrt((15 + 3 * math.sqrt(33)) * R) * eta
-            assert levels.alternate == pytest.approx([-mag, mag], abs=1e-12)
+            assert alternate == pytest.approx([-mag, mag], abs=1e-12)
             # the alternate pair is NOT part of the spectrum
-            assert np.abs(levels.canonical - levels.alternate[1]).min() > 0.1 * eta
+            assert np.abs(canonical - alternate[1]).min() > 0.1 * eta
     with pytest.raises(InvalidParameterError):
-        resonant_energies(0.0, 0.5)
+        resonant_alternate_energies(0.0, 0.5)
     for eta in (-0.1, math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
-            resonant_energies(0.625, eta)
+            resonant_alternate_energies(0.625, eta)
+
+
+# every caller of config.validate_coupling, as a function of the coupling alone
+COUPLING_CALLERS = {
+    "ChainConfig": lambda eta: ChainConfig(n_qubits=4, spacing=0.3, coupling=eta),
+    "build_h1_matrix": lambda eta: build_h1_matrix(subspace(1, 2), 0.625, 0.3, eta),
+    "solve_dressed": lambda eta: solve_dressed(subspace(1, 2), 0.625, 0.3, eta),
+    "weak_coupling_energies": lambda eta: weak_coupling_energies(0.625, 0.3, eta, 1.0),
+    "resonant_alternate_energies": lambda eta: resonant_alternate_energies(0.625, eta),
+    "coefficients_recursive": lambda eta: coefficients_recursive(
+        0.25, subspace(1, 2), 0.625, 0.1, eta
+    ),
+    "coefficients_closed": lambda eta: coefficients_closed(0.25, subspace(1, 2), 0.625, 0.1, eta),
+    "four_qubit_reference_coefficients": lambda eta: four_qubit_reference_coefficients(
+        0.25, 0.625, 0.1, eta
+    ),
+}
+# the routes that divide by the coupling through vt_n = (v - detuning*n)/coupling
+VT_ROUTES = {"coefficients_recursive", "coefficients_closed", "four_qubit_reference_coefficients"}
+
+
+@pytest.mark.parametrize("caller", sorted(COUPLING_CALLERS))
+def test_one_coupling_validator(caller):
+    call = COUPLING_CALLERS[caller]
+    call(0.02)
+    for bad in (math.nan, math.inf, -0.1):
+        with pytest.raises(InvalidParameterError, match="coupling must be finite and >= 0"):
+            call(bad)
+    if caller in VT_ROUTES:
+        with pytest.raises(InvalidParameterError, match="coupling must be > 0"):
+            call(0.0)
+    else:
+        call(0.0)
+
+
+def test_coefficient_routes_refuse_a_vanishing_ladder_element():
+    # built by hand: subspace() never yields a moment below -r, but here
+    # n = 3 reaches m = u - n = -2 < -r, so alpha_(u-3) = sqrt((r-m)(r+m+1)) = 0
+    sub = ExcitationSubspace(total_excitation=1.0, total_spin=1.0, photon_numbers=(0, 1, 2, 3))
+    for route in (coefficients_recursive, coefficients_closed):
+        with pytest.raises(DegenerateLadderError, match="alpha_\\(u-3\\) vanishes"):
+            route(0.7, sub, 0.625, 0.1, 0.3)
