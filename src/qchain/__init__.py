@@ -4,13 +4,9 @@ dense-diagonalization oracle for every closed form."""
 
 from .algebra import (
     DeformationFactor,
-    bloch_metric,
-    casimir_h,
     deformation_factor,
     deformation_profile,
     h_curve,
-    ladder_element,
-    sigma_z_deviation_weights,
 )
 from .config import ChainConfig
 from .crossover import (
@@ -22,7 +18,6 @@ from .crossover import (
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DegenerateLadderError,
     DimensionMismatchError,
     EmptySectorError,
     InvalidParameterError,
@@ -36,9 +31,6 @@ from .oracle import (
     CollectiveOps,
     OperatorMatrix,
     build_collective_ops,
-    build_excitation_number,
-    build_hamiltonian,
-    commutator,
     eigvalsh,
     hs_projection,
     sector_spectrum,

@@ -12,8 +12,9 @@ resonant rows of ``spectrum`` are the eigenvalues of its states.  Exit
 codes: 0 success, 2 usage error (a non-finite number flag, or an
 overflow), 3 empty sector, 4 capacity exceeded, 5 eigensolver did not
 converge.  Exit 4 comes before any large allocation: a ladder over 1001
-states, an oracle over 12 qubits or dense dim 4096, a sweep over 10^6
-steps, or a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
+states, an oracle over 12 qubits, a sweep over 10^6 steps, or a
+crossover scan over ``crossover.MAX_SCAN_POINTS`` points.  Every CSV
+cell is a float, int, str or None, each rendered by its own type.
 """
 
 from __future__ import annotations
@@ -70,18 +71,7 @@ def rational(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or p/q rational: {text!r}") from exc
 
 
-def fmt(x) -> str:
-    """Shortest round-trip rendering; empty cell for None."""
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-# renderers by exact type; any other type (numpy scalars, bool) goes to fmt
+# renderers by exact type: every CSV cell a command forms is one of these
 _RENDER = {
     float: float.__repr__,
     int: int.__repr__,
@@ -91,13 +81,13 @@ _RENDER = {
 
 
 def _cell(x) -> str:
-    return _RENDER.get(type(x), fmt)(x)
+    return _RENDER[type(x)](x)
 
 
 def _column(values):
     """The cells of one nonempty column whose values share one type,
     rendered by mapping that type's renderer over the whole column."""
-    return map(_RENDER.get(type(values[0]), fmt), values)
+    return map(_RENDER[type(values[0])], values)
 
 
 def csv_lines(header: list[str], rows=(), columns=()) -> str:
@@ -195,9 +185,13 @@ def cmd_spectrum(args) -> str:
     sub = subspace(args.u, r)
     states = solve_dressed(sub, R, detuning, args.eta)
     has_c0 = sub.photon_numbers[0] == 0
+    # every E = w_q * u + v is formed by numpy, so an overflow raises under
+    # main's np.errstate guard instead of printing inf
+    wq_u = np.float64(args.wq) * sub.total_excitation
+    energies = (wq_u + np.array([s.interaction_eigenvalue for s in states])).tolist()
 
     state_rows = []
-    for k, state in enumerate(states):
+    for k, (state, energy) in enumerate(zip(states, energies)):
         ratio = None
         c0 = state.coefficients[0]
         # eta = 0 eigenstates, among others, have no vacuum component
@@ -209,7 +203,7 @@ def cmd_spectrum(args) -> str:
             {
                 "index": k,
                 "v": state.interaction_eigenvalue,
-                "E": args.wq * sub.total_excitation + state.interaction_eigenvalue,
+                "E": energy,
                 "c0_is_one": ratio,
                 "unit_norm": state.coefficients.tolist(),
             }
@@ -263,12 +257,13 @@ def cmd_spectrum(args) -> str:
         cells += row["unit_norm"]
         rows.append(cells)
     if weak is not None:
-        for k, energy in enumerate(weak):
-            rows.append(["weak_coupling", k, energy - args.wq * args.u, energy, R] + blank_coeffs)
+        weak_v = (np.array(weak) - wq_u).tolist()
+        for k, (v, energy) in enumerate(zip(weak_v, weak)):
+            rows.append(["weak_coupling", k, v, energy, R] + blank_coeffs)
     if res_canonical is not None:
         for kind, levels in (("canonical", res_canonical), ("alternate", res_alternate)):
-            for k, v in enumerate(levels):
-                rows.append([f"resonant_{kind}", k, v, args.wq * args.u + v, R] + blank_coeffs)
+            for k, (v, energy) in enumerate(zip(levels, (wq_u + np.array(levels)).tolist())):
+                rows.append([f"resonant_{kind}", k, v, energy, R] + blank_coeffs)
     return csv_lines(header, rows)
 
 

@@ -66,7 +66,8 @@ def stationarity_residual(n_qubits: int, spacing):
     n = _validate_n(n_qubits)
     theta = np.pi * np.asarray(spacing, dtype=float)
     k = 2 * n - 1
-    out = np.sin(k * theta) * np.cos(theta) - k * np.cos(k * theta) * np.sin(theta)
+    k_theta = k * theta
+    out = np.sin(k_theta) * np.cos(theta) - k * np.cos(k_theta) * np.sin(theta)
     return float(out) if np.isscalar(spacing) else out
 
 

@@ -14,7 +14,8 @@ class CapacityError(QChainError):
 
 
 class DimensionMismatchError(QChainError, ValueError):
-    """Two operators live on different bases."""
+    """Two operators live on different bases, or an operator's indices lie
+    outside its basis."""
 
 
 class NotHermitianError(QChainError, ValueError):
@@ -28,10 +29,6 @@ class ZeroDenominatorError(QChainError, ZeroDivisionError):
 class EmptySectorError(QChainError):
     """No basis states satisfy the excitation constraint: an empty oracle
     sector or an empty (u, r) ladder."""
-
-
-class DegenerateLadderError(QChainError):
-    """A ladder matrix element in a coefficient denominator vanishes."""
 
 
 class PoleError(QChainError):

@@ -1,15 +1,18 @@
-"""Brute-force ground truth on the full qubit (x) Fock space.
+"""Brute-force ground truth: the collective operators on the qubit space
+and the rotating-wave Hamiltonian on each exact excitation sector of the
+qubit (x) Fock space.
 
-Collective operators and the rotating-wave Hamiltonian are real operators
-(the couplings are real cosines under the rotating-wave approximation)
-on integer (photon number, occupation) bases, stored as their nonzero
-(row, column, value) triplets; one builder serves the truncated and the
-sector Hamiltonians.  Sector spectra come from the dense matrix, formed
-for the solve only, by the in-house Householder + implicit QL eigensolver
-of :mod:`qchain.linalg`, which also checks its symmetry, so every
-closed-form result in the package can be checked against something that
-knows nothing about the deformed algebra.
-Desk-scale verification only: <= 12 qubits, dense dims <= 4096.
+Operators are real (the couplings are real cosines under the
+rotating-wave approximation), live on integer (photon number,
+occupation) bases and are stored as their nonzero (row, column, value)
+triplets, the one form :class:`OperatorMatrix` is built from.  One
+private builder makes every Hamiltonian; the tests run it on a
+truncated Fock space as well.  Sector spectra come from the dense
+matrix, formed for the solve only, by the in-house Householder +
+implicit QL eigensolver of :mod:`qchain.linalg`, which also checks its
+symmetry, so every closed-form result in the package can be checked
+against something that knows nothing about the deformed algebra.
+Desk-scale verification only: <= 12 qubits, so dense dims <= 4096.
 """
 
 from __future__ import annotations
@@ -34,16 +37,15 @@ __all__ = [
     "OperatorMatrix",
     "CollectiveOps",
     "build_collective_ops",
-    "build_hamiltonian",
-    "build_excitation_number",
-    "commutator",
     "hs_projection",
     "sector_spectrum",
     "eigvalsh",
 ]
 
 MAX_QUBITS = 12
-MAX_DENSE_DIM = 4096
+# the qubit cap bounds every basis built here: a sector or the collective
+# qubit space holds at most 2^N states
+MAX_DENSE_DIM = 1 << MAX_QUBITS
 
 
 class OperatorMatrix:
@@ -52,34 +54,33 @@ class OperatorMatrix:
     ``basis`` is an int array of shape (dim, 2) whose rows are
     (photon number, occupation): bit j of the occupation set means qubit j
     excited.  Every basis built here is photon-major, occupations
-    ascending.  Dense ``entries`` given to the constructor are stored as
-    their nonzeros; complex entries need zero imaginary parts.  Symmetry
-    is not checked here: :func:`eigvalsh` checks it when it reduces the
-    matrix.
+    ascending.  ``rows`` and ``cols`` index the basis and name each entry
+    at most once; ``values`` must be finite, and complex values need zero
+    imaginary parts.  Symmetry is not checked here: :func:`eigvalsh`
+    checks it when it reduces the matrix.
     """
 
-    def __init__(self, entries, basis):
-        entries = as_real(entries, "entries")
+    def __init__(self, basis, rows, cols, values):
         basis = np.asarray(basis)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidParameterError(f"entries must be square, got shape {entries.shape}")
         if basis.ndim != 2 or basis.shape[1] != 2 or not np.issubdtype(basis.dtype, np.integer):
             raise InvalidParameterError(
                 f"basis must be an int array of shape (dim, 2), got {basis.dtype} {basis.shape}"
             )
-        if entries.shape[0] != basis.shape[0]:
-            raise DimensionMismatchError(
-                f"entries dim {entries.shape[0]} != basis length {basis.shape[0]}"
+        rows, cols, values = np.asarray(rows), np.asarray(cols), as_real(values, "values")
+        if not (
+            values.ndim == 1
+            and rows.shape == cols.shape == values.shape
+            and np.issubdtype(rows.dtype, np.integer)
+            and np.issubdtype(cols.dtype, np.integer)
+        ):
+            raise InvalidParameterError(
+                "rows, cols and values must be 1-d arrays of one length, rows and cols int"
             )
-        self.rows, self.cols = np.nonzero(entries)
-        self.values = entries[self.rows, self.cols]
-        self.basis = basis
-
-    @classmethod
-    def _from_triplets(cls, basis, rows, cols, values) -> OperatorMatrix:
-        op = cls.__new__(cls)
-        op.basis, op.rows, op.cols, op.values = basis, rows, cols, values
-        return op
+        if values.size and not (
+            0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < len(basis)
+        ):
+            raise DimensionMismatchError(f"indices outside the basis of dim {len(basis)}")
+        self.basis, self.rows, self.cols, self.values = basis, rows, cols, values
 
     @property
     def dim(self) -> int:
@@ -103,12 +104,9 @@ class CollectiveOps:
     sigma_z: OperatorMatrix
 
 
-def _check_capacity(n_qubits: int, photon_levels: int = 1):
+def _check_capacity(n_qubits: int):
     if n_qubits > MAX_QUBITS:
         raise CapacityError(f"{n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
-    dim = (1 << n_qubits) * photon_levels
-    if dim > MAX_DENSE_DIM:
-        raise CapacityError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
 
 
 def _grid(n_qubits: int, photons) -> np.ndarray:
@@ -151,8 +149,8 @@ def build_collective_ops(config: ChainConfig) -> CollectiveOps:
 
     return CollectiveOps(
         s_z=_diagonal(basis, bits.sum(axis=0) - n / 2.0),
-        s_plus=OperatorMatrix._from_triplets(basis, dst, src, weight),
-        s_minus=OperatorMatrix._from_triplets(basis, src, dst, weight),
+        s_plus=OperatorMatrix(basis, dst, src, weight),
+        s_minus=OperatorMatrix(basis, src, dst, weight),
         sigma_z=_diagonal(basis, sig_z),
     )
 
@@ -160,14 +158,7 @@ def build_collective_ops(config: ChainConfig) -> CollectiveOps:
 def _diagonal(basis: np.ndarray, values: np.ndarray) -> OperatorMatrix:
     """Diagonal operator; every diagonal entry is stored, zeros included."""
     index = np.arange(len(basis))
-    return OperatorMatrix._from_triplets(basis, index, index, values)
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """AB - BA on a shared basis."""
-    if not np.array_equal(a.basis, b.basis):
-        raise DimensionMismatchError("operators live on different bases")
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, a.basis)
+    return OperatorMatrix(basis, index, index, values)
 
 
 def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
@@ -203,35 +194,7 @@ def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
     diag = config.qubit_freq * (bits.sum(axis=0) - n / 2.0) + config.photon_freq * photons
     index = np.arange(len(basis))
     rows, cols = np.concatenate((index, dst, src)), np.concatenate((index, src, dst))
-    return OperatorMatrix._from_triplets(basis, rows, cols, np.concatenate((diag, hop, hop)))
-
-
-def _truncated_basis(config: ChainConfig, fock_cutoff: int) -> np.ndarray:
-    """Every product state with at most ``fock_cutoff`` photons."""
-    if not isinstance(fock_cutoff, (int, np.integer)) or fock_cutoff < 0:
-        raise InvalidParameterError(f"fock_cutoff must be an integer >= 0, got {fock_cutoff!r}")
-    n = config.n_qubits
-    _check_capacity(n, int(fock_cutoff) + 1)
-    return _grid(n, range(fock_cutoff + 1))
-
-
-def build_hamiltonian(config: ChainConfig, fock_cutoff: int) -> OperatorMatrix:
-    """Rotating-wave Hamiltonian truncated at photon number ``fock_cutoff``::
-
-        H = w_q * sum_j sigma_{j,z} + w_0 * a^dag a
-            + eta * sum_j cos(j*pi*l) * (sigma_{j,+} a + sigma_{j,-} a^dag)
-
-    on the 2^N * (fock_cutoff+1) product space, photon-major ordering.
-    """
-    return _hamiltonian(config, _truncated_basis(config, fock_cutoff))
-
-
-def build_excitation_number(config: ChainConfig, fock_cutoff: int) -> OperatorMatrix:
-    """Conserved excitation number S_z + a^dag a on the same basis as
-    :func:`build_hamiltonian`."""
-    basis = _truncated_basis(config, fock_cutoff)
-    n = config.n_qubits
-    return _diagonal(basis, _bits(basis[:, 1], n).sum(axis=0) - n / 2.0 + basis[:, 0])
+    return OperatorMatrix(basis, rows, cols, np.concatenate((diag, hop, hop)))
 
 
 def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:

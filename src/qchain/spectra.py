@@ -19,7 +19,7 @@ in the tests as references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .algebra import _ladder_product, _validate_deformation
 from .config import halves, twice, validate_coupling
 from .errors import (
     CapacityError,
-    DegenerateLadderError,
     EmptySectorError,
     InvalidParameterError,
     NegativeRadicandError,
@@ -57,13 +56,44 @@ MAX_LADDER_DIM = 1001
 class ExcitationSubspace:
     """Ladder basis {|n; r, u-n>} of one excitation sector at fixed total spin.
 
-    Photon numbers run from max(0, u-r) to u+r so that the moment
-    m = u - n always satisfies -r <= m <= r.
+    Built from (u, r) alone: the photon numbers run from max(0, u-r) to
+    u+r, so that the moment m = u - n always satisfies -r <= m <= r, and
+    every ladder product (r - m)(r + m + 1) along them is an integer >= 1.
+
+    Raises
+    ------
+    InvalidParameterError
+        If u or r is not a half-integer, or r < 0.
+    EmptySectorError
+        If u < -r, or if u - r is not an integer (no photon number can
+        then produce a valid moment).
+    CapacityError
+        If the ladder has more than :data:`MAX_LADDER_DIM` states.
     """
 
     total_excitation: float
     total_spin: float
-    photon_numbers: tuple[int, ...]
+    photon_numbers: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        u2 = twice(self.total_excitation)
+        r2 = twice(self.total_spin)
+        if r2 < 0:
+            raise InvalidParameterError(f"total_spin must be >= 0, got {self.total_spin!r}")
+        if u2 < -r2:
+            raise EmptySectorError(f"u = {self.total_excitation!r} lies below -r = {halves(-r2)!r}")
+        if (u2 - r2) % 2 != 0:
+            raise EmptySectorError(
+                f"u - r must be an integer, got u = {self.total_excitation!r}, "
+                f"r = {self.total_spin!r}"
+            )
+        n_lo = max(0, (u2 - r2) // 2)
+        n_hi = (u2 + r2) // 2
+        if n_hi - n_lo + 1 > MAX_LADDER_DIM:
+            raise CapacityError(f"ladder of {n_hi - n_lo + 1} states exceeds {MAX_LADDER_DIM}")
+        object.__setattr__(self, "total_excitation", halves(u2))
+        object.__setattr__(self, "total_spin", halves(r2))
+        object.__setattr__(self, "photon_numbers", tuple(range(n_lo, n_hi + 1)))
 
     @property
     def dim(self) -> int:
@@ -84,35 +114,8 @@ class DressedState:
 
 
 def subspace(total_excitation, total_spin) -> ExcitationSubspace:
-    """The (u, r) ladder subspace.
-
-    Raises
-    ------
-    EmptySectorError
-        If u < -r, or if u - r is not an integer (no photon number can
-        then produce a valid moment).
-    CapacityError
-        If the ladder has more than :data:`MAX_LADDER_DIM` states.
-    """
-    u2 = twice(total_excitation)
-    r2 = twice(total_spin)
-    if r2 < 0:
-        raise InvalidParameterError(f"total_spin must be >= 0, got {total_spin!r}")
-    if u2 < -r2:
-        raise EmptySectorError(f"u = {total_excitation!r} lies below -r = {halves(-r2)!r}")
-    if (u2 - r2) % 2 != 0:
-        raise EmptySectorError(
-            f"u - r must be an integer, got u = {total_excitation!r}, r = {total_spin!r}"
-        )
-    n_lo = max(0, (u2 - r2) // 2)
-    n_hi = (u2 + r2) // 2
-    if n_hi - n_lo + 1 > MAX_LADDER_DIM:
-        raise CapacityError(f"ladder of {n_hi - n_lo + 1} states exceeds {MAX_LADDER_DIM}")
-    return ExcitationSubspace(
-        total_excitation=halves(u2),
-        total_spin=halves(r2),
-        photon_numbers=tuple(range(n_lo, n_hi + 1)),
-    )
+    """The (u, r) ladder subspace; raises as :class:`ExcitationSubspace`."""
+    return ExcitationSubspace(total_excitation, total_spin)
 
 
 def _ladder_products(sub: ExcitationSubspace) -> np.ndarray:
@@ -160,17 +163,13 @@ def _scaled_offsets(v, detuning, coupling, count):
 
 def _coefficient_products(sub: ExcitationSubspace) -> np.ndarray:
     """The ladder products of a subspace the coefficient formulas apply to:
-    one with photon number 0 whose ladder elements, the formulas' divisors,
-    are all nonzero."""
+    one with photon number 0.  Its ladder elements, the formulas' divisors,
+    are nonzero, as every product is at least 1."""
     if sub.photon_numbers[0] != 0:
         raise InvalidParameterError(
             "coefficient formulas require photon number 0 in the subspace (u <= r)"
         )
-    products = _ladder_products(sub)
-    if not products.all():
-        n = int(np.argmin(products != 0.0)) + 1
-        raise DegenerateLadderError(f"alpha_(u-{n}) vanishes; transform undefined")
-    return products
+    return _ladder_products(sub)
 
 
 def coefficients_recursive(v, sub: ExcitationSubspace, deformation, detuning, coupling) -> np.ndarray:
@@ -260,10 +259,11 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     w_q; they track the exact spectrum only at leading order in eta/dw.
     """
     R = _validate_deformation(deformation)
-    dw = float(detuning)
+    # numpy scalars, so that an overflow raises under np.errstate instead of giving inf
+    dw = np.float64(detuning)
     if dw == 0.0:
         raise InvalidParameterError("weak-coupling form requires nonzero detuning")
-    eta = validate_coupling(coupling)
+    eta = np.float64(validate_coupling(coupling))
     inner = math.sqrt(dw * dw + 36.0 * R * eta * eta)
     energies = []
     for outer_sign in (-1.0, 1.0):
@@ -272,7 +272,7 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
             if radicand < 0.0:
                 raise NegativeRadicandError(
                     f"sign combination ({outer_sign:+.0f}, {inner_sign:+.0f}) "
-                    f"gives radicand {radicand!r}"
+                    f"gives radicand {float(radicand)!r}"
                 )
             energies.append(float(qubit_freq) + 1.5 * dw + outer_sign * 0.5 * math.sqrt(radicand))
     return np.sort(np.array(energies))

@@ -1,20 +1,39 @@
-"""Independent routes kept on the test side as references: the
-deformation factor R(N, l) for the library's one evaluator,
-:func:`qchain.deformation_profile`, a state-by-state sector Hamiltonian
-for the oracle's vectorized builder, dense collective operators for
-the oracle's triplet storage, the dense ladder matrix for the
-tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, the Householder
-reduction with ``np.stack`` operands for :func:`qchain.linalg.tridiagonalize`,
-and the cross-checks no command prints: the Chebyshev stationarity
-residual, the ladder's characteristic polynomial and the truncated
-weak-coupling quartic."""
+"""Independent routes and test-only helpers kept on the test side.
+
+References for the library's one route each: the deformation factor
+R(N, l) for :func:`qchain.deformation_profile`, a state-by-state sector
+Hamiltonian for the oracle's vectorized builder, dense collective
+operators for the oracle's triplet storage, the dense ladder matrix for
+the tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, and the
+Householder reduction with ``np.stack`` operands for
+:func:`qchain.linalg.tridiagonalize`.
+
+Forms that no command prints and only the tests check: the Chebyshev
+stationarity residual, the ladder's characteristic polynomial, the
+truncated weak-coupling quartic, the deformed ladder elements, the
+sigma_z deviation weights, the Casimir scalar h(m) and the Bloch metric.
+
+Operator helpers for the oracle tests: :func:`dense_operator` stores a
+dense matrix as an :class:`qchain.OperatorMatrix`, :func:`commutator`
+forms AB - BA, and :func:`build_hamiltonian` and
+:func:`build_excitation_number` build on a truncated Fock space through
+the oracle's own private builders, so one Hamiltonian builder remains.
+"""
 
 import math
 
 import numpy as np
 
-from qchain import build_h1_matrix, ladder_element
-from qchain.algebra import _validate_deformation
+from qchain import (
+    CapacityError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    OperatorMatrix,
+    build_h1_matrix,
+    oracle,
+)
+from qchain.algebra import _ladder_product, _validate_deformation
+from qchain.config import twice, validate_n_qubits
 from qchain.crossover import _validate_n
 from qchain.linalg import as_real
 
@@ -165,3 +184,100 @@ def truncated_quartic_coefficients(deformation, detuning, coupling) -> np.ndarra
     dw = float(detuning)
     eta = float(coupling)
     return np.array([-36.0 * R * eta**2 * dw**2, -6.0 * dw**3, 11.0 * dw**2, -6.0 * dw, 1.0])
+
+
+def ladder_element(total_spin, moment, deformation) -> float:
+    """Deformed ladder element alpha_m^(r) = sqrt(R*(r-m)*(r+m+1)).
+
+    Conventions: S+|r,m> = alpha_m^(r) |r,m+1> and
+    S-|r,m> = alpha_{m-1}^(r) |r,m-1>, so alpha_r^(r) = 0 at the top of
+    the ladder.  r and m must be half-integers with -r <= m <= r and
+    r - m integral.
+    """
+    r2 = twice(total_spin)
+    m2 = twice(moment)
+    R = _validate_deformation(deformation)
+    if r2 < 0:
+        raise InvalidParameterError(f"total_spin must be >= 0, got {total_spin!r}")
+    if not -r2 <= m2 <= r2:
+        raise InvalidParameterError(f"moment {moment!r} outside [-r, r] for r = {total_spin!r}")
+    if (r2 - m2) % 2 != 0:
+        raise InvalidParameterError(f"r - m must be an integer, got r = {total_spin!r}, m = {moment!r}")
+    return math.sqrt(R * _ladder_product(r2, m2))
+
+
+def sigma_z_deviation_weights(n_qubits, spacing) -> np.ndarray:
+    """Weights w_j = sin(j*pi*(1+l)) * sin(j*pi*(1-l)) of the extra
+    single-qubit sigma_z terms in the ladder commutator:
+    [S+, S-] = 2*(S_z + sum_j w_j sigma_{j,z}).
+
+    Equivalently w_j = (cos(2*j*pi*l) - 1) / 2; all w_j vanish at
+    integer l, recovering the undeformed algebra.
+    """
+    j = np.arange(validate_n_qubits(n_qubits))
+    return np.sin(j * np.pi * (1.0 + spacing)) * np.sin(j * np.pi * (1.0 - spacing))
+
+
+def casimir_h(moment, deformation) -> float:
+    """Scalar part h(m) = R*(m^2 + m) of the deformed Casimir operator
+    C = S-S+ + h(S_z).  Minimum over real m is -R/4 at m = -1/2.
+    """
+    m2 = twice(moment)
+    R = _validate_deformation(deformation)
+    return R * (m2 * m2 + 2 * m2) / 4.0
+
+
+def bloch_metric(deformation) -> tuple[float, float, float]:
+    """Metric (1, 1, R) of the deformed Bloch ellipsoid; R = 1 gives the
+    unit sphere of the homogeneous case.
+    """
+    R = _validate_deformation(deformation)
+    return (1.0, 1.0, R)
+
+
+def dense_operator(entries, basis) -> OperatorMatrix:
+    """The operator of a dense matrix on ``basis``, its nonzeros as triplets."""
+    entries = np.asarray(entries)
+    rows, cols = np.nonzero(entries)
+    return OperatorMatrix(basis, rows, cols, entries[rows, cols])
+
+
+def commutator(a, b) -> OperatorMatrix:
+    """AB - BA on a shared basis, by dense matrix products."""
+    if not np.array_equal(a.basis, b.basis):
+        raise DimensionMismatchError("operators live on different bases")
+    return dense_operator(a.entries @ b.entries - b.entries @ a.entries, a.basis)
+
+
+def _truncated_basis(config, fock_cutoff):
+    """Every product state with at most ``fock_cutoff`` photons, within the
+    oracle's qubit cap and a dense dimension of ``oracle.MAX_DENSE_DIM``."""
+    if not isinstance(fock_cutoff, (int, np.integer)) or fock_cutoff < 0:
+        raise InvalidParameterError(f"fock_cutoff must be an integer >= 0, got {fock_cutoff!r}")
+    n = config.n_qubits
+    oracle._check_capacity(n)
+    dim = (1 << n) * (int(fock_cutoff) + 1)
+    if dim > oracle.MAX_DENSE_DIM:
+        raise CapacityError(f"dense dimension {dim} exceeds {oracle.MAX_DENSE_DIM}")
+    return oracle._grid(n, range(fock_cutoff + 1))
+
+
+def build_hamiltonian(config, fock_cutoff) -> OperatorMatrix:
+    """Rotating-wave Hamiltonian truncated at photon number ``fock_cutoff``::
+
+        H = w_q * sum_j sigma_{j,z} + w_0 * a^dag a
+            + eta * sum_j cos(j*pi*l) * (sigma_{j,+} a + sigma_{j,-} a^dag)
+
+    on the 2^N * (fock_cutoff+1) product space, photon-major ordering, by
+    the oracle's sector builder.
+    """
+    return oracle._hamiltonian(config, _truncated_basis(config, fock_cutoff))
+
+
+def build_excitation_number(config, fock_cutoff) -> OperatorMatrix:
+    """Conserved excitation number S_z + a^dag a on the same basis as
+    :func:`build_hamiltonian`."""
+    basis = _truncated_basis(config, fock_cutoff)
+    n = config.n_qubits
+    excited = oracle._bits(basis[:, 1], n).sum(axis=0)
+    return oracle._diagonal(basis, excited - n / 2.0 + basis[:, 0])

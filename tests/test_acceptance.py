@@ -13,18 +13,14 @@ from numpy.polynomial import polynomial as P
 from qchain import (
     ChainConfig,
     build_collective_ops,
-    build_excitation_number,
-    build_hamiltonian,
     coefficients_closed,
     coefficients_recursive,
-    commutator,
     crossover_point,
     deformation_factor,
     deformation_profile,
     find_stationary_points,
     four_qubit_reference_coefficients,
     hs_projection,
-    ladder_element,
     resonant_alternate_energies,
     sector_spectrum,
     solve_dressed,
@@ -34,10 +30,14 @@ from qchain import (
 )
 from qchain.crossover import bracketed_roots
 from reference_forms import (
+    build_excitation_number,
+    build_hamiltonian,
     characteristic_polynomial,
     chebyshev_residual,
+    commutator,
     cosine_sum,
     dirichlet_ratio,
+    ladder_element,
     truncated_quartic_coefficients,
 )
 

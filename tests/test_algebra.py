@@ -9,16 +9,19 @@ import pytest
 from qchain import (
     ChainConfig,
     InvalidParameterError,
-    bloch_metric,
-    casimir_h,
     crossover_point,
     deformation_factor,
     deformation_profile,
     h_curve,
+)
+from reference_forms import (
+    bloch_metric,
+    casimir_h,
+    cosine_sum,
+    dirichlet_ratio,
     ladder_element,
     sigma_z_deviation_weights,
 )
-from reference_forms import cosine_sum, dirichlet_ratio
 
 
 def test_deformation_point_values():

@@ -10,22 +10,22 @@ import qchain
 
 PACKAGE = [
     "CapacityError", "ChainConfig", "CollectiveOps", "ConvergenceError", "CrossoverReport",
-    "DeformationFactor", "DegenerateLadderError", "DimensionMismatchError", "DressedState",
+    "DeformationFactor", "DimensionMismatchError", "DressedState",
     "EmptySectorError", "ExcitationSubspace", "InvalidParameterError", "NegativeRadicandError",
     "NotHermitianError", "OperatorMatrix", "PoleError",
-    "QChainError", "ZeroDenominatorError", "bloch_metric",
-    "build_collective_ops", "build_excitation_number", "build_h1_matrix", "build_hamiltonian",
-    "casimir_h", "coefficients_closed", "coefficients_recursive", "commutator",
+    "QChainError", "ZeroDenominatorError",
+    "build_collective_ops", "build_h1_matrix",
+    "coefficients_closed", "coefficients_recursive",
     "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",
     "find_stationary_points", "four_qubit_reference_coefficients", "h_curve", "hs_projection",
-    "ladder_element", "resonant_alternate_energies", "sector_spectrum", "sigma_z_deviation_weights",
+    "resonant_alternate_energies", "sector_spectrum",
     "solve_dressed", "stationarity_residual", "subspace", "weak_coupling_energies",
 ]
 
 MODULES = {
     "algebra": [
-        "DeformationFactor", "bloch_metric", "casimir_h", "deformation_factor",
-        "deformation_profile", "h_curve", "ladder_element", "sigma_z_deviation_weights",
+        "DeformationFactor", "deformation_factor",
+        "deformation_profile", "h_curve",
     ],
     "crossover": [
         "CrossoverReport", "bracketed_roots", "crossover_point", "find_stationary_points",
@@ -37,7 +37,7 @@ MODULES = {
     ],
     "oracle": [
         "CollectiveOps", "MAX_DENSE_DIM", "MAX_QUBITS", "OperatorMatrix",
-        "build_collective_ops", "build_excitation_number", "build_hamiltonian", "commutator",
+        "build_collective_ops",
         "eigvalsh", "hs_projection", "sector_spectrum",
     ],
     "spectra": [

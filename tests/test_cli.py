@@ -450,6 +450,9 @@ def test_sweep_step_cap_exit_code(capsys, command, steps):
         ["hcurve", "--R", "0.5", "--m-min", "-1e308", "--m-max", "1e308", "--steps", "3"],
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e200"],
         ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e160"],
+        # E = w_q * u + v overflows in the state rows, then in the weak-coupling rows
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "1e308"],
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--w0", "1e160"],
     ],
 )
 def test_overflowing_flags_exit_2(capsys, argv):

@@ -23,9 +23,6 @@ from qchain import (
     OperatorMatrix,
     ZeroDenominatorError,
     build_collective_ops,
-    build_excitation_number,
-    build_hamiltonian,
-    commutator,
     deformation_factor,
     eigvalsh,
     hs_projection,
@@ -35,7 +32,11 @@ from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
 from reference_forms import (
+    build_excitation_number,
+    build_hamiltonian,
     collective_ops_dense,
+    commutator,
+    dense_operator,
     sector_hamiltonian_loop,
     tridiagonalize_stack,
 )
@@ -131,7 +132,7 @@ def test_deformed_commutator_is_only_an_approximation_with_vanishing_limit():
 
 def test_commutator_of_identity_vanishes_and_dims_must_match():
     ops = build_collective_ops(_config(2, 0.3))
-    ident = OperatorMatrix(np.eye(4), ops.s_z.basis)
+    ident = dense_operator(np.eye(4), ops.s_z.basis)
     assert np.abs(commutator(ident, ops.s_plus).entries).max() == 0.0
     other = build_collective_ops(_config(3, 0.3))
     with pytest.raises(DimensionMismatchError):
@@ -154,7 +155,7 @@ def test_hs_projection_reproduces_deformation_factor():
 
 def test_hs_projection_zero_denominator():
     ops = build_collective_ops(_config(2, 0.3))
-    zero = OperatorMatrix(np.zeros((4, 4)), ops.s_z.basis)
+    zero = dense_operator(np.zeros((4, 4)), ops.s_z.basis)
     with pytest.raises(ZeroDenominatorError):
         hs_projection(ops.sigma_z, zero)
 
@@ -279,13 +280,19 @@ def test_capacity_limits():
 
 def test_operator_matrix_validates_basis():
     with pytest.raises(DimensionMismatchError):
-        OperatorMatrix(np.eye(2), _basis(3))
+        dense_operator(np.eye(3), _basis(2))  # an index beyond the basis
+    with pytest.raises(DimensionMismatchError):
+        OperatorMatrix(_basis(2), [0, -1], [0, 1], [1.0, 1.0])
     with pytest.raises(InvalidParameterError):
-        OperatorMatrix(np.eye(2), np.arange(2))
+        OperatorMatrix(_basis(2), [0], [0, 1], [1.0])
     with pytest.raises(InvalidParameterError):
-        OperatorMatrix(np.eye(2), _basis(2).astype(float))
+        OperatorMatrix(_basis(2), [0.0], [0.0], [1.0])
+    with pytest.raises(InvalidParameterError):
+        dense_operator(np.eye(2), np.arange(2))
+    with pytest.raises(InvalidParameterError):
+        dense_operator(np.eye(2), _basis(2).astype(float))
     ops = build_collective_ops(_config(1, 0.3))
-    shifted = OperatorMatrix(np.eye(2), _basis(2) + [1, 0])
+    shifted = dense_operator(np.eye(2), _basis(2) + [1, 0])
     with pytest.raises(DimensionMismatchError):
         commutator(ops.s_z, shifted)
     with pytest.raises(DimensionMismatchError):
@@ -293,7 +300,7 @@ def test_operator_matrix_validates_basis():
 
 
 def test_eigh_diagonal_and_swap():
-    diag = OperatorMatrix(np.diag([3.0, -1.0, 2.0, 0.5]), _basis(4))
+    diag = dense_operator(np.diag([3.0, -1.0, 2.0, 0.5]), _basis(4))
     assert eigvalsh(diag) == pytest.approx([-1.0, 0.5, 2.0, 3.0])
     values, vectors = tridiagonal_eigh([3.0, -1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
     assert values == pytest.approx([-1.0, 0.5, 2.0, 3.0])
@@ -304,7 +311,7 @@ def test_eigh_diagonal_and_swap():
 
 
 def test_eigvalsh_rejects_non_symmetric_operator():
-    op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2))
+    op = dense_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2))
     with pytest.raises(NotHermitianError):
         eigvalsh(op)
     with pytest.raises(NotHermitianError):
@@ -412,7 +419,7 @@ def test_tridiagonal_eigh_is_deterministic():
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
     a = np.random.default_rng(12).normal(size=(32, 32))
-    op = OperatorMatrix(a + a.T, _basis(32))
+    op = dense_operator(a + a.T, _basis(32))
     assert eigvalsh(op).tobytes() == eigvalsh(op).tobytes()
 
 
@@ -497,7 +504,7 @@ def test_complex_input_is_rejected_not_truncated():
     with pytest.raises(InvalidParameterError):
         tridiagonal_eigh([1.0, 2.0], [0.5 + 1e-3j])
     with pytest.raises(InvalidParameterError):
-        OperatorMatrix(hermitian, _basis(2))
+        dense_operator(hermitian, _basis(2))
     # a complex dtype with zero imaginary parts is real input
     assert tridiagonal_eigvalsh(*tridiagonalize(np.eye(2, dtype=complex))) == pytest.approx([1.0, 1.0])
 

@@ -6,12 +6,13 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qchain import (
     CapacityError,
     ChainConfig,
-    DegenerateLadderError,
     EmptySectorError,
     InvalidParameterError,
     NegativeRadicandError,
@@ -21,17 +22,18 @@ from qchain import (
     coefficients_recursive,
     deformation_factor,
     four_qubit_reference_coefficients,
-    ladder_element,
     resonant_alternate_energies,
     sector_spectrum,
     solve_dressed,
     subspace,
     weak_coupling_energies,
 )
+from qchain.algebra import _ladder_product
 from qchain.spectra import MAX_LADDER_DIM, ExcitationSubspace
 from reference_forms import (
     characteristic_polynomial,
     h1_matrix_dense,
+    ladder_element,
     truncated_quartic_coefficients,
 )
 
@@ -53,6 +55,12 @@ def test_subspace_errors():
         subspace(1, 1.5)  # u - r not an integer
     with pytest.raises(InvalidParameterError):
         subspace(1, -1)
+    # built directly, a subspace runs the same checks: no hand-set photon range
+    with pytest.raises(EmptySectorError):
+        ExcitationSubspace(1.0, 1.5)
+    with pytest.raises(TypeError):
+        ExcitationSubspace(1.0, 1.0, (0, 1, 2, 3))
+    assert ExcitationSubspace(1, 2) == subspace(1.0, 2.0)
     assert subspace(500, 500).dim == MAX_LADDER_DIM
     for u, r in ((500.5, 500.5), (1, 5e8)):
         with pytest.raises(CapacityError):
@@ -395,10 +403,14 @@ def test_one_coupling_validator(caller):
         call(0.0)
 
 
-def test_coefficient_routes_refuse_a_vanishing_ladder_element():
-    # built by hand: subspace() never yields a moment below -r, but here
-    # n = 3 reaches m = u - n = -2 < -r, so alpha_(u-3) = sqrt((r-m)(r+m+1)) = 0
-    sub = ExcitationSubspace(total_excitation=1.0, total_spin=1.0, photon_numbers=(0, 1, 2, 3))
-    for route in (coefficients_recursive, coefficients_closed):
-        with pytest.raises(DegenerateLadderError, match="alpha_\\(u-3\\) vanishes"):
-            route(0.7, sub, 0.625, 0.1, 0.3)
+@settings(max_examples=300, deadline=None)
+@given(u2=st.integers(-120, 220), r2=st.integers(0, 100))
+def test_every_ladder_product_of_a_subspace_is_at_least_one(u2, r2):
+    # so the ladder elements the coefficient routes divide by never vanish
+    try:
+        sub = subspace(u2 / 2.0, r2 / 2.0)
+    except (EmptySectorError, CapacityError):
+        return
+    assert sub.total_excitation == u2 / 2.0 and sub.total_spin == r2 / 2.0
+    for n in sub.photon_numbers[:-1]:
+        assert _ladder_product(r2, u2 - 2 * n - 2) >= 1  # alpha_{u-n-1}^2 / R
