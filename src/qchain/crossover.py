@@ -5,6 +5,21 @@ its stationary points solve tan((2N-1)*pi*l) = (2N-1)*tan(pi*l).  The
 crossover between localized (large l) and delocalized (small l) collective
 excitations sits at the global minimum of R over (0, 1/2], which for large N
 is the first negative lobe of the kernel near l ~ 1.43/(2N-1).
+
+Branch structure: with k = 2N - 1, the residual g of
+:func:`stationarity_residual` is odd with period 1 in l, and its zeros are
+the half-integers and j +- r_m, where r_m is the one root of
+tan(k*pi*l) = k*tan(pi*l) with k*pi*l in (m*pi, m*pi + pi/2), m = 1 ... N-2.
+So (0, 1/2] holds N - 1 stationary points: one per branch, plus l = 1/2.
+
+The points are defined by a uniform grid: the roots refined from the grid
+cells where g changes sign, plus the grid points where g is exactly 0.
+Away from a zero of g its computed sign is exact, so only the cells around
+the zeros can hold such a cell or point.  The closed-form branch estimates
+name those cells, whose ends are formed exactly as ``np.linspace`` forms
+its points, and g is evaluated there only.  The brackets are therefore the
+full scan's, and the unchanged bisection, secant polish and dedupe give the
+same bits, at two evaluations per root instead of twenty.
 """
 
 from __future__ import annotations
@@ -21,16 +36,25 @@ from .errors import CapacityError, InvalidParameterError
 __all__ = [
     "CrossoverReport",
     "stationarity_residual",
-    "bracketed_roots",
     "find_stationary_points",
     "crossover_point",
 ]
 
 BISECT_WIDTH = 1e-12
 DEDUPE_TOL = 1e-10
-# Largest scan grid find_stationary_points allocates: about 40 bytes per point
-# at peak, ~200 MB and ~2 s at the cap.  A crossover scan needs ~20*N points,
-# so chains up to N ~ 2.5*10**5 are admitted.
+# Fewest grid points.  A grid at this floor can be finer than the rounding
+# noise of the residual around a zero, so it is evaluated whole.
+MIN_SCAN_POINTS = 50
+# Fixed-point steps of each branch estimate.  Each shrinks the error at least
+# 9-fold (about (1 + pi**2)-fold at large N), so six leave it below 1e-7 of a
+# grid cell.
+ESTIMATE_STEPS = 6
+# Largest grid find_stationary_points indexes.  It evaluates only the ends of
+# the cells around the residual's zeros, about 1 point in 10; at the cap
+# (crossover_point(250000), or N = 1000 over a span of 125) a call took
+# 0.3-0.4 s and peaked 49 MB above the interpreter with numpy (2-core Xeon
+# VM).  A crossover indexes ~20*N points, so chains up to N = 2.5*10**5 are
+# admitted.
 MAX_SCAN_POINTS = 5_000_000
 
 
@@ -71,26 +95,17 @@ def stationarity_residual(n_qubits: int, spacing):
     return float(out) if np.isscalar(spacing) else out
 
 
-def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
-    """Roots of a vectorized scalar function on [lo, hi]: scan a uniform
-    grid, bracket every sign change, bisect each bracket to width <=
-    1e-12, polish with secant steps, and deduplicate within 1e-10.
+def _refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
+    """Roots of a vectorized scalar function, ascending: bisect each
+    sign-change bracket [a, b] (``fa``, ``fb`` the function at its ends) to
+    width <= 1e-12, polish with secant steps, add the exact ``zeros`` and
+    deduplicate within 1e-10.
 
     The secant polish matters for steep residuals (large N), where a
     1e-12 interval alone still leaves |f| far above rounding noise.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InvalidParameterError(f"bad scan interval [{lo!r}, {hi!r}]")
-    xs = np.linspace(lo, hi, max(int(num_points), 2))
-    fs = np.asarray(func(xs), dtype=float)
-    roots = xs[fs == 0.0].tolist()
-    sign = np.sign(fs)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if idx.size:
-        a = xs[idx].copy()
-        b = xs[idx + 1].copy()
-        fa = fs[idx].copy()
-        fb = fs[idx + 1].copy()
+    roots = zeros.tolist()
+    if a.size:
         while np.max(b - a) > BISECT_WIDTH:
             mid = 0.5 * (a + b)
             fm = np.asarray(func(mid), dtype=float)
@@ -122,13 +137,42 @@ def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
     return np.array(deduped)
 
 
+def _zero_estimates(n: int, lo: float, hi: float) -> np.ndarray:
+    """Every zero of :func:`stationarity_residual` on [lo, hi], ascending,
+    to within 1e-7 of a grid cell.
+
+    With k = 2N - 1 and t = k*l, each unit [p, p + 1) of t holds one zero,
+    except p = k - 1 (mod k).  With j, q = divmod(p, k): q = 0 is l = j;
+    q = N - 1 is l = j + 1/2; 1 <= q <= N - 2 is j + r_q; N <= q <= 2N - 3
+    is j + 1 - r_m with m = 2N - 2 - q.  On branch m, x = k*pi*r_m - m*pi is
+    the fixed point in (0, pi/2) of x -> arctan(k*tan((m*pi + x)/k)).
+    """
+    k = 2 * n - 1
+    j, q = np.divmod(np.arange(math.floor(k * lo), math.floor(k * hi) + 1), k)
+    j, q = j[q != k - 1], q[q != k - 1]
+    mirrored = q >= n
+    m_pi = np.pi * np.where(mirrored, k - 1 - q, q)
+    x = np.full(q.shape, 0.5 * np.pi)
+    for _ in range(ESTIMATE_STEPS):
+        x = np.arctan(k * np.tan((m_pi + x) / k))
+    r = np.where(q == 0, 0.0, np.where(q == n - 1, 0.5, (m_pi + x) / (k * np.pi)))
+    zeros = j + np.where(mirrored, 1.0 - r, r)
+    return zeros[(zeros >= lo) & (zeros <= hi)]
+
+
 def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndarray:
-    """Sorted stationary points of R(N, l) on [l_min, l_max], found as
-    sign changes of :func:`stationarity_residual` on a grid of step
-    <= 1/(20*(2N-1)) (at least ~20 samples per oscillation of the fastest
-    term) refined by bisection.  A grid longer than
-    :data:`MAX_SCAN_POINTS` raises :class:`CapacityError` before anything
-    is allocated.
+    """Sorted stationary points of R(N, l) on [l_min, l_max]: the roots of
+    :func:`stationarity_residual` in the cells of the grid
+    ``np.linspace(l_min, l_max, num)``, of step <= 1/(20*(2N-1)), where it
+    changes sign, refined by bisection, plus the grid points where it is
+    exactly 0.
+
+    Only the cells holding a zero of the residual, named by its branch
+    structure, are evaluated, and their two neighbours where a cell's ends
+    show neither a sign change nor a 0; a grid of 50 points, the fewest, is
+    evaluated whole.  The result is bit-identical to a scan of the whole
+    grid.  A grid longer than :data:`MAX_SCAN_POINTS` raises
+    :class:`CapacityError` before anything is allocated.
     """
     n = _validate_n(n_qubits)
     l_min = float(l_min)
@@ -141,8 +185,36 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
             f"scanning [{l_min!r}, {l_max!r}] for N = {n} needs {span + 1:.3g} grid points, "
             f"over the cap of {MAX_SCAN_POINTS}"
         )
-    num = int(math.ceil(span)) + 1
-    return bracketed_roots(lambda l: stationarity_residual(n, l), l_min, l_max, max(num, 50))
+    num = max(int(math.ceil(span)) + 1, MIN_SCAN_POINTS)
+
+    def residual(l):
+        return stationarity_residual(n, l)
+
+    if num == MIN_SCAN_POINTS:
+        xs = np.linspace(l_min, l_max, num)
+        fs = residual(xs)
+        a, b, fa, fb = xs[:-1], xs[1:], fs[:-1], fs[1:]
+    else:
+        step = (l_max - l_min) / (num - 1)
+
+        def cells(c):
+            # both ends of grid cells c, formed as np.linspace forms its points
+            i = np.concatenate((c, c + 1))
+            x = np.where(i == num - 1, l_max, i * step + l_min)
+            f = residual(x)
+            return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
+
+        # a zero just outside the grid can still set the sign at its end
+        zeros = _zero_estimates(n, l_min - step, l_max + step)
+        c = np.clip(np.floor((zeros - l_min) / step).astype(np.int64), 0, num - 2)
+        a, b, fa, fb = cells(c)
+        missed = (np.sign(fa) == np.sign(fb)) & (fa != 0.0)
+        if missed.any():
+            near = np.clip(c[missed, None] + np.array([-1, 1]), 0, num - 2).ravel()
+            a, b, fa, fb = (np.concatenate(ends) for ends in zip((a, b, fa, fb), cells(near)))
+    flips = np.sign(fa) * np.sign(fb) < 0
+    zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
+    return _refine_brackets(residual, a[flips], b[flips], fa[flips], fb[flips], zeros)
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:
@@ -151,8 +223,9 @@ def crossover_point(n_qubits: int) -> CrossoverReport:
 
     The scan starts below the first stationary point (~1.43/(2N-1)) and
     overshoots 1/2 by two grid steps so a boundary extremum at exactly
-    l = 1/2 is still bracketed.  Time and memory are O(N); a chain whose
-    scan grid exceeds :data:`MAX_SCAN_POINTS` raises :class:`CapacityError`.
+    l = 1/2 is still bracketed.  Time and memory are O(N): about 90 ms and
+    21 MB at N = 10**5 (2-core Xeon VM); a chain whose grid exceeds
+    :data:`MAX_SCAN_POINTS` raises :class:`CapacityError`.
     """
     n = _validate_n(n_qubits)
     step = 1.0 / (20 * (2 * n - 1))

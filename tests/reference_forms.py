@@ -8,6 +8,12 @@ the tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, and the
 Householder reduction with ``np.stack`` operands for
 :func:`qchain.linalg.tridiagonalize`.
 
+References for the stationary points, which the library finds from
+their branch structure: the full grid scan :func:`bracketed_roots`, and
+:func:`scanned_stationary_points` and :func:`scanned_crossover`, which
+scan the grids of :func:`qchain.find_stationary_points` and
+:func:`qchain.crossover_point` whole.
+
 Forms that no command prints and only the tests check: the Chebyshev
 stationarity residual, the ladder's characteristic polynomial, the
 truncated weak-coupling quartic, the deformed ladder elements, the
@@ -30,11 +36,13 @@ from qchain import (
     InvalidParameterError,
     OperatorMatrix,
     build_h1_matrix,
+    deformation_profile,
     oracle,
+    stationarity_residual,
 )
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
-from qchain.crossover import _validate_n
+from qchain.crossover import _refine_brackets, _validate_n
 from qchain.linalg import as_real
 
 
@@ -157,6 +165,42 @@ def chebyshev_residual(n_qubits: int, spacing):
         u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
     out = u_cur - 2.0 * n * t_cur
     return float(out) if np.isscalar(spacing) else out
+
+
+def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
+    """Roots of a vectorized scalar function on [lo, hi] by a full grid
+    scan: every sign change of ``func`` on ``np.linspace(lo, hi,
+    num_points)`` is a bracket and every grid point where it is exactly 0 a
+    root; the library's shared refinement then bisects, polishes and
+    deduplicates.  The reference for
+    :func:`qchain.crossover.find_stationary_points`, which evaluates only
+    the cells its branch structure names.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise InvalidParameterError(f"bad scan interval [{lo!r}, {hi!r}]")
+    xs = np.linspace(lo, hi, max(int(num_points), 2))
+    fs = np.asarray(func(xs), dtype=float)
+    sign = np.sign(fs)
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return _refine_brackets(func, xs[idx], xs[idx + 1], fs[idx], fs[idx + 1], xs[fs == 0.0])
+
+
+def scanned_stationary_points(n_qubits, l_min, l_max) -> np.ndarray:
+    """:func:`qchain.find_stationary_points` by the full scan of its grid:
+    20*(2N-1) points per unit of l, at least 50."""
+    num = int(math.ceil((l_max - l_min) * 20 * (2 * n_qubits - 1))) + 1
+    return bracketed_roots(
+        lambda l: stationarity_residual(n_qubits, l), l_min, l_max, max(num, 50)
+    )
+
+
+def scanned_crossover(n_qubits) -> tuple[np.ndarray, float]:
+    """The stationary points in (0, 1/2] and l* of
+    :func:`qchain.crossover_point` by the full scan of its interval."""
+    k = 2 * n_qubits - 1
+    points = scanned_stationary_points(n_qubits, 0.1 / k, 0.5 + 2.0 / (20 * k))
+    points = points[points <= 0.5 + 1e-9]
+    return points, float(points[np.argmin(deformation_profile(n_qubits, points))])
 
 
 def characteristic_polynomial(sub, deformation, detuning, coupling) -> np.ndarray:

@@ -28,8 +28,8 @@ from qchain import (
     subspace,
     weak_coupling_energies,
 )
-from qchain.crossover import bracketed_roots
 from reference_forms import (
+    bracketed_roots,
     build_excitation_number,
     build_hamiltonian,
     characteristic_polynomial,

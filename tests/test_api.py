@@ -28,7 +28,7 @@ MODULES = {
         "deformation_profile", "h_curve",
     ],
     "crossover": [
-        "CrossoverReport", "bracketed_roots", "crossover_point", "find_stationary_points",
+        "CrossoverReport", "crossover_point", "find_stationary_points",
         "stationarity_residual",
     ],
     "linalg": [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qchain import (
@@ -12,8 +14,13 @@ from qchain import (
     find_stationary_points,
     stationarity_residual,
 )
-from qchain.crossover import MAX_SCAN_POINTS, bracketed_roots
-from reference_forms import chebyshev_residual
+from qchain.crossover import MAX_SCAN_POINTS
+from reference_forms import (
+    bracketed_roots,
+    chebyshev_residual,
+    scanned_crossover,
+    scanned_stationary_points,
+)
 
 
 def test_stationarity_residual_point_values():
@@ -94,6 +101,41 @@ def test_find_stationary_points_basics():
         bracketed_roots(np.sin, 2.0, 1.0, 10)
 
 
+def test_crossover_point_is_the_full_scan_bit_for_bit():
+    for n in [*range(2, 1201, 13), 1500, 4000, 10**4]:
+        report = crossover_point(n)
+        points, l_star = scanned_crossover(n)
+        assert np.array_equal(report.stationary_points, points), n
+        assert report.crossover_spacing == l_star, n
+
+
+@pytest.mark.parametrize("l_min, l_max", [(0.01, 0.99), (0.001, 0.999), (0.3, 2.7)])
+def test_stationary_points_are_the_full_scan_bit_for_bit(l_min, l_max):
+    for n in range(2, 400, 17):
+        found = find_stationary_points(n, l_min, l_max)
+        assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max)), n
+
+
+spacings = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3000), ends=st.lists(spacings, min_size=2, max_size=2, unique=True))
+def test_stationary_points_follow_the_branch_structure(n, ends):
+    # (0, 1/2] holds one point on each branch m*pi < k*pi*l < m*pi + pi/2,
+    # m = 1 ... N-2, then l = 1/2; on any interval the points are the scan's
+    k = 2 * n - 1
+    points = crossover_point(n).stationary_points
+    assert points.size == n - 1
+    branch = k * np.pi * points[:-1]
+    m_pi = np.pi * np.arange(1, n - 1)
+    assert np.all((m_pi < branch) & (branch < m_pi + np.pi / 2))
+    assert points[-1] == pytest.approx(0.5, abs=1e-12)
+    l_min, l_max = sorted(ends)
+    found = find_stationary_points(n, l_min, l_max)
+    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
+
+
 def test_root_count_matches_finite_difference_oracle():
     n = 4
     roots = find_stationary_points(n, 0.001, 0.999)
@@ -152,8 +194,8 @@ def test_crossover_n30_reaches_the_known_minimum():
 
 
 def test_crossover_n_100000_stays_linear():
-    # R costs O(1) per stationary point, so this takes about a second and
-    # ~100 MB
+    # R costs O(1) per stationary point and only the cells around them are
+    # evaluated, so this takes about 0.1 s and ~20 MB
     n = 100_000
     report = crossover_point(n)
     assert report.stationary_points.size == n - 1
