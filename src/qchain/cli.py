@@ -5,7 +5,10 @@ shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
 ``float.__repr__``; both are rendered by C code a whole column or a flat
-number list at a time, not by one Python call per value.  Commands
+number list at a time, not by one Python call per value.  ``spectrum``
+renders the coefficient runs of each CSV row whole, and JSON scalars and
+keys are rendered by their exact type, without building an encoder per
+value.  Commands
 compute only what they print, with one eigensolve per ladder:
 ``oracle-compare`` and ``table1`` take eigenvalues alone, and the
 resonant rows of ``spectrum`` are the eigenvalues of its states.  Exit
@@ -26,6 +29,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -92,7 +96,8 @@ def _column(values):
 
 def csv_lines(header: list[str], rows=(), columns=()) -> str:
     """CSV text: the header line, then each of the mixed ``rows`` cell by
-    cell, then one line per entry of the single-typed ``columns``."""
+    cell, then one line per entry of the single-typed ``columns``.  A str
+    cell goes out as it is, so it may hold a run of cells rendered whole."""
     lines = [",".join(header)]
     lines.extend(",".join(map(_cell, row)) for row in rows)
     lines.extend(map(",".join, zip(*map(_column, columns))))
@@ -110,14 +115,30 @@ def json_text(obj) -> str:
     return _json(obj, "") + "\n"
 
 
+# JSON scalars by exact type, as the encoder renders them; any other
+# scalar (bool, a float subclass) goes through json.dumps
+_JSON_SCALAR = {
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
+
+
 def _json(obj, indent: str) -> str:
+    render = _JSON_SCALAR.get(type(obj))
+    if render is not None:
+        return render(obj)
     if not isinstance(obj, (list, tuple, dict)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(obj, dict):
         body = sep.join(
-            [f"{json.dumps(key)}: {_json(value, inner)}" for key, value in obj.items()]
+            [
+                f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                for key, value in obj.items()
+            ]
         )
         return "{\n" + inner + body + "\n" + indent + "}"
     if set(map(type, obj)) <= {float, int}:
@@ -185,29 +206,27 @@ def cmd_spectrum(args) -> str:
     sub = subspace(args.u, r)
     states = solve_dressed(sub, R, detuning, args.eta)
     has_c0 = sub.photon_numbers[0] == 0
+    values = [state.interaction_eigenvalue for state in states]
     # every E = w_q * u + v is formed by numpy, so an overflow raises under
     # main's np.errstate guard instead of printing inf
     wq_u = np.float64(args.wq) * sub.total_excitation
-    energies = (wq_u + np.array([s.interaction_eigenvalue for s in states])).tolist()
-
-    state_rows = []
-    for k, (state, energy) in enumerate(zip(states, energies)):
-        ratio = None
-        c0 = state.coefficients[0]
-        # eta = 0 eigenstates, among others, have no vacuum component
-        if has_c0 and c0 != 0.0:
-            scaled = state.coefficients / c0
-            scaled[0] = 1.0
-            ratio = scaled.tolist()
-        state_rows.append(
-            {
-                "index": k,
-                "v": state.interaction_eigenvalue,
-                "E": energy,
-                "c0_is_one": ratio,
-                "unit_norm": state.coefficients.tolist(),
-            }
+    energies = (wq_u + np.array(values)).tolist()
+    vectors = np.array([state.coefficients for state in states])  # row k: state k
+    c0_is_one = [None] * len(states)
+    if has_c0:
+        # one division forms every c0 = 1 row; eta = 0 eigenstates, among
+        # others, have no vacuum component and get none
+        has_vacuum = np.flatnonzero(vectors[:, 0] != 0.0)
+        scaled = vectors[has_vacuum] / vectors[has_vacuum, :1]
+        scaled[:, 0] = 1.0
+        for k, row in zip(has_vacuum.tolist(), scaled.tolist()):
+            c0_is_one[k] = row
+    state_rows = [
+        {"index": k, "v": v, "E": energy, "c0_is_one": ratio, "unit_norm": coefficients}
+        for k, (v, energy, ratio, coefficients) in enumerate(
+            zip(values, energies, c0_is_one, vectors.tolist())
         )
+    ]
 
     weak = None
     res_canonical = None
@@ -248,22 +267,24 @@ def cmd_spectrum(args) -> str:
     if has_c0:
         header += [f"c{n}" for n in ns]
     header += [f"a{n}" for n in ns]
-    blank_coeffs = [None] * (len(ns) * (2 if has_c0 else 1))
+    # each run of coefficient cells is rendered whole, as one str cell
+    blank_c = "," * (len(ns) - 1)
+    blank_coeffs = blank_c + "," + blank_c if has_c0 else blank_c
     rows = []
     for row in state_rows:
-        cells = ["state", row["index"], row["v"], row["E"], R]
+        run = ",".join(map(float.__repr__, row["unit_norm"]))
         if has_c0:
-            cells += row["c0_is_one"] if row["c0_is_one"] is not None else [None] * len(ns)
-        cells += row["unit_norm"]
-        rows.append(cells)
+            ratio = row["c0_is_one"]
+            run = (blank_c if ratio is None else ",".join(map(float.__repr__, ratio))) + "," + run
+        rows.append(["state", row["index"], row["v"], row["E"], R, run])
     if weak is not None:
         weak_v = (np.array(weak) - wq_u).tolist()
         for k, (v, energy) in enumerate(zip(weak_v, weak)):
-            rows.append(["weak_coupling", k, v, energy, R] + blank_coeffs)
+            rows.append(["weak_coupling", k, v, energy, R, blank_coeffs])
     if res_canonical is not None:
         for kind, levels in (("canonical", res_canonical), ("alternate", res_alternate)):
             for k, (v, energy) in enumerate(zip(levels, (wq_u + np.array(levels)).tolist())):
-                rows.append([f"resonant_{kind}", k, v, energy, R] + blank_coeffs)
+                rows.append([f"resonant_{kind}", k, v, energy, R, blank_coeffs])
     return csv_lines(header, rows)
 
 

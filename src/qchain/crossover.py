@@ -98,15 +98,17 @@ def stationarity_residual(n_qubits: int, spacing):
 def _refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
     """Roots of a vectorized scalar function, ascending: bisect each
     sign-change bracket [a, b] (``fa``, ``fb`` the function at its ends) to
-    width <= 1e-12, polish with secant steps, add the exact ``zeros`` and
-    deduplicate within 1e-10.
+    width <= 1e-12, or until the widest one stops shrinking at one ulp,
+    polish with secant steps, add the exact ``zeros`` and deduplicate
+    within 1e-10.
 
     The secant polish matters for steep residuals (large N), where a
     1e-12 interval alone still leaves |f| far above rounding noise.
     """
     roots = zeros.tolist()
     if a.size:
-        while np.max(b - a) > BISECT_WIDTH:
+        width = np.max(b - a)
+        while width > BISECT_WIDTH:
             mid = 0.5 * (a + b)
             fm = np.asarray(func(mid), dtype=float)
             take_left = fa * fm <= 0.0
@@ -114,6 +116,11 @@ def _refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
             fb = np.where(take_left, fm, fb)
             a = np.where(take_left, a, mid)
             fa = np.where(take_left, fa, fm)
+            last, width = width, np.max(b - a)
+            if width == last:
+                # the widest bracket is one ulp of l wide (l above ~4096):
+                # no midpoint lies strictly inside it, so it cannot shrink
+                break
         x = 0.5 * (a + b)
         for _ in range(4):
             df = fb - fa

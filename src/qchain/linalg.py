@@ -10,6 +10,12 @@ inverse iteration on each unreduced block, run for all of the block's
 eigenvalues at once, with the vectors of close eigenvalues re-orthogonalized
 as in LAPACK ``dstein``.
 
+The sequential kernels keep their state in Python objects: QL works on
+lists of floats, and the LU factorization and solves of inverse iteration
+(LAPACK ``dlagtf``/``dlagts``) hold one numpy row per matrix row, with one
+value per shift, in Python lists.  Each step then reads and appends whole
+rows instead of storing into preallocated arrays.
+
 Every routine is deterministic: the same input gives the same output bits.
 """
 
@@ -136,12 +142,12 @@ def _ql(d: list, e: list, tiny: float) -> list:
     """
     n = len(d)
     d = list(d)
-    e = list(e) + [0.0]
+    e = list(e) + [0.0]  # the sentinel that ends every deflation scan
     for l in range(n):
         iterations = 0
         while True:
             m = l
-            while m < n - 1 and abs(e[m]) > tiny:
+            while abs(e[m]) > tiny:
                 m += 1
             if m == l:
                 break
@@ -155,27 +161,27 @@ def _ql(d: list, e: list, tiny: float) -> list:
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
             s = c = 1.0
             p = 0.0
-            i = m - 1
-            while i >= l:
+            d_next = d[m]  # d[i + 1] of the step below
+            for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
                 r = math.hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     # the rotation underflowed: deflate and restart this sweep
-                    d[i + 1] -= p
+                    d[i + 1] = d_next - p
                     e[m] = 0.0
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = d_next - p
+                d_next = d[i]
+                r = (d_next - g) * s + 2.0 * c * b
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                i -= 1
             else:
-                d[l] -= p
+                d[l] = d_next - p
                 e[l] = g
                 e[m] = 0.0
     return sorted(d)
@@ -208,53 +214,58 @@ def tridiagonal_eigvalsh(d, e) -> np.ndarray:
 
 def _lu(d, e, shifts, tiny):
     """Row-pivoted LU factors of T - shift*I for every shift at once
-    (LAPACK dlagtf).  Row i of each factor array holds one value per shift;
-    the upper factor has up to two superdiagonals (u1, u2)."""
+    (LAPACK dlagtf).  Each factor is a list of rows, one array per row
+    with one value per shift: the pivots u0, the two superdiagonals u1 and
+    u2 of the upper factor, the multipliers and the row swaps."""
     m = d.size
-    k = shifts.size
-    u0 = np.empty((m, k))
-    u1 = np.empty((m, k))
-    u2 = np.empty((m, k))
-    mult = np.empty((m - 1, k))
-    swap = np.empty((m - 1, k), dtype=bool)
+    e = e.tolist()
+    rows = d[:, None] - shifts  # row i of T - shift: d[i] - shift
+    u0, u1, u2, mult, swap = [], [], [], [], []
     # the row still to be eliminated: columns i, i+1 (column i+2 is zero)
-    w0 = d[0] - shifts
-    w1 = np.full(k, e[0])
+    w0 = rows[0]
+    w1 = np.full(shifts.size, e[0])
     for i in range(m - 1):
         # the next row of T - shift: columns i, i+1, i+2
-        a_next = d[i + 1] - shifts
+        a_next = rows[i + 1]
         c_next = e[i + 1] if i + 1 < m - 1 else 0.0
-        s = np.abs(w0) < abs(e[i])
-        swap[i] = s
-        u0[i] = np.where(s, e[i], w0)
-        u1[i] = np.where(s, a_next, w1)
-        u2[i] = np.where(s, c_next, 0.0)
-        mult[i] = mu = np.where(s, w0, e[i]) / u0[i]
-        w0 = np.where(s, w1, a_next) - mu * u1[i]
-        w1 = np.where(s, 0.0, c_next) - mu * u2[i]
+        e_i = e[i]
+        s = np.abs(w0) < abs(e_i)
+        p0 = np.where(s, e_i, w0)
+        p1 = np.where(s, a_next, w1)
+        p2 = np.where(s, c_next, 0.0)
+        mu = np.where(s, w0, e_i) / p0
+        w0 = np.where(s, w1, a_next) - mu * p1
+        w1 = np.where(s, 0.0, c_next) - mu * p2
+        u0.append(p0)
+        u1.append(p1)
+        u2.append(p2)
+        mult.append(mu)
+        swap.append(s)
     # only the last pivot can vanish in an unreduced block: perturb it
-    u0[m - 1] = np.where(np.abs(w0) < tiny, np.where(w0 < 0.0, -tiny, tiny), w0)
+    u0.append(np.where(np.abs(w0) < tiny, np.where(w0 < 0.0, -tiny, tiny), w0))
     return u0, u1, u2, mult, swap
 
 
 def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     """Solve (T - shift_j I) x_j = b_j for every column j (LAPACK dlagts)."""
     u0, u1, u2, mult, swap = factors
-    m = b.shape[0]
-    y = np.empty_like(b)
+    b = list(b)
+    # forward: apply the row swaps and multipliers
+    y = []
     carry = b[0]
-    for i in range(m - 1):
-        s = swap[i]
-        y[i] = np.where(s, b[i + 1], carry)
-        carry = np.where(s, carry, b[i + 1]) - mult[i] * y[i]
-    y[m - 1] = carry
-    x = np.empty_like(b)
-    x[m - 1] = y[m - 1] / u0[m - 1]
+    for s, mu, b_next in zip(swap, mult, b[1:]):
+        y_i = np.where(s, b_next, carry)
+        carry = np.where(s, carry, b_next) - mu * y_i
+        y.append(y_i)
+    y.append(carry)
+    # back substitution through the upper factor, last row first
+    m = len(y)
+    x = [y[m - 1] / u0[m - 1]]
     if m >= 2:
-        x[m - 2] = (y[m - 2] - u1[m - 2] * x[m - 1]) / u0[m - 2]
+        x.append((y[m - 2] - u1[m - 2] * x[-1]) / u0[m - 2])
     for i in range(m - 3, -1, -1):
-        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-    return x
+        x.append((y[i] - u1[i] * x[-1] - u2[i] * x[-2]) / u0[i])
+    return np.array(x[::-1])
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
@@ -294,11 +305,13 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarr
                     x[:, j] -= prev @ (prev.T @ x[:, j])
                 column = x[:, j].ravel(order="K")  # summed as numpy.linalg.norm sums it
                 x[:, j] /= np.sqrt(column.dot(column))
+        if sweep == 0:
+            continue  # a vector is accepted from its second solve on
         tx = d[:, None] * x
         tx[:-1] += e[:, None] * x[1:]
         tx[1:] += e[:, None] * x[:-1]
         residual = float(_column_norms(tx - x * values).max())
-        if sweep >= 1 and residual <= tol:
+        if residual <= tol:
             return x
     raise ConvergenceError(
         f"inverse iteration: residual {residual:.3e} above {tol:.3e} "

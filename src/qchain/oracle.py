@@ -165,15 +165,19 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
     """Hilbert-Schmidt projection coefficient tr(A^T B)/tr(B^T B) of
     sigma_z onto s_z on the full tensor space, from the stored triplets:
     for the collective operators, one dot product of two diagonals.  It
-    reproduces the deformation factor.
+    reproduces the deformation factor.  An operator that names one entry
+    twice raises :class:`InvalidParameterError`: its triplets and its
+    dense matrix would disagree.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
         raise DimensionMismatchError("operators live on different bases")
+    keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
+    if any(np.unique(key).size != key.size for key in keys):
+        raise InvalidParameterError("an operator names one (row, column) entry twice")
     denom = s_z.values @ s_z.values
     if denom == 0.0:
         raise ZeroDenominatorError("projection target has zero Hilbert-Schmidt norm")
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
-    keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
     return sigma_z.values[ia] @ s_z.values[ib] / denom
 

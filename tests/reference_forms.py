@@ -6,7 +6,9 @@ Hamiltonian for the oracle's vectorized builder, dense collective
 operators for the oracle's triplet storage, the dense ladder matrix for
 the tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, and the
 Householder reduction with ``np.stack`` operands for
-:func:`qchain.linalg.tridiagonalize`.
+:func:`qchain.linalg.tridiagonalize`, and the array forms of the
+tridiagonal kernels (:func:`ql_while`, :func:`lu_arrays`,
+:func:`lu_solve_arrays`), whose bits the library's list forms keep.
 
 References for the stationary points, which the library finds from
 their branch structure: the full grid scan :func:`bracketed_roots`, and
@@ -32,6 +34,7 @@ import numpy as np
 
 from qchain import (
     CapacityError,
+    ConvergenceError,
     DimensionMismatchError,
     InvalidParameterError,
     OperatorMatrix,
@@ -43,7 +46,7 @@ from qchain import (
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
 from qchain.crossover import _refine_brackets, _validate_n
-from qchain.linalg import as_real
+from qchain.linalg import QL_MAX_ITERATIONS, as_real
 
 
 def cosine_sum(n, spacings):
@@ -146,6 +149,102 @@ def tridiagonalize_stack(matrix):
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
     return a.diagonal().copy(), e
+
+
+def ql_while(d: list, e: list, tiny: float) -> list:
+    """:func:`qchain.linalg._ql` as a bounded deflation scan and a
+    ``while`` sweep that reads ``d[i + 1]`` from the list each step."""
+    n = len(d)
+    d = list(d)
+    e = list(e) + [0.0]
+    for l in range(n):
+        iterations = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > tiny:
+                m += 1
+            if m == l:
+                break
+            if iterations >= QL_MAX_ITERATIONS:
+                raise ConvergenceError(f"eigenvalue {l} not converged")
+            iterations += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            i = m - 1
+            while i >= l:
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                i -= 1
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return sorted(d)
+
+
+def lu_arrays(d, e, shifts, tiny):
+    """:func:`qchain.linalg._lu` storing each factor row into a
+    preallocated (m, k) array.  The last rows of ``u1`` and ``u2`` are never
+    written: compare only their first m - 1 rows."""
+    m = d.size
+    k = shifts.size
+    u0 = np.empty((m, k))
+    u1 = np.empty((m, k))
+    u2 = np.empty((m, k))
+    mult = np.empty((m - 1, k))
+    swap = np.empty((m - 1, k), dtype=bool)
+    w0 = d[0] - shifts
+    w1 = np.full(k, e[0])
+    for i in range(m - 1):
+        a_next = d[i + 1] - shifts
+        c_next = e[i + 1] if i + 1 < m - 1 else 0.0
+        s = np.abs(w0) < abs(e[i])
+        swap[i] = s
+        u0[i] = np.where(s, e[i], w0)
+        u1[i] = np.where(s, a_next, w1)
+        u2[i] = np.where(s, c_next, 0.0)
+        mult[i] = mu = np.where(s, w0, e[i]) / u0[i]
+        w0 = np.where(s, w1, a_next) - mu * u1[i]
+        w1 = np.where(s, 0.0, c_next) - mu * u2[i]
+    u0[m - 1] = np.where(np.abs(w0) < tiny, np.where(w0 < 0.0, -tiny, tiny), w0)
+    return u0, u1, u2, mult, swap
+
+
+def lu_solve_arrays(factors, b: np.ndarray) -> np.ndarray:
+    """:func:`qchain.linalg._lu_solve` on the factor arrays of
+    :func:`lu_arrays`, storing each solve row into an array."""
+    u0, u1, u2, mult, swap = factors
+    m = b.shape[0]
+    y = np.empty_like(b)
+    carry = b[0]
+    for i in range(m - 1):
+        s = swap[i]
+        y[i] = np.where(s, b[i + 1], carry)
+        carry = np.where(s, carry, b[i + 1]) - mult[i] * y[i]
+    y[m - 1] = carry
+    x = np.empty_like(b)
+    x[m - 1] = y[m - 1] / u0[m - 1]
+    if m >= 2:
+        x[m - 2] = (y[m - 2] - u1[m - 2] * x[m - 1]) / u0[m - 2]
+    for i in range(m - 3, -1, -1):
+        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+    return x
 
 
 def chebyshev_residual(n_qubits: int, spacing):

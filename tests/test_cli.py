@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qchain.linalg
@@ -202,6 +202,56 @@ def test_spectrum_c_columns_divide_the_unit_norm_columns_by_a0(capsys, argv):
             continue
         assert float(c[0]) == 1.0
         assert [float(x) for x in c[1:]] == [x / a[0] for x in a[1:]]
+
+
+# the old renderer of every CSV cell, one Python call per value
+_PER_CELL = {float: float.__repr__, int: int.__repr__, str: str, type(None): lambda _: ""}
+
+
+def _per_cell_spectrum_csv(doc):
+    """spectrum's CSV rebuilt cell by cell from its JSON document."""
+    ns = doc["photon_numbers"]
+    has_c0 = ns[0] == 0
+    header = ["kind", "index", "v", "E", "R"]
+    header += [f"c{n}" for n in ns] if has_c0 else []
+    header += [f"a{n}" for n in ns]
+    blank = [None] * (len(header) - 5)
+    wq_u = doc["omega_q"] * doc["u"]
+    rows = []
+    for state in doc["states"]:
+        cells = ["state", state["index"], state["v"], state["E"], doc["R"]]
+        if has_c0:
+            cells += state["c0_is_one"] or [None] * len(ns)
+        rows.append(cells + state["unit_norm"])
+    for k, energy in enumerate(doc["weak_coupling"] or []):
+        rows.append(["weak_coupling", k, energy - wq_u, energy, doc["R"]] + blank)
+    for kind in ("canonical", "alternate"):
+        for k, v in enumerate(doc[f"resonant_{kind}"] or []):
+            rows.append([f"resonant_{kind}", k, v, wq_u + v, doc["R"]] + blank)
+    lines = [header] + [[_PER_CELL[type(cell)](cell) for cell in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4", "--l", "2/3", "--u", "1", "--eta", "0.1"],  # resonant rows
+        ["--n", "4", "--l", "0.3", "--u", "1", "--wq", "0.9", "--w0", "1.4", "--eta", "0"],
+        ["--n", "4", "--l", "2/3", "--u", "1", "--w0", "3", "--eta", "0.02"],  # weak coupling
+        ["--n", "6", "--l", "0.3", "--u", "2", "--r", "1", "--eta", "0.2"],  # lower irrep
+        ["--n", "4", "--l", "0.3", "--u", "5", "--r", "1", "--eta", "0.2"],  # no photon 0
+        ["--n", "9", "--l", "0.41", "--u", "3.5", "--r", "2.5", "--eta", "0"],  # lower, no photon 0
+        ["--n", "100", "--l", "0.37", "--u", "50", "--w0", "1.05"],  # dim 101
+    ],
+)
+def test_spectrum_csv_is_the_per_cell_rendering(capsys, argv):
+    """Whole coefficient runs render the bytes the cell-by-cell renderer
+    gives, blank c cells (eta = 0) and ladders without photon 0 included."""
+    code, csv_out = run_cli(capsys, "spectrum", *argv)
+    assert code == 0
+    code, json_out = run_cli(capsys, "spectrum", *argv, "--format", "json")
+    assert code == 0
+    assert csv_out == _per_cell_spectrum_csv(json.loads(json_out))
 
 
 def test_spectrum_empty_sector_exit_code(capsys):
@@ -531,12 +581,18 @@ def test_table1_pole_prints_null_and_empty_cells(capsys):
     assert [rows[1][k] for k in closed] == [""] * 4
 
 
+# floats where repr switches notation (1e16, 1e-5), subnormals and the extremes
+NOTATION_EDGES = [
+    1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05, -1e16, 1e22, 1e-7,
+    5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+]
 json_leaves = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
     | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.sampled_from(NOTATION_EDGES)
     | st.floats().map(np.float64)
     | st.text()
 )
@@ -553,6 +609,15 @@ json_trees = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(json_trees)
+@example(True)
+@example(False)
+@example(7)
+@example(-(2**70))
+@example("\u00e9\u2028\ud83d\ude00")
+@example(NOTATION_EDGES)
+@example([-x for x in NOTATION_EDGES])
+@example({"\u00e9t\u00e9": 1, 'q"uote': [True, None], "back\\slash\n\t\x00": {"\u2603": 1e16}})
+@example({"": [], "\x7f": {}, "\ud800": [1e-5, 5e-324, 3], "k": "\u00e9\n"})
 def test_json_text_matches_indented_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
 

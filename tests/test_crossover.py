@@ -1,5 +1,7 @@
 """Stationarity residuals, root finding, and the crossover report."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,27 @@ def test_stationary_points_are_the_full_scan_bit_for_bit(l_min, l_max):
     for n in range(2, 400, 17):
         found = find_stationary_points(n, l_min, l_max)
         assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max)), n
+
+
+def _give_up(signum, frame):
+    raise TimeoutError("the bisection did not end")
+
+
+def test_bisection_ends_on_brackets_one_ulp_wide():
+    """Above l ~ 4096 one ulp of l is wider than the bisection width, so
+    a bracket there stops shrinking at one ulp; the bisection must still end."""
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.alarm(10)
+    try:
+        found = find_stationary_points(2, 8200.1, 8201)
+        scanned = scanned_stationary_points(2, 8200.1, 8201)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # N = 2 has its stationary points at the half-integers; the one at
+    # l = 8201 is a cubic zero, so the rounding of pi*l moves it by ~1e-5
+    assert found == pytest.approx([8200.5, 8201.0], abs=1e-4)
+    assert np.array_equal(found, scanned)
 
 
 spacings = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)

@@ -160,6 +160,17 @@ def test_hs_projection_zero_denominator():
         hs_projection(ops.sigma_z, zero)
 
 
+def test_hs_projection_refuses_an_entry_named_twice():
+    """With (0, 0) given as 1.0 and 2.0 the dense matrix holds 2.0 while a
+    sum over the triplets would count both: the projection refuses it."""
+    ops = build_collective_ops(_config(1, 0.3))
+    twice = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0])
+    with pytest.raises(InvalidParameterError):
+        hs_projection(twice, ops.s_z)
+    with pytest.raises(InvalidParameterError):
+        hs_projection(ops.s_z, twice)
+
+
 def test_decoupled_hamiltonian_is_diagonal():
     cfg = _config(3, 0.4, wq=0.9, w0=1.7, eta=0.0)
     h = build_hamiltonian(cfg, 2)
