@@ -18,14 +18,11 @@ from .crossover import (
 from .errors import (
     CapacityError,
     ConvergenceError,
-    DimensionMismatchError,
     EmptySectorError,
     InvalidParameterError,
     NegativeRadicandError,
-    NotHermitianError,
     PoleError,
     QChainError,
-    ZeroDenominatorError,
 )
 from .oracle import (
     CollectiveOps,

@@ -12,12 +12,15 @@ value.  Commands
 compute only what they print, with one eigensolve per ladder:
 ``oracle-compare`` and ``table1`` take eigenvalues alone, and the
 resonant rows of ``spectrum`` are the eigenvalues of its states.  Exit
-codes: 0 success, 2 usage error (a non-finite number flag, or an
-overflow), 3 empty sector, 4 capacity exceeded, 5 eigensolver did not
-converge.  Exit 4 comes before any large allocation: a ladder over 1001
-states, an oracle over 12 qubits, a sweep over 10^6 steps, or a
-crossover scan over ``crossover.MAX_SCAN_POINTS`` points.  Every CSV
-cell is a float, int, str or None, each rendered by its own type.
+codes: 0 success, 2 usage error (a non-finite number flag, a
+half-integer flag such as ``--u`` beyond 2^52, where doubles can no
+longer tell half-integers apart, or an overflow), 3 empty sector, 4
+capacity exceeded, 5 eigensolver did not converge; ``EXIT_CODES`` maps
+each refusal to its code.  Exit 4 comes before any large allocation: a
+ladder over 1001 states, an oracle over 12 qubits, a sweep over 10^6
+steps, or a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
+Every CSV cell is a float, int, str or None, each rendered by its own
+type.
 """
 
 from __future__ import annotations
@@ -57,11 +60,9 @@ from .spectra import (
     weak_coupling_energies,
 )
 
-EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_EMPTY_SECTOR = 3
-EXIT_CAPACITY = 4
-EXIT_NO_CONVERGENCE = 5
+# the exit code of each refusal but a ValueError, by exact type
+EXIT_CODES = {EmptySectorError: 3, CapacityError: 4, ConvergenceError: 5}
 
 
 def rational(text: str) -> float:
@@ -426,18 +427,17 @@ def cmd_crossover(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(p):
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _add_frequency_flags(p):
+    p.add_argument("--wq", type=float, default=1.0, help="qubit frequency")
+    p.add_argument("--w0", type=float, default=1.0, help="photon frequency")
+    p.add_argument("--eta", type=float, default=0.1, help="coupling amplitude")
 
 
 def _add_chain_flags(p):
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--l", type=rational, required=True, help="relative spacing (accepts p/q)")
     p.add_argument("--u", type=rational, required=True, help="total excitation number")
-    p.add_argument("--wq", type=float, default=1.0, help="qubit frequency")
-    p.add_argument("--w0", type=float, default=1.0, help="photon frequency")
-    p.add_argument("--eta", type=float, default=0.1, help="coupling amplitude")
+    _add_frequency_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform", help="deformation factor at one (N, l)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=rational, required=True)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("deform-sweep", help="R over a uniform grid of spacings")
@@ -459,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-start", dest="l_start", type=rational, required=True)
     p.add_argument("--l-end", dest="l_end", type=rational, required=True)
     p.add_argument("--steps", type=int, required=True)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_deform_sweep)
 
     p = sub.add_parser("hcurve", help="samples of the level parabola h(m) = R*(m^2+m)")
@@ -467,38 +465,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", dest="m_min", type=rational, required=True)
     p.add_argument("--m-max", dest="m_max", type=rational, required=True)
     p.add_argument("--steps", type=int, required=True)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_hcurve)
 
     p = sub.add_parser("spectrum", help="dressed states of one (u, r) subspace")
     _add_chain_flags(p)
     p.add_argument("--r", type=rational, default=None, help="total spin (default N/2)")
-    _add_output_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser(
         "oracle-compare", help="collective model vs exact sector diagonalization"
     )
     _add_chain_flags(p)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser(
         "table1", help="4-qubit one-excitation amplitudes by every route"
     )
     p.add_argument("--l", type=rational, default=float(Fraction(2, 3)))
-    p.add_argument("--wq", type=float, default=1.0)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=0.1)
-    _add_output_flags(p)
+    _add_frequency_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("crossover", help="deformation minimum and stationary points")
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_crossover)
 
     for p in sub.choices.values():
+        # after every command's own flags, so they close each help text
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         # argparse alone takes only plain negative decimals such as -0.5 for values;
         # take every negative number ``rational`` accepts (-1/2, -1e-1, -inf) too
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -527,24 +521,15 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
         return EXIT_USAGE
-    except EmptySectorError as exc:
+    except (EmptySectorError, CapacityError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_SECTOR
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (InvalidParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CODES.get(type(exc), EXIT_USAGE)
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,11 +19,13 @@ def twice(x) -> int:
     half-integer.  Spin labels (r, m, u) are carried around as doubled
     integers so ladder arithmetic never touches floating-point indexing.
     The test is exact: every half-integer is exact in binary, so a value
-    off by any amount (``2.0000000001``) is refused, not rounded.
+    off by any amount (``2.0000000001``) is refused, not rounded.  Beyond
+    |x| = 2^52 every double is an even integer, so no half-integer there
+    can be told from its neighbours, and such values are refused too.
     """
     d = 2.0 * float(x)
-    if not math.isfinite(d) or d != round(d):
-        raise InvalidParameterError(f"{x!r} is not a half-integer")
+    if not abs(d) <= 2.0**53 or d != round(d):
+        raise InvalidParameterError(f"{x!r} is not a half-integer of magnitude <= 2^52")
     return round(d)
 
 
@@ -92,11 +94,6 @@ class ChainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         object.__setattr__(self, "coupling", validate_coupling(self.coupling))
-
-    @property
-    def detuning(self) -> float:
-        """Photon-qubit detuning, always recomputed from the two frequencies."""
-        return self.photon_freq - self.qubit_freq
 
     def coupling_profile(self) -> np.ndarray:
         """Per-qubit coupling factors cos(j*pi*l), j = 0..N-1."""

@@ -85,10 +85,12 @@ def stationarity_residual(n_qubits: int, spacing):
 
     whose zeros away from sin(pi*l) = 0 are exactly the stationary
     points of the deformation factor (g = -(4N/pi)*sin^2(pi*l)*R'(l)).
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  g has period 1, so it is evaluated at the
+    fractional part of l, which is exact and leaves |l| < 1 as it is: the
+    rounding of pi*l would otherwise swamp its zeros at large l.
     """
     n = _validate_n(n_qubits)
-    theta = np.pi * np.asarray(spacing, dtype=float)
+    theta = np.pi * np.fmod(np.asarray(spacing, dtype=float), 1.0)
     k = 2 * n - 1
     k_theta = k * theta
     out = np.sin(k_theta) * np.cos(theta) - k * np.cos(k_theta) * np.sin(theta)

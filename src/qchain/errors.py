@@ -6,24 +6,14 @@ class QChainError(Exception):
 
 
 class InvalidParameterError(QChainError, ValueError):
-    """A scalar argument is out of its documented domain."""
+    """An argument is out of its documented domain: a scalar off its range,
+    a half-integer beyond 2^52, operators on different bases or indexing
+    outside their basis, a non-symmetric eigensolver input, or a
+    projection onto an operator of zero Hilbert-Schmidt norm."""
 
 
 class CapacityError(QChainError):
     """A request exceeds a documented cap: oracle size, ladder size or crossover scan grid."""
-
-
-class DimensionMismatchError(QChainError, ValueError):
-    """Two operators live on different bases, or an operator's indices lie
-    outside its basis."""
-
-
-class NotHermitianError(QChainError, ValueError):
-    """Eigensolver input is not symmetric."""
-
-
-class ZeroDenominatorError(QChainError, ZeroDivisionError):
-    """Projection denominator trace vanishes."""
 
 
 class EmptySectorError(QChainError):

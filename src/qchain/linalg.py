@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError, NotHermitianError
+from .errors import ConvergenceError, InvalidParameterError
 
 __all__ = [
     "QL_MAX_ITERATIONS",
@@ -88,7 +88,7 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(defect, out=defect).max(initial=0.0) > SYMMETRY_TOL * max(
         1.0, a.max(initial=0.0), -a.min(initial=0.0)
     ):
-        raise NotHermitianError("the eigensolver requires a symmetric matrix")
+        raise InvalidParameterError("the eigensolver requires a symmetric matrix")
     del defect
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ChainConfig, twice
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    EmptySectorError,
-    InvalidParameterError,
-    ZeroDenominatorError,
-)
+from .errors import CapacityError, EmptySectorError, InvalidParameterError
 from .linalg import _tridiagonalize_in_place, as_real, tridiagonal_eigvalsh
 
 __all__ = [
@@ -79,7 +73,7 @@ class OperatorMatrix:
         if values.size and not (
             0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < len(basis)
         ):
-            raise DimensionMismatchError(f"indices outside the basis of dim {len(basis)}")
+            raise InvalidParameterError(f"indices outside the basis of dim {len(basis)}")
         self.basis, self.rows, self.cols, self.values = basis, rows, cols, values
 
     @property
@@ -170,13 +164,13 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
     dense matrix would disagree.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
-        raise DimensionMismatchError("operators live on different bases")
+        raise InvalidParameterError("operators live on different bases")
     keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     if any(np.unique(key).size != key.size for key in keys):
         raise InvalidParameterError("an operator names one (row, column) entry twice")
     denom = s_z.values @ s_z.values
     if denom == 0.0:
-        raise ZeroDenominatorError("projection target has zero Hilbert-Schmidt norm")
+        raise InvalidParameterError("projection target has zero Hilbert-Schmidt norm")
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
     return sigma_z.values[ia] @ s_z.values[ib] / denom
@@ -232,6 +226,6 @@ def sector_spectrum(config: ChainConfig, total_excitation) -> np.ndarray:
 def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
     Householder reduction and implicit QL; no eigenvectors are formed.
-    Raises :class:`NotHermitianError` if the operator is not symmetric."""
+    Raises :class:`InvalidParameterError` if the operator is not symmetric."""
     # the dense matrix is formed anew for this solve, so it is reduced in place
     return tridiagonal_eigvalsh(*_tridiagonalize_in_place(operator.entries))

@@ -35,7 +35,6 @@ import numpy as np
 from qchain import (
     CapacityError,
     ConvergenceError,
-    DimensionMismatchError,
     InvalidParameterError,
     OperatorMatrix,
     build_h1_matrix,
@@ -388,7 +387,7 @@ def dense_operator(entries, basis) -> OperatorMatrix:
 def commutator(a, b) -> OperatorMatrix:
     """AB - BA on a shared basis, by dense matrix products."""
     if not np.array_equal(a.basis, b.basis):
-        raise DimensionMismatchError("operators live on different bases")
+        raise InvalidParameterError("operators live on different bases")
     return dense_operator(a.entries @ b.entries - b.entries @ a.entries, a.basis)
 
 

@@ -10,10 +10,10 @@ import qchain
 
 PACKAGE = [
     "CapacityError", "ChainConfig", "CollectiveOps", "ConvergenceError", "CrossoverReport",
-    "DeformationFactor", "DimensionMismatchError", "DressedState",
+    "DeformationFactor", "DressedState",
     "EmptySectorError", "ExcitationSubspace", "InvalidParameterError", "NegativeRadicandError",
-    "NotHermitianError", "OperatorMatrix", "PoleError",
-    "QChainError", "ZeroDenominatorError",
+    "OperatorMatrix", "PoleError",
+    "QChainError",
     "build_collective_ops", "build_h1_matrix",
     "coefficients_closed", "coefficients_recursive",
     "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",

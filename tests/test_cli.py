@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qchain.linalg
-from qchain.cli import json_text, main
+from qchain import NegativeRadicandError, PoleError, QChainError
+from qchain.cli import EXIT_CODES, json_text, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -344,6 +345,26 @@ def test_crossover_command(capsys):
     assert rows[0][0] == "crossover_l"
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_type_has_its_exit_code():
+    """Each package error exits 2 as a ValueError, has its own code in
+    EXIT_CODES, or is caught by the commands themselves.  EXIT_CODES looks
+    up the exact type, so none of its keys may have a subclass."""
+    for cls in _subclasses(QChainError):
+        assert (
+            issubclass(cls, ValueError)
+            or cls in EXIT_CODES
+            or cls in (PoleError, NegativeRadicandError)
+        ), cls
+    for cls in EXIT_CODES:
+        assert issubclass(cls, QChainError) and not list(_subclasses(cls)), cls
+
+
 def test_crossover_single_qubit_is_usage_error(capsys):
     code, _ = run_cli(capsys, "crossover", "--n", "1")
     assert code == 2
@@ -382,6 +403,9 @@ def test_huge_chain_capacity_exit_code(capsys, command):
         # a negative coupling, off the resonant ladder as well as on it
         ["spectrum", "--n", "4", "--l", "0.5", "--u", "1", "--eta", "-0.1", "--w0", "1.3"],
         ["spectrum", "--n", "6", "--l", "0.3", "--u", "2", "--r", "1", "--eta", "-0.1"],
+        # beyond 2^52 a double cannot tell half-integers apart
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1e20"],
+        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1e20"],
     ],
 )
 def test_out_of_domain_values_exit_2(capsys, argv):

@@ -133,10 +133,15 @@ def test_bisection_ends_on_brackets_one_ulp_wide():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    # N = 2 has its stationary points at the half-integers; the one at
-    # l = 8201 is a cubic zero, so the rounding of pi*l moves it by ~1e-5
+    # N = 2 has its stationary points at the half-integers
     assert found == pytest.approx([8200.5, 8201.0], abs=1e-4)
     assert np.array_equal(found, scanned)
+
+
+def test_large_spacings_keep_their_cubic_zeros():
+    """The zero at l = 8201 is cubic; were pi*l formed before l is reduced
+    modulo the period, its rounding would move the zero by ~1e-5."""
+    assert find_stationary_points(2, 8200.1, 8201).tolist() == [8200.5, 8201.0]
 
 
 spacings = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)

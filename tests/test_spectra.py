@@ -121,7 +121,7 @@ def test_solve_dressed_resonant_symmetry_and_norm():
 def test_solve_dressed_matches_oracle_at_homogeneous_coupling():
     for n in (2, 4):
         cfg = ChainConfig(n_qubits=n, spacing=0.0, qubit_freq=1.0, photon_freq=1.15, coupling=0.2)
-        states = solve_dressed(subspace(1, n / 2), 1.0, cfg.detuning, 0.2)
+        states = solve_dressed(subspace(1, n / 2), 1.0, cfg.photon_freq - cfg.qubit_freq, 0.2)
         oracle = sector_spectrum(cfg, 1)
         for s in states:
             assert np.abs(oracle - (1.0 * 1 + s.interaction_eigenvalue)).min() <= 1e-8
