@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidParameterError
+from .linalg import SMALLEST_NORMAL
 
 # Most points a sweep samples: 10^5 / 10^6 steps took 0.55 / 3.2 s and
 # 57 / 294 MB peak RSS in `deform-sweep` (2-core VM, one BLAS thread).
@@ -43,6 +44,18 @@ def validate_coupling(coupling) -> float:
     if not math.isfinite(eta) or eta < 0.0:
         raise InvalidParameterError(f"coupling must be finite and >= 0, got {coupling!r}")
     return eta
+
+
+def check_normal_hops(hops: np.ndarray, coupling) -> None:
+    """Refuse coupling matrix elements eta * (factors) of a Hamiltonian,
+    each nonzero in exact arithmetic, if one is below the smallest normal
+    double: it has rounded there to fewer bits, or to zero, and the matrix
+    solved would no longer be the model's."""
+    if np.abs(hops).min(initial=np.inf) < SMALLEST_NORMAL:
+        raise InvalidParameterError(
+            f"coupling {coupling!r} makes matrix elements subnormal (below "
+            f"{SMALLEST_NORMAL!r}), where they lose precision"
+        )
 
 
 def validate_steps(steps) -> int:

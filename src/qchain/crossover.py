@@ -17,9 +17,13 @@ cells where g changes sign, plus the grid points where g is exactly 0.
 Away from a zero of g its computed sign is exact, so only the cells around
 the zeros can hold such a cell or point.  The closed-form branch estimates
 name those cells, whose ends are formed exactly as ``np.linspace`` forms
-its points, and g is evaluated there only.  The brackets are therefore the
-full scan's, and the unchanged bisection, secant polish and dedupe give the
-same bits, at two evaluations per root instead of twenty.
+its points, and g is evaluated there only.  The bisection of each cell
+takes the half its estimate names wherever the midpoint lies outside a
+margin around it, and evaluates g only inside; the integers' cubic zeros,
+whose rounding noise is far wider, and a grid at its floor have no
+estimate.  The brackets are therefore those of a scan of the whole grid
+that evaluates every midpoint, and the secant polish and dedupe give the
+same bits, at about ten evaluations per root instead of thirty.
 """
 
 from __future__ import annotations
@@ -46,15 +50,27 @@ DEDUPE_TOL = 1e-10
 # noise of the residual around a zero, so it is evaluated whole.
 MIN_SCAN_POINTS = 50
 # Fixed-point steps of each branch estimate.  Each shrinks the error at least
-# 9-fold (about (1 + pi**2)-fold at large N), so six leave it below 1e-7 of a
-# grid cell.
-ESTIMATE_STEPS = 6
-# Largest grid find_stationary_points indexes.  It evaluates only the ends of
-# the cells around the residual's zeros, about 1 point in 10; at the cap
+# 9-fold (about (1 + pi**2)-fold at large N): six leave it below 2.3e-8 of a
+# grid cell, eight reach the rounding of l (6.7e-10 of a cell at N = 10**5,
+# over every third N up to 1199 and N = 1500 ... 10**5), and ten keep two
+# steps in hand.
+ESTIMATE_STEPS = 10
+# The bisection trusts an estimate's side of a midpoint farther from it than
+# this share of its bracket: 150 times the estimate's error up to
+# N = 10**5, and 56 times the widest offset from an estimate at which the
+# computed residual had the wrong sign, at any N up to the cap of
+# crossover_point ...
+ESTIMATE_MARGIN = 1e-7
+# ... and farther than this times |l|.  Rounding moves the residual's zeros
+# and their estimates by up to about 2*eps*|l|, which grids finer than the
+# crossover's (N above ~10**6) make wider than a share of a cell.
+ROUNDING_MARGIN = 64.0 * float(np.finfo(float).eps)
+# Largest grid find_stationary_points indexes.  It evaluates the residual at
+# about 10 points per root, 1 grid point in 2; at the cap
 # (crossover_point(250000), or N = 1000 over a span of 125) a call took
-# 0.3-0.4 s and peaked 49 MB above the interpreter with numpy (2-core Xeon
-# VM).  A crossover indexes ~20*N points, so chains up to N = 2.5*10**5 are
-# admitted.
+# 0.36-0.39 s and peaked 52 MB above the interpreter with numpy (2-core
+# Xeon VM).  A crossover indexes ~20*N points, so chains up to
+# N = 2.5*10**5 are admitted.
 MAX_SCAN_POINTS = 5_000_000
 
 
@@ -97,32 +113,46 @@ def stationarity_residual(n_qubits: int, spacing):
     return float(out) if np.isscalar(spacing) else out
 
 
-def _refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
+def _refine_brackets(func, a, b, fa, estimates, zeros) -> np.ndarray:
     """Roots of a vectorized scalar function, ascending: bisect each
-    sign-change bracket [a, b] (``fa``, ``fb`` the function at its ends) to
-    width <= 1e-12, or until the widest one stops shrinking at one ulp,
-    polish with secant steps, add the exact ``zeros`` and deduplicate
-    within 1e-10.
+    sign-change bracket [a, b] (``fa`` the function at a) to width
+    <= 1e-12, or until the widest one stops shrinking at one ulp, polish
+    with secant steps, add the exact ``zeros`` and deduplicate within
+    1e-10, comparing each root with the last one kept.
+
+    ``estimates`` holds each bracket's zero to well within a margin, or
+    NaN: :data:`ESTIMATE_MARGIN` of the bracket's width, and at least
+    :data:`ROUNDING_MARGIN` times the estimate.  A midpoint farther than the
+    margin from the estimate has the sign of its side of the zero, so the
+    estimate picks its half; ``func`` is evaluated only at the midpoints
+    inside the margin, and at every midpoint of a bracket with a NaN
+    estimate.  The midpoints, and so the brackets, are those of a bisection
+    that evaluates every midpoint.
 
     The secant polish matters for steep residuals (large N), where a
     1e-12 interval alone still leaves |f| far above rounding noise.
     """
-    roots = zeros.tolist()
     if a.size:
+        margin = np.maximum(ESTIMATE_MARGIN * (b - a), ROUNDING_MARGIN * np.abs(estimates))
         width = np.max(b - a)
+        # the sign of f at the left end never changes: a moves only to a
+        # midpoint where f has that sign
         while width > BISECT_WIDTH:
             mid = 0.5 * (a + b)
-            fm = np.asarray(func(mid), dtype=float)
-            take_left = fa * fm <= 0.0
+            take_left = mid > estimates
+            doubt = np.flatnonzero(~(np.abs(mid - estimates) > margin))
+            if doubt.size:
+                fm = np.asarray(func(mid[doubt]), dtype=float)
+                take_left[doubt] = fa[doubt] * fm <= 0.0
             b = np.where(take_left, mid, b)
-            fb = np.where(take_left, fm, fb)
             a = np.where(take_left, a, mid)
-            fa = np.where(take_left, fa, fm)
             last, width = width, np.max(b - a)
             if width == last:
                 # the widest bracket is one ulp of l wide (l above ~4096):
                 # no midpoint lies strictly inside it, so it cannot shrink
                 break
+        fa = np.asarray(func(a), dtype=float)
+        fb = np.asarray(func(b), dtype=float)
         x = 0.5 * (a + b)
         for _ in range(4):
             df = fb - fa
@@ -135,20 +165,18 @@ def _refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
             fb = np.where(root_on_left, fx, fb)
             a = np.where(root_on_left, a, x)
             fa = np.where(root_on_left, fa, fx)
-        fa_abs = np.abs(np.asarray(func(a), dtype=float))
-        fb_abs = np.abs(np.asarray(func(b), dtype=float))
-        roots.extend(np.where(fa_abs <= fb_abs, a, b).tolist())
-    roots.sort()
+        zeros = np.concatenate((zeros, np.where(np.abs(fa) <= np.abs(fb), a, b)))
     deduped = []
-    for root in roots:
+    for root in np.sort(zeros).tolist():
         if not deduped or root - deduped[-1] > DEDUPE_TOL:
             deduped.append(root)
     return np.array(deduped)
 
 
-def _zero_estimates(n: int, lo: float, hi: float) -> np.ndarray:
+def _zero_estimates(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Every zero of :func:`stationarity_residual` on [lo, hi], ascending,
-    to within 1e-7 of a grid cell.
+    to within the rounding of l, and the same zeros with NaN at the
+    integers, whose cubic zeros the residual's rounding blurs far wider.
 
     With k = 2N - 1 and t = k*l, each unit [p, p + 1) of t holds one zero,
     except p = k - 1 (mod k).  With j, q = divmod(p, k): q = 0 is l = j;
@@ -166,7 +194,8 @@ def _zero_estimates(n: int, lo: float, hi: float) -> np.ndarray:
         x = np.arctan(k * np.tan((m_pi + x) / k))
     r = np.where(q == 0, 0.0, np.where(q == n - 1, 0.5, (m_pi + x) / (k * np.pi)))
     zeros = j + np.where(mirrored, 1.0 - r, r)
-    return zeros[(zeros >= lo) & (zeros <= hi)]
+    inside = (zeros >= lo) & (zeros <= hi)
+    return zeros[inside], np.where(q == 0, np.nan, zeros)[inside]
 
 
 def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndarray:
@@ -179,8 +208,11 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
     Only the cells holding a zero of the residual, named by its branch
     structure, are evaluated, and their two neighbours where a cell's ends
     show neither a sign change nor a 0; a grid of 50 points, the fewest, is
-    evaluated whole.  The result is bit-identical to a scan of the whole
-    grid.  A grid longer than :data:`MAX_SCAN_POINTS` raises
+    evaluated whole.  Each cell is bisected on the estimate of its zero,
+    which the neighbours share, and the residual is evaluated only at the
+    midpoints near it.  The result is bit-identical to a scan of the whole
+    grid that evaluates every midpoint: about 10 points per root instead of
+    31.  A grid longer than :data:`MAX_SCAN_POINTS` raises
     :class:`CapacityError` before anything is allocated.
     """
     n = _validate_n(n_qubits)
@@ -203,6 +235,7 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
         xs = np.linspace(l_min, l_max, num)
         fs = residual(xs)
         a, b, fa, fb = xs[:-1], xs[1:], fs[:-1], fs[1:]
+        estimates = np.full(a.size, np.nan)
     else:
         step = (l_max - l_min) / (num - 1)
 
@@ -214,16 +247,17 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
             return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
 
         # a zero just outside the grid can still set the sign at its end
-        zeros = _zero_estimates(n, l_min - step, l_max + step)
+        zeros, estimates = _zero_estimates(n, l_min - step, l_max + step)
         c = np.clip(np.floor((zeros - l_min) / step).astype(np.int64), 0, num - 2)
         a, b, fa, fb = cells(c)
         missed = (np.sign(fa) == np.sign(fb)) & (fa != 0.0)
         if missed.any():
             near = np.clip(c[missed, None] + np.array([-1, 1]), 0, num - 2).ravel()
             a, b, fa, fb = (np.concatenate(ends) for ends in zip((a, b, fa, fb), cells(near)))
+            estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
     flips = np.sign(fa) * np.sign(fb) < 0
     zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
-    return _refine_brackets(residual, a[flips], b[flips], fa[flips], fb[flips], zeros)
+    return _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:
@@ -232,8 +266,8 @@ def crossover_point(n_qubits: int) -> CrossoverReport:
 
     The scan starts below the first stationary point (~1.43/(2N-1)) and
     overshoots 1/2 by two grid steps so a boundary extremum at exactly
-    l = 1/2 is still bracketed.  Time and memory are O(N): about 90 ms and
-    21 MB at N = 10**5 (2-core Xeon VM); a chain whose grid exceeds
+    l = 1/2 is still bracketed.  Time and memory are O(N): about 0.1-0.16 s
+    and 22 MB at N = 10**5 (2-core Xeon VM); a chain whose grid exceeds
     :data:`MAX_SCAN_POINTS` raises :class:`CapacityError`.
     """
     n = _validate_n(n_qubits)

@@ -16,6 +16,19 @@ lists of floats, and the LU factorization and solves of inverse iteration
 value per shift, in Python lists.  Each step then reads and appends whole
 rows instead of storing into preallocated arrays.
 
+A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
+2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
+exponent of that entry, and its output is scaled back, as LAPACK
+``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
+range.  So no square of an entry overflows, and none underflows unless
+the entries span more than 2**111 (2**511 once scaled); inside the safe
+range nothing is scaled, and outside it, as a power of two commutes with
+rounding in the normal range, no bit moves either.  ``np.ldexp`` scales
+without forming 2**-scale, which overflows for scale below -1023
+(``dlascl`` takes such a factor in two steps).  A Householder column
+whose squares still underflow is reflected scaled by 2**511, which gives
+the same reflection.
+
 Every routine is deterministic: the same input gives the same output bits.
 """
 
@@ -43,6 +56,12 @@ INVERSE_MAX_SWEEPS = 5  # solves per vector, as LAPACK dstein's MAXITS
 CLUSTER_GAP = 1e-3  # eigenvalues closer than this times ||T|| are re-orthogonalized
 RESIDUAL_TOL = 16.0 * EPS  # converged: ||T x - lambda x|| <= RESIDUAL_TOL * dim * ||T||
 SIGNIFICANT_COMPONENT = 1e-8
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+UNDERFLOW_SHIFT = 511  # 2**-511 is about the square root of SMALLEST_NORMAL
+# no scaling while the largest entry is within 2**(+-SAFE_EXPONENT): the
+# squares of such entries, and their sums over any dimension below 2**200,
+# are normal and finite
+SAFE_EXPONENT = 400
 # inverse iteration starts from the Weyl sequence frac(k * golden ratio):
 # deterministic, without the symmetries of the matrices, and it spares
 # the memory of loading numpy.random
@@ -79,24 +98,43 @@ def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
     return _tridiagonalize_in_place(as_real(matrix))
 
 
+def _scale_exponent(top: float) -> int:
+    """The power of two by which to scale down a matrix whose largest
+    absolute entry is ``top``: 0 inside the safe range, else the binary
+    exponent of ``top``."""
+    scale = math.frexp(top)[1]
+    return scale if abs(scale) > SAFE_EXPONENT else 0
+
+
 def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`tridiagonalize` of a finite float64 array that the reduction
     overwrites, for callers that form the matrix for the reduction alone."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
+    top = max(a.max(initial=0.0), -a.min(initial=0.0))
     defect = a - a.T  # the only dim^2 temporary of the check
-    if np.abs(defect, out=defect).max(initial=0.0) > SYMMETRY_TOL * max(
-        1.0, a.max(initial=0.0), -a.min(initial=0.0)
-    ):
+    if np.abs(defect, out=defect).max(initial=0.0) > SYMMETRY_TOL * max(1.0, top):
         raise InvalidParameterError("the eigensolver requires a symmetric matrix")
     del defect
+    scale = _scale_exponent(top)
+    if scale:
+        np.ldexp(a, -scale, out=a)
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
+    shifted = []  # columns reflected scaled by 2**UNDERFLOW_SHIFT
+    smallest_normal = SMALLEST_NORMAL  # a local: it is read at every column
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        alpha = math.sqrt(float(x @ x))
-        if alpha == 0.0:
-            continue
+        squares = float(x @ x)
+        if squares < smallest_normal:
+            if squares == 0.0:
+                continue
+            # the squares of the column underflow: reflect 2**511 * x,
+            # which gives the same H, as it depends on v v^T / h alone
+            x = np.ldexp(x, UNDERFLOW_SHIFT)
+            squares = float(x @ x)
+            shifted.append(k)
+        alpha = math.sqrt(squares)
         if x[0] > 0.0:
             alpha = -alpha
         # H = I - v v^T / h maps x to alpha * e_1
@@ -117,8 +155,12 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         qv[0] = q
         qv[1] = v
         rest -= vq @ qv
+    if shifted:
+        e[shifted] = np.ldexp(e[shifted], -UNDERFLOW_SHIFT)
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
+    if scale:
+        return np.ldexp(a.diagonal(), scale), np.ldexp(e, scale, out=e)
     return a.diagonal().copy(), e
 
 
@@ -187,9 +229,10 @@ def _ql(d: list, e: list, tiny: float) -> list:
     return sorted(d)
 
 
-def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, float]:
-    """Validated (d, e), with every off-diagonal of at most eps * ||T|| set
-    to exactly zero, and that threshold."""
+def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Validated (d, e) scaled by 2**-scale (see :func:`_scale_exponent`),
+    with every off-diagonal of at most eps * ||T|| set to exactly zero,
+    that threshold and scale."""
     d = as_real(d, "diagonal")
     e = as_real(e, "off-diagonal")
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
@@ -197,8 +240,12 @@ def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, float]:
             f"need a diagonal of length n and an off-diagonal of length n-1, "
             f"got shapes {d.shape} and {e.shape}"
         )
+    scale = _scale_exponent(max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0)))
+    if scale:
+        np.ldexp(d, -scale, out=d)
+        np.ldexp(e, -scale, out=e)
     tiny = EPS * _norm(d, e)
-    return d, np.where(np.abs(e) <= tiny, 0.0, e), tiny
+    return d, np.where(np.abs(e) <= tiny, 0.0, e), tiny, scale
 
 
 def tridiagonal_eigvalsh(d, e) -> np.ndarray:
@@ -208,8 +255,8 @@ def tridiagonal_eigvalsh(d, e) -> np.ndarray:
     Raises :class:`ConvergenceError` if an eigenvalue needs more than
     ``QL_MAX_ITERATIONS`` QL sweeps.
     """
-    d, e, tiny = _tridiagonal(d, e)
-    return np.array(_ql(d.tolist(), e.tolist(), tiny))
+    d, e, tiny, scale = _tridiagonal(d, e)
+    return np.ldexp(_ql(d.tolist(), e.tolist(), tiny), scale)
 
 
 def _lu(d, e, shifts, tiny):
@@ -328,7 +375,7 @@ def tridiagonal_eigh(d, e) -> tuple[np.ndarray, np.ndarray]:
     block order.  Each vector's first component with magnitude above 1e-8
     is positive.
     """
-    d, e, tiny = _tridiagonal(d, e)
+    d, e, tiny, scale = _tridiagonal(d, e)
     n = d.size
     cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [n]))
     values = np.empty(n)
@@ -342,4 +389,4 @@ def tridiagonal_eigh(d, e) -> tuple[np.ndarray, np.ndarray]:
     vectors = vectors[:, order]
     lead = vectors[np.argmax(np.abs(vectors) > SIGNIFICANT_COMPONENT, axis=0), np.arange(n)]
     vectors *= np.where(lead < 0.0, -1.0, 1.0)
-    return values, vectors
+    return np.ldexp(values, scale), vectors

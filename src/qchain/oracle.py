@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ChainConfig, twice
+from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
 from .linalg import _tridiagonalize_in_place, as_real, tridiagonal_eigvalsh
 
@@ -189,6 +189,9 @@ def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
     qubit, src = np.nonzero((hops != 0.0) & (bits == 0))
     dst = np.searchsorted(key, key[src] - (1 << n) + (1 << qubit))
     hop = hops[qubit, src]
+    # at eta > 0 the hop of qubit 0 (cos 0 = 1) stays nonzero, so a coupling
+    # whose hops underflow leaves at least one stored, and subnormal
+    check_normal_hops(hop, config.coupling)
     diag = config.qubit_freq * (bits.sum(axis=0) - n / 2.0) + config.photon_freq * photons
     index = np.arange(len(basis))
     rows, cols = np.concatenate((index, dst, src)), np.concatenate((index, src, dst))

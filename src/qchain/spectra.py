@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _ladder_product, _validate_deformation
-from .config import halves, twice, validate_coupling
+from .config import check_normal_hops, halves, twice, validate_coupling
 from .errors import (
     CapacityError,
     EmptySectorError,
@@ -133,13 +133,16 @@ def build_h1_matrix(
     """Interaction matrix w~_0 * a^dag a + eta*(S+ a + S- a^dag) on the
     subspace basis as its diagonal d and off-diagonal e: d = w~_0 * n, and
     the element between n and n+1 is eta * sqrt(n+1) * alpha_{u-n-1}^(r).
-    The coupling eta must be finite and >= 0.
+    The coupling eta must be finite and >= 0, and no element subnormal.
     """
     R = _validate_deformation(deformation)
     eta = validate_coupling(coupling)
     ns = np.asarray(sub.photon_numbers)
     alphas = np.sqrt(R * _ladder_products(sub))  # alpha_{u-n-1}^(r)
-    return float(detuning) * ns.astype(float), eta * np.sqrt(ns[1:]) * alphas
+    hops = eta * np.sqrt(ns[1:]) * alphas
+    if eta:  # eta = 0 makes every element exactly zero
+        check_normal_hops(hops, coupling)
+    return float(detuning) * ns.astype(float), hops
 
 
 def solve_dressed(sub: ExcitationSubspace, deformation, detuning, coupling) -> list[DressedState]:

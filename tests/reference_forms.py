@@ -11,7 +11,8 @@ tridiagonal kernels (:func:`ql_while`, :func:`lu_arrays`,
 :func:`lu_solve_arrays`), whose bits the library's list forms keep.
 
 References for the stationary points, which the library finds from
-their branch structure: the full grid scan :func:`bracketed_roots`, and
+their branch structure: the full grid scan :func:`bracketed_roots`, whose
+bisection :func:`refine_brackets` evaluates every midpoint, and
 :func:`scanned_stationary_points` and :func:`scanned_crossover`, which
 scan the grids of :func:`qchain.find_stationary_points` and
 :func:`qchain.crossover_point` whole.
@@ -44,7 +45,7 @@ from qchain import (
 )
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
-from qchain.crossover import _refine_brackets, _validate_n
+from qchain.crossover import BISECT_WIDTH, DEDUPE_TOL, _validate_n
 from qchain.linalg import QL_MAX_ITERATIONS, as_real
 
 
@@ -265,14 +266,61 @@ def chebyshev_residual(n_qubits: int, spacing):
     return float(out) if np.isscalar(spacing) else out
 
 
+def refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
+    """Roots of a vectorized scalar function, ascending: bisect each
+    sign-change bracket [a, b] (``fa``, ``fb`` the function at its ends),
+    evaluating every midpoint, to width <= 1e-12, or until the widest one
+    stops shrinking at one ulp, polish with secant steps, add the exact
+    ``zeros`` and deduplicate within 1e-10, one root at a time.  The
+    reference for :func:`qchain.crossover._refine_brackets`, which trusts
+    the branch estimates of the zeros away from them.
+    """
+    roots = zeros.tolist()
+    if a.size:
+        width = np.max(b - a)
+        while width > BISECT_WIDTH:
+            mid = 0.5 * (a + b)
+            fm = np.asarray(func(mid), dtype=float)
+            take_left = fa * fm <= 0.0
+            b = np.where(take_left, mid, b)
+            fb = np.where(take_left, fm, fb)
+            a = np.where(take_left, a, mid)
+            fa = np.where(take_left, fa, fm)
+            last, width = width, np.max(b - a)
+            if width == last:
+                # the widest bracket is one ulp of l wide (l above ~4096):
+                # no midpoint lies strictly inside it, so it cannot shrink
+                break
+        x = 0.5 * (a + b)
+        for _ in range(4):
+            df = fb - fa
+            safe = df != 0.0
+            x = np.where(safe, b - fb * (b - a) / np.where(safe, df, 1.0), x)
+            x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
+            fx = np.asarray(func(x), dtype=float)
+            root_on_left = fa * fx <= 0.0
+            b = np.where(root_on_left, x, b)
+            fb = np.where(root_on_left, fx, fb)
+            a = np.where(root_on_left, a, x)
+            fa = np.where(root_on_left, fa, fx)
+        fa_abs = np.abs(np.asarray(func(a), dtype=float))
+        fb_abs = np.abs(np.asarray(func(b), dtype=float))
+        roots.extend(np.where(fa_abs <= fb_abs, a, b).tolist())
+    roots.sort()
+    deduped = []
+    for root in roots:
+        if not deduped or root - deduped[-1] > DEDUPE_TOL:
+            deduped.append(root)
+    return np.array(deduped)
+
+
 def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
     """Roots of a vectorized scalar function on [lo, hi] by a full grid
     scan: every sign change of ``func`` on ``np.linspace(lo, hi,
     num_points)`` is a bracket and every grid point where it is exactly 0 a
-    root; the library's shared refinement then bisects, polishes and
-    deduplicates.  The reference for
-    :func:`qchain.crossover.find_stationary_points`, which evaluates only
-    the cells its branch structure names.
+    root; :func:`refine_brackets` then bisects, polishes and deduplicates.
+    The reference for :func:`qchain.crossover.find_stationary_points`,
+    which evaluates only the cells its branch structure names.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InvalidParameterError(f"bad scan interval [{lo!r}, {hi!r}]")
@@ -280,7 +328,7 @@ def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
     fs = np.asarray(func(xs), dtype=float)
     sign = np.sign(fs)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return _refine_brackets(func, xs[idx], xs[idx + 1], fs[idx], fs[idx + 1], xs[fs == 0.0])
+    return refine_brackets(func, xs[idx], xs[idx + 1], fs[idx], fs[idx + 1], xs[fs == 0.0])
 
 
 def scanned_stationary_points(n_qubits, l_min, l_max) -> np.ndarray:

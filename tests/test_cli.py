@@ -406,6 +406,11 @@ def test_huge_chain_capacity_exit_code(capsys, command):
         # beyond 2^52 a double cannot tell half-integers apart
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "1e20"],
         ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1e20"],
+        # a coupling that makes matrix elements subnormal, where they lose bits
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "5e-324"],
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e-310"],
+        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "5e-324"],
+        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e-310"],
     ],
 )
 def test_out_of_domain_values_exit_2(capsys, argv):
@@ -522,8 +527,9 @@ def test_sweep_step_cap_exit_code(capsys, command, steps):
     "argv",
     [
         ["hcurve", "--R", "0.5", "--m-min", "-1e308", "--m-max", "1e308", "--steps", "3"],
-        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e200"],
-        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e160"],
+        # eta so large that v itself leaves the doubles (smaller ones run)
+        ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e308"],
+        ["oracle-compare", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "1e308"],
         # E = w_q * u + v overflows in the state rows, then in the weak-coupling rows
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "1e308"],
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--w0", "1e160"],
@@ -539,6 +545,29 @@ def test_overflowing_flags_exit_2(capsys, argv):
     assert "overflow" in captured.err
     assert "Warning" not in captured.err
     assert caught == []
+
+
+def _finite_json(text):
+    """The JSON document ``text``, failing on any Infinity or NaN in it."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text!r}"))
+
+
+@pytest.mark.parametrize("eta", ["1e-300", "1e-160", "1e150", "1e160", "1e200"])
+def test_couplings_far_from_one_run(capsys, eta):
+    """The eigensolvers scale a matrix far from norm 1 to norm ~1 first, so
+    every coupling whose matrix elements and spectrum are normal doubles
+    runs; at zero detuning (the default frequencies) v is the eta = 1
+    spectrum times eta."""
+    base = ["--n", "4", "--l", "0.3", "--u", "1", "--format", "json"]
+    code, out = run_cli(capsys, "spectrum", *base, "--eta", "1")
+    unit = np.array([state["v"] for state in json.loads(out)["states"]])
+    code, out = run_cli(capsys, "spectrum", *base, "--eta", eta)
+    assert code == 0
+    v = np.array([state["v"] for state in _finite_json(out)["states"]])
+    assert np.abs(v / float(eta) - unit).max() <= 1e-14 * np.abs(unit).max()
+    code, out = run_cli(capsys, "oracle-compare", *base, "--eta", eta)
+    assert code == 0
+    _finite_json(out)
 
 
 def test_sweep_rejects_bad_ranges(capsys):

@@ -4,7 +4,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -16,7 +16,8 @@ from qchain import (
     find_stationary_points,
     stationarity_residual,
 )
-from qchain.crossover import MAX_SCAN_POINTS
+import qchain.crossover as crossover
+from qchain.crossover import ESTIMATE_MARGIN, MAX_SCAN_POINTS
 from reference_forms import (
     bracketed_roots,
     chebyshev_residual,
@@ -162,6 +163,59 @@ def test_stationary_points_follow_the_branch_structure(n, ends):
     l_min, l_max = sorted(ends)
     found = find_stationary_points(n, l_min, l_max)
     assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    pick=st.floats(0.0, 1.0),
+    at_margin=st.sampled_from([-1, 0, 1]),
+    ulps=st.integers(-4, 4),
+    other=spacings,
+)
+def test_interval_ends_next_to_a_zero_keep_the_scan_bits(n, pick, at_margin, ulps, other):
+    """One end a few ulps from a stationary point, or from the edge of the
+    margin around it inside which the bisection evaluates the residual."""
+    points = crossover_point(n).stationary_points
+    zero = points[int(pick * (points.size - 1))]
+    cell = 1.0 / (20 * (2 * n - 1))
+    end = zero + at_margin * ESTIMATE_MARGIN * cell + ulps * np.spacing(zero)
+    assume(end != other)
+    l_min, l_max = sorted((end, other))
+    found = find_stationary_points(n, l_min, l_max)
+    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
+
+
+@pytest.mark.parametrize(
+    "n, l_min, span",
+    [
+        (64008853, 0.34759683741231095, 4.871222372021426e-05),
+        (212961166, 0.4534383213546299, 1.7767293207089906e-05),
+    ],
+)
+def test_grids_finer_than_the_rounding_of_l_keep_the_scan_bits(n, l_min, span):
+    """At N ~ 10**8 a tenth of a millionth of a cell is below the rounding of
+    l, so the margin grows with |l| to cover it."""
+    l_max = l_min + span
+    found = find_stationary_points(n, l_min, l_max)
+    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
+
+
+def test_crossover_evaluates_the_residual_near_its_zeros_only(monkeypatch):
+    """The closed-form estimates decide every bisection midpoint farther
+    than the margin from them; evaluating all of them takes ~31 N points."""
+    n = 4000
+    sizes = []
+    residual = crossover.stationarity_residual
+
+    def counted(n_qubits, spacing):
+        sizes.append(np.size(spacing))
+        return residual(n_qubits, spacing)
+
+    monkeypatch.setattr(crossover, "stationarity_residual", counted)
+    report = crossover_point(n)
+    assert report.stationary_points.size == n - 1
+    assert sum(sizes) <= 12 * n
 
 
 def test_root_count_matches_finite_difference_oracle():

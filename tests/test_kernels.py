@@ -23,7 +23,7 @@ def _same(new, old) -> bool:
 
 
 def _check_ql(d, e):
-    d, e, tiny = linalg._tridiagonal(d, e)
+    d, e, tiny, _ = linalg._tridiagonal(d, e)
     assert _same(linalg._ql(d.tolist(), e.tolist(), tiny), ql_while(d.tolist(), e.tolist(), tiny))
     return d, e, tiny
 

@@ -273,6 +273,15 @@ def test_sector_errors():
         sector_spectrum(cfg, 0.5)  # wrong parity for even N
 
 
+def test_subnormal_couplings_are_refused():
+    """A hop eta * sqrt(n) * cos(j*pi*l) below the smallest normal double has
+    rounded to fewer bits; zero hops (eta = 0) stay allowed."""
+    for eta in (5e-324, 1e-310):
+        with pytest.raises(InvalidParameterError, match="subnormal"):
+            sector_hamiltonian(_config(4, 0.3, eta=eta), 1)
+    assert sector_hamiltonian(_config(4, 0.3), 1).dim > 0
+
+
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         build_collective_ops(_config(13, 0.3))
@@ -429,6 +438,28 @@ def test_tridiagonal_eigh_is_deterministic():
     a = np.random.default_rng(12).normal(size=(32, 32))
     op = dense_operator(a + a.T, _basis(32))
     assert eigvalsh(op).tobytes() == eigvalsh(op).tobytes()
+
+
+@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+def test_far_matrices_solve_to_scaled_bits(power):
+    """A matrix far outside norm 1 is solved scaled by a power of two, which
+    commutes with rounding, so 2**power * T gives 2**power times T's output."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        values, vectors = tridiagonal_eigh(d, e)
+        far_values, far_vectors = tridiagonal_eigh(np.ldexp(d, power), np.ldexp(e, power))
+        assert far_values.tobytes() == np.ldexp(values, power).tobytes()
+        assert far_vectors.tobytes() == vectors.tobytes()
+        assert tridiagonal_eigvalsh(np.ldexp(d, power), np.ldexp(e, power)).tobytes() == (
+            np.ldexp(tridiagonal_eigvalsh(d, e), power).tobytes()
+        )
+        a = rng.normal(size=(n, n))
+        reduced = tridiagonalize(a + a.T)
+        far_reduced = tridiagonalize(np.ldexp(a + a.T, power))
+        for far, near in zip(far_reduced, reduced):
+            assert far.tobytes() == np.ldexp(near, power).tobytes()
 
 
 def test_ascending_order_and_sign_rule():
