@@ -304,9 +304,11 @@ def cmd_oracle_compare(args) -> str:
     sub = subspace(args.u, r)
     # only the model's energies are printed: eigenvalues alone, no vectors
     values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, args.w0 - args.wq, args.eta))
+    energies = args.wq * sub.total_excitation + values
+    # each level's nearest oracle eigenvalue, the first of equally near ones
+    nearest_values = oracle[np.abs(oracle - energies[:, None]).argmin(axis=1)]
     levels = []
-    for k, energy in enumerate((args.wq * sub.total_excitation + values).tolist()):
-        nearest = float(oracle[np.abs(oracle - energy).argmin()])
+    for k, (energy, nearest) in enumerate(zip(energies.tolist(), nearest_values.tolist())):
         levels.append(
             {
                 "index": k,
@@ -355,6 +357,9 @@ def cmd_table1(args) -> str:
         ref = coefficients_recursive(undeformed[k], sub, 1.0, detuning, args.eta)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = (np.abs(rec[1:]) / np.abs(ref[1:])).tolist()
+        # a ratio to a zero undeformed amplitude is undefined: a blank
+        # cell or null, as the closed form at a pole
+        ratios = [ratio if math.isfinite(ratio) else None for ratio in ratios]
         entries.append(
             {
                 "index": k,

@@ -14,7 +14,12 @@ The sequential kernels keep their state in Python objects: QL works on
 lists of floats, and the LU factorization and solves of inverse iteration
 (LAPACK ``dlagtf``/``dlagts``) hold one numpy row per matrix row, with one
 value per shift, in Python lists.  Each step then reads and appends whole
-rows instead of storing into preallocated arrays.
+rows instead of storing into preallocated arrays.  QL scans the
+off-diagonals for the end of an unreduced block only where no sweep has
+told it, as each sweep yields the block end that a scan after it would
+find; a Householder column reads its scalars once as Python floats and
+forms q with one temporary.  Neither moves a bit: each BLAS product keeps
+its operands, shapes, layouts and order.
 
 A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
@@ -44,7 +49,6 @@ __all__ = [
     "QL_MAX_ITERATIONS",
     "INVERSE_MAX_SWEEPS",
     "as_real",
-    "tridiagonalize",
     "tridiagonal_eigvalsh",
     "tridiagonal_eigh",
 ]
@@ -86,18 +90,6 @@ def as_real(array, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def tridiagonalize(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a real symmetric matrix to tridiagonal form.
-
-    Returns the diagonal d and the off-diagonal e of Q^T A Q; the
-    eigenvalues are unchanged and Q is not formed.  Each column costs one
-    matrix-vector product and one rank-2 update, a single BLAS product.
-    ``matrix`` is left as it is: the reduction overwrites the copy
-    :func:`as_real` makes.
-    """
-    return _tridiagonalize_in_place(as_real(matrix))
-
-
 def _scale_exponent(top: float) -> int:
     """The power of two by which to scale down a matrix whose largest
     absolute entry is ``top``: 0 inside the safe range, else the binary
@@ -107,8 +99,14 @@ def _scale_exponent(top: float) -> int:
 
 
 def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`tridiagonalize` of a finite float64 array that the reduction
-    overwrites, for callers that form the matrix for the reduction alone."""
+    """Householder reduction of the real symmetric finite float64 array
+    ``a`` to tridiagonal form, overwriting ``a``: for callers that form
+    the matrix for the reduction alone.
+
+    Returns the diagonal d and the off-diagonal e of Q^T A Q; the
+    eigenvalues are unchanged and Q is not formed.  Each column costs one
+    matrix-vector product and one rank-2 update, a single BLAS product.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
     top = max(a.max(initial=0.0), -a.min(initial=0.0))
@@ -123,38 +121,41 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.zeros(max(n - 1, 0))
     shifted = []  # columns reflected scaled by 2**UNDERFLOW_SHIFT
     smallest_normal = SMALLEST_NORMAL  # a local: it is read at every column
+    # ndarray.dot and matmul pass the same operands to the same BLAS call
+    # (ddot, dgemm); dot dispatches in about half the time, except on the
+    # strided ``rest``, where matmul is the faster of the two
     for k in range(n - 2):
         x = a[k + 1 :, k]
-        squares = float(x @ x)
+        squares = float(x.dot(x))
         if squares < smallest_normal:
             if squares == 0.0:
                 continue
             # the squares of the column underflow: reflect 2**511 * x,
             # which gives the same H, as it depends on v v^T / h alone
             x = np.ldexp(x, UNDERFLOW_SHIFT)
-            squares = float(x @ x)
+            squares = float(x.dot(x))
             shifted.append(k)
         alpha = math.sqrt(squares)
-        if x[0] > 0.0:
+        x0 = float(x[0])
+        if x0 > 0.0:
             alpha = -alpha
         # H = I - v v^T / h maps x to alpha * e_1
         v = x.copy()
-        v[0] -= alpha
-        h = alpha * alpha - alpha * float(x[0])
+        v[0] = x0 - alpha
+        h = alpha * alpha - alpha * x0
         e[k] = alpha
         rest = a[k + 1 :, k + 1 :]
-        p = (rest @ v) / h
-        q = p - (float(v @ p) / (2.0 * h)) * v
+        p = rest @ v
+        p /= h
+        # q = p - (v.p / 2h) v, as p + (-(v.p / 2h) v): the same bits
+        q = v * -(float(v.dot(p)) / (2.0 * h))
+        q += p
         # H A H = A - v q^T - q v^T, one BLAS product of the C-contiguous
         # (m, 2) [v q] and (2, m) [q; v] for the rank-2 update
-        m = v.size
-        vq = np.empty((m, 2))
-        vq[:, 0] = v
-        vq[:, 1] = q
-        qv = np.empty((2, m))
+        qv = np.empty((2, v.size))
         qv[0] = q
         qv[1] = v
-        rest -= vq @ qv
+        rest -= qv[::-1].T.copy().dot(qv)
     if shifted:
         e[shifted] = np.ldexp(e[shifted], -UNDERFLOW_SHIFT)
     if n >= 2:
@@ -181,51 +182,76 @@ def _ql(d: list, e: list, tiny: float) -> list:
     a test relative to the neighbouring diagonal alone never passes on a
     block of rounding-level entries, such as the one Householder leaves
     behind for a highly degenerate eigenvalue.
+
+    The block of eigenvalue l ends at the first negligible off-diagonal
+    from l on.  A sweep rewrites every off-diagonal of the block and none
+    beyond it, so it yields the next block end itself: l if the new e[l]
+    is negligible (l has converged), else the lowest rewritten e[i + 1]
+    that is, else the old end.  That end is also the block end of
+    eigenvalue l + 1 once l has converged.  A rotation that underflows to
+    0 ends the block where it stops.  So the off-diagonals are scanned
+    only for an eigenvalue that no sweep has reached, the first one and
+    each one after a 1 x 1 block, and every sweep runs on the block that
+    a scan would find.
     """
     n = len(d)
     d = list(d)
     e = list(e) + [0.0]  # the sentinel that ends every deflation scan
+    hypot = math.hypot
+    copysign = math.copysign
+    max_iterations = QL_MAX_ITERATIONS
+    m = -1  # the end of the block of eigenvalue l, once known
     for l in range(n):
-        iterations = 0
-        while True:
+        if m < l:
             m = l
             while abs(e[m]) > tiny:
                 m += 1
-            if m == l:
-                break
-            if iterations >= QL_MAX_ITERATIONS:
+        iterations = 0
+        while m != l:
+            if iterations >= max_iterations:
                 raise ConvergenceError(
                     f"implicit QL: eigenvalue {l} not converged after {iterations} iterations"
                 )
             iterations += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            e_l = e[l]
+            g = (d[l + 1] - d[l]) / (2.0 * e_l)
+            r = hypot(g, 1.0)
+            d_next = d[m]  # d[i + 1] of the step below
+            g = d_next - d[l] + e_l / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            d_next = d[m]  # d[i + 1] of the step below
+            end = m  # the lowest rewritten off-diagonal that is negligible
+            above = m  # i + 1
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # the rotation underflowed: deflate and restart this sweep
-                    d[i + 1] = d_next - p
-                    e[m] = 0.0
-                    break
+                e_i = e[i]
+                f = s * e_i
+                b = c * e_i
+                r = hypot(f, g)
+                e[above] = r
+                if r <= tiny:
+                    if r == 0.0:
+                        # the rotation underflowed: deflate and restart this sweep
+                        d[above] = d_next - p
+                        e[m] = 0.0
+                        m = above
+                        break
+                    end = above
                 s = f / r
                 c = g / r
                 g = d_next - p
                 d_next = d[i]
                 r = (d_next - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                d[above] = g + p
                 g = c * r - b
+                above = i
             else:
                 d[l] = d_next - p
                 e[l] = g
                 e[m] = 0.0
+                m = end
+                if abs(g) <= tiny:
+                    break  # converged, and m ends the block of eigenvalue l + 1
     return sorted(d)
 
 

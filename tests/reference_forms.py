@@ -5,10 +5,11 @@ R(N, l) for :func:`qchain.deformation_profile`, a state-by-state sector
 Hamiltonian for the oracle's vectorized builder, dense collective
 operators for the oracle's triplet storage, the dense ladder matrix for
 the tridiagonal (d, e) of :func:`qchain.build_h1_matrix`, and the
-Householder reduction with ``np.stack`` operands for
-:func:`qchain.linalg.tridiagonalize`, and the array forms of the
-tridiagonal kernels (:func:`ql_while`, :func:`lu_arrays`,
-:func:`lu_solve_arrays`), whose bits the library's list forms keep.
+Householder reduction with ``np.stack`` operands for the oracle's
+in-place one, which :func:`tridiagonalize` runs on a copy of a test's
+dense matrix, and the array forms of the tridiagonal kernels
+(:func:`ql_while`, :func:`lu_arrays`, :func:`lu_solve_arrays`), whose
+bits the library's list forms keep.
 
 References for the stationary points, which the library finds from
 their branch structure: the full grid scan :func:`bracketed_roots`, whose
@@ -46,7 +47,7 @@ from qchain import (
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
 from qchain.crossover import BISECT_WIDTH, DEDUPE_TOL, _validate_n
-from qchain.linalg import QL_MAX_ITERATIONS, as_real
+from qchain.linalg import QL_MAX_ITERATIONS, _tridiagonalize_in_place, as_real
 
 
 def cosine_sum(n, spacings):
@@ -124,8 +125,15 @@ def h1_matrix_dense(sub, deformation, detuning, coupling):
     return h
 
 
+def tridiagonalize(matrix):
+    """Householder reduction of a real symmetric matrix to its tridiagonal
+    (d, e), as the oracle runs it, on the copy :func:`as_real` makes, so
+    ``matrix`` is left as it is."""
+    return _tridiagonalize_in_place(as_real(matrix))
+
+
 def tridiagonalize_stack(matrix):
-    """Householder reduction as :func:`qchain.linalg.tridiagonalize`, with
+    """Householder reduction as :func:`tridiagonalize`, with
     the rank-2 update's [v q] and [q; v] operands built by ``np.stack``
     each column; the symmetry check is left to the library."""
     a = as_real(matrix)

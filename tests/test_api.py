@@ -33,7 +33,7 @@ MODULES = {
     ],
     "linalg": [
         "INVERSE_MAX_SWEEPS", "QL_MAX_ITERATIONS", "as_real", "tridiagonal_eigh",
-        "tridiagonal_eigvalsh", "tridiagonalize",
+        "tridiagonal_eigvalsh",
     ],
     "oracle": [
         "CollectiveOps", "MAX_DENSE_DIM", "MAX_QUBITS", "OperatorMatrix",

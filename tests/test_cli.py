@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -632,6 +633,38 @@ def test_table1_pole_prints_null_and_empty_cells(capsys):
     header, rows = parse_csv(out)
     closed = [header.index(f"closed_c{j}") for j in range(4)]
     assert [rows[1][k] for k in closed] == [""] * 4
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, as RFC 8259 does."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, undefined",
+    [
+        # the undeformed ladder of state 3 has a zero c1 amplitude
+        (["table1", "--l", "0.37", "--wq", "4096.5", "--w0", "0.37", "--eta", "1e-16"], True),
+        # no golden case prints an undefined ratio
+        *[(argv, False) for argv, fmt, _ in GOLDEN_DIGESTS if argv[0] == "table1" and fmt == "csv"],
+    ],
+)
+def test_table1_prints_undefined_ratios_as_null_and_empty_cells(capsys, argv, undefined):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    ratios = [s["undeformed_ratios"] for s in _strict_json(out)["states"]]
+    assert any(r is None for state in ratios for r in state) == undefined, ratios
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    columns = [header.index(f"ratio_c{j}") for j in (1, 2, 3)]
+    for state, row in zip(ratios, rows):
+        assert [row[k] for k in columns] == ["" if r is None else repr(r) for r in state]
+        assert all(math.isfinite(float(cell)) for cell in row[1:] if cell)
 
 
 # floats where repr switches notation (1e16, 1e-5), subnormals and the extremes

@@ -4,8 +4,18 @@
 Python lists; ``reference_forms`` keeps the array forms they replaced
 (:func:`ql_while`, :func:`lu_arrays`, :func:`lu_solve_arrays`).  Every
 comparison is by ``tobytes``: on random tridiagonals, on the ladders
-``spectrum`` builds and on the oracle's sectors.
+``spectrum`` builds and on the oracle's sectors.  A line tracer shows that
+each way ``_ql`` takes a block end from a sweep runs, and a subprocess
+under another OpenBLAS kernel checks the oracle's reduction and QL against
+their reference forms.
 """
+
+import inspect
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +24,7 @@ import qchain.linalg as linalg
 from qchain import ChainConfig
 from qchain.oracle import sector_hamiltonian
 from qchain.spectra import build_h1_matrix, subspace
-from reference_forms import lu_arrays, lu_solve_arrays, ql_while
+from reference_forms import lu_arrays, lu_solve_arrays, ql_while, tridiagonalize
 
 
 def _same(new, old) -> bool:
@@ -99,5 +109,124 @@ def test_oracle_sectors_reduce_to_the_same_eigenvalues():
     for n in range(1, 8):
         config = ChainConfig(n_qubits=n, spacing=0.37, qubit_freq=1.0, photon_freq=1.1, coupling=0.3)
         for u in np.arange(-n / 2, n / 2 + 1.5):
-            d, e = linalg.tridiagonalize(sector_hamiltonian(config, u).entries)
+            d, e = tridiagonalize(sector_hamiltonian(config, u).entries)
             _check_ql(d, e)
+
+
+def _lines_run(function, *args):
+    """The line numbers of ``function``'s own frame that run on ``args``,
+    recorded by a line tracer that this test installs and removes."""
+    code = function.__code__
+    seen = set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+def _ql_line(text):
+    """The line number of the one line of ``_ql`` that reads ``text``."""
+    lines, first = inspect.getsourcelines(linalg._ql)
+    found = [first + k for k, line in enumerate(lines) if line.strip() == text]
+    assert len(found) == 1, text
+    return found[0]
+
+
+# 2**-1064 times small integers: the rotations underflow to exactly 0
+UNDERFLOWING = ([-6.0 * 2.0**-1064, 0.0, -5.0 * 2.0**-1064], [-8.0 * 2.0**-1064, -7.0 * 2.0**-1064])
+
+
+@pytest.mark.parametrize(
+    "case, branch",
+    [
+        ("split", "end = above"),  # a rewritten off-diagonal ends the block mid-sweep
+        ("converged", "break  # converged, and m ends the block of eigenvalue l + 1"),
+        ("restart", "m = above"),  # a rotation underflowed to 0
+    ],
+)
+def test_ql_takes_each_block_end_from_the_sweep(case, branch):
+    """Each way a sweep ends a block runs, and keeps the bits of the
+    reference that scans for the block end before every sweep."""
+    if case == "restart":
+        # reached by a direct call on subnormal entries with tiny = 0; no
+        # input found through _tridiagonal, which scales every matrix into
+        # 2**(+-400) and sets tiny = eps * ||T||, reaches it
+        d, e = UNDERFLOWING
+        tiny = 0.0
+    else:
+        config = ChainConfig(n_qubits=7, spacing=0.37, qubit_freq=1.0, photon_freq=1.1, coupling=0.3)
+        d, e, tiny, _ = linalg._tridiagonal(*tridiagonalize(sector_hamiltonian(config, -2.5).entries))
+        d, e = d.tolist(), e.tolist()
+    assert _ql_line(branch) in _lines_run(linalg._ql, d, e, tiny)
+    assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))
+
+
+# every oracle sector with N <= 7, up to one photon past a full chain, at two
+# spacings, at resonance and detuned, solved under another BLAS kernel
+OTHER_KERNEL_SCRIPT = """
+import ctypes, glob, os
+import numpy as np
+import qchain.linalg as linalg
+from qchain import ChainConfig
+from qchain.oracle import sector_hamiltonian
+from reference_forms import ql_while, tridiagonalize_stack
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+core = "unknown"
+if libs:
+    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+sectors = 0
+for n in range(1, 8):
+    for spacing in (0.37, 2.0 / 3.0):
+        for photon_freq in (1.0, 1.1):
+            config = ChainConfig(n_qubits=n, spacing=spacing, qubit_freq=1.0,
+                                 photon_freq=photon_freq, coupling=0.3)
+            for u in np.arange(-n / 2, n / 2 + 1.5):
+                h = sector_hamiltonian(config, u).entries
+                reduced = linalg._tridiagonalize_in_place(h.copy())
+                reference = tridiagonalize_stack(h)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(reduced, reference)), (n, u)
+                d, e, tiny, _ = linalg._tridiagonal(*reduced)
+                values = np.array(linalg._ql(d.tolist(), e.tolist(), tiny))
+                assert values.tobytes() == np.array(ql_while(d.tolist(), e.tolist(), tiny)).tobytes()
+                sectors += 1
+print(core, sectors)
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 BLAS kernels")
+def test_oracle_kernels_keep_their_bits_under_another_blas_kernel():
+    """The oracle's reduction and QL against their reference forms in a
+    process whose OpenBLAS runs its Prescott kernels: the column step adds
+    no dependence on the kernel that the BLAS products do not have."""
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Prescott",
+        PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", OTHER_KERNEL_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    core, sectors = done.stdout.split()
+    # OpenBLAS names the kernel set that OPENBLAS_CORETYPE=Prescott selects
+    # Katmai; "unknown" where the library does not name its kernels
+    assert core in ("Prescott", "Katmai", "unknown"), core
+    assert int(sectors) == sum(n + 2 for n in range(1, 8)) * 4

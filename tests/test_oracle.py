@@ -25,7 +25,7 @@ from qchain import (
     hs_projection,
     sector_spectrum,
 )
-from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh, tridiagonalize
+from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
 from reference_forms import (
@@ -35,6 +35,7 @@ from reference_forms import (
     commutator,
     dense_operator,
     sector_hamiltonian_loop,
+    tridiagonalize,
     tridiagonalize_stack,
 )
 
