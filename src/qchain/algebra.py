@@ -3,7 +3,8 @@
 The inhomogeneous couplings cos(j*pi*l) turn the collective ladder
 commutator into [S+, S-] = 2*R*S_z with a scalar deformation factor
 R in [1/N, 1].  :func:`deformation_profile` is the one evaluator of R,
-at O(1) per spacing; :func:`deformation_factor` is its scalar form.
+at O(1) per spacing; :func:`deformation_factor`, its scalar form, only
+perfbench's worker calls.
 Alongside it sit the one deformation validator, the one spelling of the
 ladder product (r - m)(r + m + 1) and the level parabola h(m); the
 dense-matrix counterparts live in :mod:`qchain.oracle`.

@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .algebra import deformation_factor, deformation_profile, h_curve
+from .algebra import deformation_profile, h_curve
 from .config import ChainConfig, halves, twice, validate_steps
 from .crossover import crossover_point
 from .errors import (
@@ -47,16 +47,15 @@ from .errors import (
     NegativeRadicandError,
     PoleError,
 )
-from .linalg import tridiagonal_eigvalsh
+from .linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 from .oracle import sector_spectrum
 from .spectra import (
+    ExcitationSubspace,
     build_h1_matrix,
     coefficients_closed,
     coefficients_recursive,
     four_qubit_reference_coefficients,
     resonant_alternate_energies,
-    solve_dressed,
-    subspace,
     weak_coupling_energies,
 )
 
@@ -153,7 +152,7 @@ def _json(obj, indent: str) -> str:
 def _deformation_of(n: int, l: float) -> float:
     # l = 0 is the homogeneous reference case, excluded from the scalar
     # op's domain but an exact limit: R -> 1
-    return 1.0 if l == 0.0 else deformation_factor(n, l).value
+    return 1.0 if l == 0.0 else float(deformation_profile(n, l))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def _deformation_of(n: int, l: float) -> float:
 
 
 def cmd_deform(args) -> str:
-    value = deformation_factor(args.n, args.l).value
+    value = float(deformation_profile(args.n, args.l))
     if args.format == "json":
         return json_text({"n": args.n, "l": args.l, "R": value})
     return csv_lines(["N", "l", "R"], [[args.n, args.l, value]])
@@ -204,16 +203,16 @@ def cmd_spectrum(args) -> str:
     r = _spin_of(args)
     R = _deformation_of(args.n, args.l)
     detuning = args.w0 - args.wq
-    sub = subspace(args.u, r)
-    states = solve_dressed(sub, R, detuning, args.eta)
+    sub = ExcitationSubspace(args.u, r)
+    eigenvalues, vectors = tridiagonal_eigh(*build_h1_matrix(sub, R, detuning, args.eta))
+    vectors = vectors.T  # row k: state k
     has_c0 = sub.photon_numbers[0] == 0
-    values = [state.interaction_eigenvalue for state in states]
     # every E = w_q * u + v is formed by numpy, so an overflow raises under
     # main's np.errstate guard instead of printing inf
     wq_u = np.float64(args.wq) * sub.total_excitation
-    energies = (wq_u + np.array(values)).tolist()
-    vectors = np.array([state.coefficients for state in states])  # row k: state k
-    c0_is_one = [None] * len(states)
+    energies = (wq_u + eigenvalues).tolist()
+    values = eigenvalues.tolist()
+    c0_is_one = [None] * sub.dim
     if has_c0:
         # one division forms every c0 = 1 row; eta = 0 eigenstates, among
         # others, have no vacuum component and get none
@@ -222,12 +221,8 @@ def cmd_spectrum(args) -> str:
         scaled[:, 0] = 1.0
         for k, row in zip(has_vacuum.tolist(), scaled.tolist()):
             c0_is_one[k] = row
-    state_rows = [
-        {"index": k, "v": v, "E": energy, "c0_is_one": ratio, "unit_norm": coefficients}
-        for k, (v, energy, ratio, coefficients) in enumerate(
-            zip(values, energies, c0_is_one, vectors.tolist())
-        )
-    ]
+    # state k's cells, read by whichever format is printed
+    states = enumerate(zip(values, energies, c0_is_one, vectors.tolist()))
 
     weak = None
     res_canonical = None
@@ -240,7 +235,7 @@ def cmd_spectrum(args) -> str:
                 weak = None
         else:
             # the resonant levels are this ladder's eigenvalues: no second eigensolve
-            res_canonical = [row["v"] for row in state_rows]
+            res_canonical = values
             res_alternate = resonant_alternate_energies(R, args.eta).tolist()
 
     if args.format == "json":
@@ -256,7 +251,10 @@ def cmd_spectrum(args) -> str:
                 "eta": args.eta,
                 "detuning": detuning,
                 "photon_numbers": list(sub.photon_numbers),
-                "states": state_rows,
+                "states": [
+                    {"index": k, "v": v, "E": energy, "c0_is_one": ratio, "unit_norm": coefficients}
+                    for k, (v, energy, ratio, coefficients) in states
+                ],
                 "weak_coupling": weak,
                 "resonant_canonical": res_canonical,
                 "resonant_alternate": res_alternate,
@@ -272,12 +270,11 @@ def cmd_spectrum(args) -> str:
     blank_c = "," * (len(ns) - 1)
     blank_coeffs = blank_c + "," + blank_c if has_c0 else blank_c
     rows = []
-    for row in state_rows:
-        run = ",".join(map(float.__repr__, row["unit_norm"]))
+    for k, (v, energy, ratio, coefficients) in states:
+        run = ",".join(map(float.__repr__, coefficients))
         if has_c0:
-            ratio = row["c0_is_one"]
             run = (blank_c if ratio is None else ",".join(map(float.__repr__, ratio))) + "," + run
-        rows.append(["state", row["index"], row["v"], row["E"], R, run])
+        rows.append(["state", k, v, energy, R, run])
     if weak is not None:
         weak_v = (np.array(weak) - wq_u).tolist()
         for k, (v, energy) in enumerate(zip(weak_v, weak)):
@@ -301,7 +298,7 @@ def cmd_oracle_compare(args) -> str:
     )
     # the oracle's qubit cap refuses N > 12 before any parity or ladder check
     oracle = sector_spectrum(config, args.u)
-    sub = subspace(args.u, r)
+    sub = ExcitationSubspace(args.u, r)
     # only the model's energies are printed: eigenvalues alone, no vectors
     values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, args.w0 - args.wq, args.eta))
     energies = args.wq * sub.total_excitation + values
@@ -342,7 +339,7 @@ def cmd_table1(args) -> str:
     n = 4
     R = _deformation_of(n, args.l)
     detuning = args.w0 - args.wq
-    sub = subspace(1, 2)
+    sub = ExcitationSubspace(1, 2)
     values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, detuning, args.eta)).tolist()
     undeformed = tridiagonal_eigvalsh(*build_h1_matrix(sub, 1.0, detuning, args.eta)).tolist()
 

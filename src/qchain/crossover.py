@@ -227,25 +227,22 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
             f"over the cap of {MAX_SCAN_POINTS}"
         )
     num = max(int(math.ceil(span)) + 1, MIN_SCAN_POINTS)
+    step = (l_max - l_min) / (num - 1)
 
     def residual(l):
         return stationarity_residual(n, l)
 
+    def cells(c):
+        # both ends of grid cells c, formed as np.linspace forms its points
+        i = np.concatenate((c, c + 1))
+        x = np.where(i == num - 1, l_max, i * step + l_min)
+        f = residual(x)
+        return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
+
     if num == MIN_SCAN_POINTS:
-        xs = np.linspace(l_min, l_max, num)
-        fs = residual(xs)
-        a, b, fa, fb = xs[:-1], xs[1:], fs[:-1], fs[1:]
+        a, b, fa, fb = cells(np.arange(num - 1))
         estimates = np.full(a.size, np.nan)
     else:
-        step = (l_max - l_min) / (num - 1)
-
-        def cells(c):
-            # both ends of grid cells c, formed as np.linspace forms its points
-            i = np.concatenate((c, c + 1))
-            x = np.where(i == num - 1, l_max, i * step + l_min)
-            f = residual(x)
-            return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
-
         # a zero just outside the grid can still set the sign at its end
         zeros, estimates = _zero_estimates(n, l_min - step, l_max + step)
         c = np.clip(np.floor((zeros - l_min) / step).astype(np.int64), 0, num - 2)

@@ -75,15 +75,13 @@ START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 def as_real(array, what: str = "matrix") -> np.ndarray:
     """``array`` as a new finite float64 array.
 
-    A complex array is accepted only when every imaginary part is zero;
-    anything else raises :class:`InvalidParameterError` rather than being
+    The model is real, so a complex array, even one whose imaginary parts
+    are all zero, raises :class:`InvalidParameterError` rather than being
     truncated.
     """
     a = np.array(array)
     if np.iscomplexobj(a):
-        if np.any(a.imag != 0.0):
-            raise InvalidParameterError(f"{what} must be real, got nonzero imaginary parts")
-        a = a.real
+        raise InvalidParameterError(f"{what} must be real, got a complex array")
     a = np.ascontiguousarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidParameterError(f"{what} must be finite")

@@ -155,11 +155,12 @@ def _diagonal(basis: np.ndarray, values: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(basis, index, index, values)
 
 
-def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> float:
+def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     """Hilbert-Schmidt projection coefficient tr(A^T B)/tr(B^T B) of
     sigma_z onto s_z on the full tensor space, from the stored triplets:
     for the collective operators, one dot product of two diagonals.  It
-    reproduces the deformation factor.  An operator that names one entry
+    reproduces the deformation factor, as a ``np.float64`` scalar, whose
+    ``repr`` differs from a float's.  An operator that names one entry
     twice raises :class:`InvalidParameterError`: its triplets and its
     dense matrix would disagree.
     """

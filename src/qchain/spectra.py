@@ -5,7 +5,10 @@ only to n +- 1, through the deformed ladder elements, so each ladder is
 built once as the diagonal and off-diagonal (d, e) of a real symmetric
 tridiagonal matrix and diagonalized by the tridiagonal routes of
 :mod:`qchain.linalg` (implicit QL for eigenvalues, inverse iteration for
-eigenvectors).  Alongside the eigensolve this module carries the
+eigenvectors); the CLI calls ``tridiagonal_eigh(*build_h1_matrix(...))``
+itself.  :func:`solve_dressed`, :class:`DressedState` and :func:`subspace`
+wrap that call and ``ExcitationSubspace`` for perfbench's worker alone.
+Alongside the eigensolve this module carries the
 coefficient recursion, its combinatorial closed form and the 4-qubit
 special-case formulas, each an independent route to the same spectrum.
 The 4-qubit resonant levels +-sqrt((15 +- 3*sqrt(17))*R)*eta are the
@@ -48,7 +51,8 @@ __all__ = [
 ]
 
 # Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, and took
-# 2.4 / 4.3 / 5.2 s and 175 / 255 / 354 MB at dim 801 / 1001 / 1201 (2-core Xeon VM).
+# 2.9 / 4.8 / 6.7 s and 196 / 289 / 403 MB as CSV at dim 801 / 1001 / 1201 (one
+# run each, wall time and peak RSS of a `python -m qchain` child; 2-core Xeon VM).
 MAX_LADDER_DIM = 1001
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: golden bytes, exit codes, format contracts."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qchain.algebra
+import qchain.cli
 import qchain.linalg
+import qchain.spectra
 from qchain import NegativeRadicandError, PoleError, QChainError
-from qchain.cli import EXIT_CODES, json_text, main
+from qchain.cli import EXIT_CODES, EXIT_USAGE, json_text, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -732,3 +737,140 @@ def test_reused_parser_forgets_flags_of_earlier_calls(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == _fresh_process(
         chain + ["--r", "1", "--format", "json"]
     )
+
+
+def test_cli_runs_on_the_kernels_not_their_wrappers(capsys, monkeypatch):
+    """Every command calls the eigensolver, ``ExcitationSubspace`` and
+    ``deformation_profile`` directly: the CLI binds none of the wrappers
+    that only perfbench still calls, and keeps every golden digest while
+    they raise."""
+    wrappers = {
+        "solve_dressed": qchain.spectra.solve_dressed,
+        "subspace": qchain.spectra.subspace,
+        "DressedState": qchain.spectra.DressedState,
+        "deformation_factor": qchain.algebra.deformation_factor,
+    }
+    ids = {id(obj) for obj in wrappers.values()}
+    assert not [name for name, value in vars(qchain.cli).items() if name in wrappers or id(value) in ids]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wrapper was called")
+
+    monkeypatch.setattr(qchain.spectra, "solve_dressed", refuse)
+    monkeypatch.setattr(qchain.spectra, "subspace", refuse)
+    monkeypatch.setattr(qchain.algebra, "deformation_factor", refuse)
+    for argv, fmt, digest in GOLDEN_DIGESTS:
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# The flag grammar of each command, with sizes capped so that every command
+# line runs in milliseconds: ladders of at most 41 states, oracle chains of
+# at most 6 qubits, crossovers up to N = 300 and sweeps of at most 40 steps,
+# plus values beyond each cap, which are refused before any work.
+# Frequencies are decimals, as argparse reads them; the other number flags
+# also take p/q.  Spacings, R, excitations and spins are drawn mostly in
+# their domains, so that most command lines reach the solvers.
+def _mostly(usual, rare):
+    """``usual`` in about seven draws of eight, else ``rare``."""
+    return st.integers(0, 7).flatmap(lambda k: usual if k else rare)
+
+
+DECIMALS = st.floats(-8.0, 8.0).map(repr) | st.sampled_from([
+    "0", "-0.0", "5e-324", "1e-310", "1e-300", "1e300", "-1e300", "1.7e308", "1e16",
+    "1", "2", "-1", "0.5", "0.37", "-2.5", "4096.5", "1e20", "nan", "-inf",
+])
+RATIONALS = DECIMALS | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
+POSITIVE = _mostly(st.floats(0.0, 2.0, exclude_min=True).map(repr), RATIONALS)
+HALVES = _mostly(st.integers(-8, 82).map("{}/2".format), RATIONALS)
+
+
+def _integers(largest):
+    return _mostly(st.integers(-1, largest).map(str), st.sampled_from(["1000001", "1" + "0" * 30, "x"]))
+
+
+FREQUENCIES = {"--wq": DECIMALS, "--w0": DECIMALS, "--eta": DECIMALS}
+# each command's required flags, then its optional ones
+FLAG_GRAMMAR = {
+    "deform": ({"--n": _integers(50), "--l": POSITIVE}, {}),
+    "deform-sweep": (
+        {"--n": _integers(50), "--l-start": POSITIVE, "--l-end": POSITIVE, "--steps": _integers(40)},
+        {},
+    ),
+    "hcurve": (
+        {"--R": POSITIVE, "--m-min": RATIONALS, "--m-max": RATIONALS, "--steps": _integers(40)},
+        {},
+    ),
+    "spectrum": (
+        {"--n": _integers(40), "--l": POSITIVE, "--u": HALVES},
+        {"--r": HALVES, **FREQUENCIES},
+    ),
+    "oracle-compare": ({"--n": _integers(6), "--l": POSITIVE, "--u": HALVES}, FREQUENCIES),
+    "table1": ({}, {"--l": POSITIVE, **FREQUENCIES}),
+    "crossover": ({"--n": _integers(300)}, {}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(FLAG_GRAMMAR)))
+    required, optional = FLAG_GRAMMAR[command]
+    argv = [command]
+    for flag, values in required.items():
+        argv += [flag, draw(values)]
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
+    return argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refuses the command line
+            code = ("argparse", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _finite_cells(tree):
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return all(map(_finite_cells, tree))
+    return not isinstance(tree, float) or math.isfinite(tree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(command_lines())
+@example(["table1", "--l", "0.37", "--wq", "4096.5", "--w0", "0.37", "--eta", "1e-16", "--format", "json"])
+@example(["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--eta", "5e-324"])
+@example(["oracle-compare", "--n", "13", "--l", "0.3", "--u", "1"])
+@example(["crossover", "--n", "1000000"])
+@example(["deform-sweep", "--n", "4", "--l-start", "0.1", "--l-end", "1", "--steps", "1000000000"])
+def test_every_command_line_ends_in_a_whole_answer_or_one_refusal(argv):
+    """Exit 0 prints a rectangular CSV table or strict JSON with finite
+    numbers only; a refusal by ``main`` prints one stderr line and nothing
+    on stdout, under a code of ``EXIT_CODES``; argparse refuses with exit 2;
+    and the same command line gives the same bytes twice."""
+    code, out, err = result = _run_in_process(argv)
+    assert _run_in_process(argv) == result
+    if code == 0:
+        assert err == ""
+        if "json" in argv:
+            assert _finite_cells(_strict_json(out))
+        else:
+            header, rows = parse_csv(out)
+            assert all(len(row) == len(header) for row in rows)
+            for cell in (cell for row in rows for cell in row):
+                with contextlib.suppress(ValueError):  # a label such as "state"
+                    assert math.isfinite(float(cell)), cell
+    elif isinstance(code, tuple):
+        assert code == ("argparse", 2) and out == ""
+    else:
+        assert code in {EXIT_USAGE, *EXIT_CODES.values()}
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), err

@@ -545,8 +545,11 @@ def test_complex_input_is_rejected_not_truncated():
         tridiagonal_eigh([1.0, 2.0], [0.5 + 1e-3j])
     with pytest.raises(InvalidParameterError):
         dense_operator(hermitian, _basis(2))
-    # a complex dtype with zero imaginary parts is real input
-    assert tridiagonal_eigvalsh(*tridiagonalize(np.eye(2, dtype=complex))) == pytest.approx([1.0, 1.0])
+    # the model is real: a complex dtype is refused even with zero imaginary parts
+    with pytest.raises(InvalidParameterError, match="complex"):
+        tridiagonalize(np.eye(2, dtype=complex))
+    with pytest.raises(InvalidParameterError, match="complex"):
+        tridiagonal_eigvalsh([1.0 + 0j, 2.0], [0.0])
 
 
 def test_ql_iteration_cap_raises(monkeypatch):
