@@ -7,21 +7,21 @@ excitations sits at the global minimum of R over (0, 1/2], which for large N
 is the first negative lobe of the kernel near l ~ 1.43/(2N-1).
 
 Branch structure: with k = 2N - 1, the residual g of
-:func:`stationarity_residual` is odd with period 1 in l, and its zeros are
-the half-integers and j +- r_m, where r_m is the one root of
-tan(k*pi*l) = k*tan(pi*l) with k*pi*l in (m*pi, m*pi + pi/2), m = 1 ... N-2.
-So (0, 1/2] holds N - 1 stationary points: one per branch, plus l = 1/2.
+:func:`stationarity_residual` is odd with period 1 in l, so every
+stationary point is j +- p with j an integer and p in (0, 1/2].  The zeros
+in (0, 1/2] are r_m, the one root of tan(k*pi*l) = k*tan(pi*l) with
+k*pi*l in (m*pi, m*pi + pi/2), m = 1 ... N-2, and l = 1/2: N - 1
+stationary points, one per branch plus l = 1/2.
 
-The points are defined by a uniform grid: the roots refined from the grid
-cells where g changes sign, plus the grid points where g is exactly 0.
-Away from a zero of g its computed sign is exact, so only the cells around
-the zeros can hold such a cell or point.  The closed-form branch estimates
-name those cells, whose ends are formed exactly as ``np.linspace`` forms
-its points, and g is evaluated there only.  The bisection of each cell
-takes the half its estimate names wherever the midpoint lies outside a
-margin around it, and evaluates g only inside; the integers' cubic zeros,
-whose rounding noise is far wider, and a grid at its floor have no
-estimate.  The brackets are therefore those of a scan of the whole grid
+The points are defined by a uniform grid on the crossover's span: the
+roots refined from the grid cells where g changes sign, plus the grid
+points where g is exactly 0.  Away from a zero of g its computed sign is
+exact, so only the cells around the zeros can hold such a cell or point.
+The closed-form branch estimates name those cells, whose ends are formed
+exactly as ``np.linspace`` forms its points, and g is evaluated there
+only.  The bisection of each cell takes the half its estimate names
+wherever the midpoint lies outside a margin around it, and evaluates g
+only inside.  The brackets are therefore those of a scan of the whole grid
 that evaluates every midpoint, and the secant polish and dedupe give the
 same bits, at about ten evaluations per root instead of thirty.
 """
@@ -46,9 +46,6 @@ __all__ = [
 
 BISECT_WIDTH = 1e-12
 DEDUPE_TOL = 1e-10
-# Fewest grid points.  A grid at this floor can be finer than the rounding
-# noise of the residual around a zero, so it is evaluated whole.
-MIN_SCAN_POINTS = 50
 # Fixed-point steps of each branch estimate.  Each shrinks the error at least
 # 9-fold (about (1 + pi**2)-fold at large N): six leave it below 2.3e-8 of a
 # grid cell, eight reach the rounding of l (6.7e-10 of a cell at N = 10**5,
@@ -58,19 +55,14 @@ ESTIMATE_STEPS = 10
 # The bisection trusts an estimate's side of a midpoint farther from it than
 # this share of its bracket: 150 times the estimate's error up to
 # N = 10**5, and 56 times the widest offset from an estimate at which the
-# computed residual had the wrong sign, at any N up to the cap of
-# crossover_point ...
+# computed residual had the wrong sign, at any N up to the cap.  At the cap
+# it is still above the rounding of l: 1.0e-14 against 64*eps*(1/2).
 ESTIMATE_MARGIN = 1e-7
-# ... and farther than this times |l|.  Rounding moves the residual's zeros
-# and their estimates by up to about 2*eps*|l|, which grids finer than the
-# crossover's (N above ~10**6) make wider than a share of a cell.
-ROUNDING_MARGIN = 64.0 * float(np.finfo(float).eps)
-# Largest grid find_stationary_points indexes.  It evaluates the residual at
-# about 10 points per root, 1 grid point in 2; at the cap
-# (crossover_point(250000), or N = 1000 over a span of 125) a call took
-# 0.36-0.39 s and peaked 52 MB above the interpreter with numpy (2-core
-# Xeon VM).  A crossover indexes ~20*N points, so chains up to
-# N = 2.5*10**5 are admitted.
+# Largest grid find_stationary_points indexes.  Its grid has about
+# 10*(2N-1) points, so chains up to N = 2.5*10**5 are admitted.  It
+# evaluates the residual at about 10 points per root; at the cap
+# (N = 250000) a call took 0.36-0.39 s and peaked 52 MB above the
+# interpreter with numpy (2-core Xeon VM).
 MAX_SCAN_POINTS = 5_000_000
 
 
@@ -116,41 +108,32 @@ def stationarity_residual(n_qubits: int, spacing):
 def _refine_brackets(func, a, b, fa, estimates, zeros) -> np.ndarray:
     """Roots of a vectorized scalar function, ascending: bisect each
     sign-change bracket [a, b] (``fa`` the function at a) to width
-    <= 1e-12, or until the widest one stops shrinking at one ulp, polish
-    with secant steps, add the exact ``zeros`` and deduplicate within
-    1e-10, comparing each root with the last one kept.
+    <= 1e-12, polish with secant steps, add the exact ``zeros`` and
+    deduplicate within 1e-10, comparing each root with the last one kept.
 
-    ``estimates`` holds each bracket's zero to well within a margin, or
-    NaN: :data:`ESTIMATE_MARGIN` of the bracket's width, and at least
-    :data:`ROUNDING_MARGIN` times the estimate.  A midpoint farther than the
-    margin from the estimate has the sign of its side of the zero, so the
+    ``estimates`` holds each bracket's zero to well within
+    :data:`ESTIMATE_MARGIN` of the bracket's width.  A midpoint farther than
+    that from the estimate has the sign of its side of the zero, so the
     estimate picks its half; ``func`` is evaluated only at the midpoints
-    inside the margin, and at every midpoint of a bracket with a NaN
-    estimate.  The midpoints, and so the brackets, are those of a bisection
-    that evaluates every midpoint.
+    inside the margin.  The midpoints, and so the brackets, are those of a
+    bisection that evaluates every midpoint.
 
     The secant polish matters for steep residuals (large N), where a
     1e-12 interval alone still leaves |f| far above rounding noise.
     """
     if a.size:
-        margin = np.maximum(ESTIMATE_MARGIN * (b - a), ROUNDING_MARGIN * np.abs(estimates))
-        width = np.max(b - a)
+        margin = ESTIMATE_MARGIN * (b - a)
         # the sign of f at the left end never changes: a moves only to a
         # midpoint where f has that sign
-        while width > BISECT_WIDTH:
+        while np.max(b - a) > BISECT_WIDTH:
             mid = 0.5 * (a + b)
             take_left = mid > estimates
-            doubt = np.flatnonzero(~(np.abs(mid - estimates) > margin))
+            doubt = np.flatnonzero(np.abs(mid - estimates) <= margin)
             if doubt.size:
                 fm = np.asarray(func(mid[doubt]), dtype=float)
                 take_left[doubt] = fa[doubt] * fm <= 0.0
             b = np.where(take_left, mid, b)
             a = np.where(take_left, a, mid)
-            last, width = width, np.max(b - a)
-            if width == last:
-                # the widest bracket is one ulp of l wide (l above ~4096):
-                # no midpoint lies strictly inside it, so it cannot shrink
-                break
         fa = np.asarray(func(a), dtype=float)
         fb = np.asarray(func(b), dtype=float)
         x = 0.5 * (a + b)
@@ -173,60 +156,48 @@ def _refine_brackets(func, a, b, fa, estimates, zeros) -> np.ndarray:
     return np.array(deduped)
 
 
-def _zero_estimates(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every zero of :func:`stationarity_residual` on [lo, hi], ascending,
-    to within the rounding of l, and the same zeros with NaN at the
-    integers, whose cubic zeros the residual's rounding blurs far wider.
-
-    With k = 2N - 1 and t = k*l, each unit [p, p + 1) of t holds one zero,
-    except p = k - 1 (mod k).  With j, q = divmod(p, k): q = 0 is l = j;
-    q = N - 1 is l = j + 1/2; 1 <= q <= N - 2 is j + r_q; N <= q <= 2N - 3
-    is j + 1 - r_m with m = 2N - 2 - q.  On branch m, x = k*pi*r_m - m*pi is
-    the fixed point in (0, pi/2) of x -> arctan(k*tan((m*pi + x)/k)).
+def _zero_estimates(n: int) -> np.ndarray:
+    """The N - 1 zeros of :func:`stationarity_residual` in (0, 1/2],
+    ascending, to within the rounding of l: r_1 ... r_{N-2}, then 1/2.
+    With k = 2N - 1, x = k*pi*r_m - m*pi is the fixed point in (0, pi/2) of
+    x -> arctan(k*tan((m*pi + x)/k)).
     """
     k = 2 * n - 1
-    j, q = np.divmod(np.arange(math.floor(k * lo), math.floor(k * hi) + 1), k)
-    j, q = j[q != k - 1], q[q != k - 1]
-    mirrored = q >= n
-    m_pi = np.pi * np.where(mirrored, k - 1 - q, q)
-    x = np.full(q.shape, 0.5 * np.pi)
+    m_pi = np.pi * np.arange(1, n - 1)
+    x = np.full(m_pi.shape, 0.5 * np.pi)
     for _ in range(ESTIMATE_STEPS):
         x = np.arctan(k * np.tan((m_pi + x) / k))
-    r = np.where(q == 0, 0.0, np.where(q == n - 1, 0.5, (m_pi + x) / (k * np.pi)))
-    zeros = j + np.where(mirrored, 1.0 - r, r)
-    inside = (zeros >= lo) & (zeros <= hi)
-    return zeros[inside], np.where(q == 0, np.nan, zeros)[inside]
+    return np.append((m_pi + x) / (k * np.pi), 0.5)
 
 
-def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndarray:
-    """Sorted stationary points of R(N, l) on [l_min, l_max]: the roots of
-    :func:`stationarity_residual` in the cells of the grid
-    ``np.linspace(l_min, l_max, num)``, of step <= 1/(20*(2N-1)), where it
-    changes sign, refined by bisection, plus the grid points where it is
-    exactly 0.
+def find_stationary_points(n_qubits: int) -> np.ndarray:
+    """The N - 1 stationary points of R(N, l) in (0, 1/2], ascending: the
+    roots of :func:`stationarity_residual` in the cells of the grid
+    ``np.linspace(l_min, l_max, num)`` where it changes sign, refined by
+    bisection, plus the grid points where it is exactly 0.  The grid has
+    step <= 1/(20*(2N-1)); it starts at l_min = 0.1/(2N-1), below the first
+    point (~1.43/(2N-1)), and overshoots 1/2 by two steps so that l = 1/2
+    is still bracketed.
 
     Only the cells holding a zero of the residual, named by its branch
     structure, are evaluated, and their two neighbours where a cell's ends
-    show neither a sign change nor a 0; a grid of 50 points, the fewest, is
-    evaluated whole.  Each cell is bisected on the estimate of its zero,
-    which the neighbours share, and the residual is evaluated only at the
-    midpoints near it.  The result is bit-identical to a scan of the whole
-    grid that evaluates every midpoint: about 10 points per root instead of
-    31.  A grid longer than :data:`MAX_SCAN_POINTS` raises
-    :class:`CapacityError` before anything is allocated.
+    show neither a sign change nor a 0.  Each cell is bisected on the
+    estimate of its zero, which the neighbours share, and the residual is
+    evaluated only at the midpoints near it.  The result is bit-identical to
+    a scan of the whole grid that evaluates every midpoint: about 10 points
+    per root instead of 31.  A grid longer than :data:`MAX_SCAN_POINTS`
+    raises :class:`CapacityError` before anything is allocated.
     """
     n = _validate_n(n_qubits)
-    l_min = float(l_min)
-    l_max = float(l_max)
-    if not (0.0 < l_min < l_max) or not math.isfinite(l_max):
-        raise InvalidParameterError(f"need 0 < l_min < l_max, got [{l_min!r}, {l_max!r}]")
-    span = (l_max - l_min) * 20 * (2 * n - 1)  # grid steps; inf if it overflows
+    l_min = 0.1 / (2 * n - 1)
+    l_max = 0.5 + 2.0 / (20 * (2 * n - 1))
+    span = (l_max - l_min) * 20 * (2 * n - 1)  # grid steps
     if span + 1 > MAX_SCAN_POINTS:
         raise CapacityError(
-            f"scanning [{l_min!r}, {l_max!r}] for N = {n} needs {span + 1:.3g} grid points, "
+            f"the crossover of N = {n} scans {span + 1:.3g} grid points, "
             f"over the cap of {MAX_SCAN_POINTS}"
         )
-    num = max(int(math.ceil(span)) + 1, MIN_SCAN_POINTS)
+    num = int(math.ceil(span)) + 1
     step = (l_max - l_min) / (num - 1)
 
     def residual(l):
@@ -239,40 +210,32 @@ def find_stationary_points(n_qubits: int, l_min: float, l_max: float) -> np.ndar
         f = residual(x)
         return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
 
-    if num == MIN_SCAN_POINTS:
-        a, b, fa, fb = cells(np.arange(num - 1))
-        estimates = np.full(a.size, np.nan)
-    else:
-        # a zero just outside the grid can still set the sign at its end
-        zeros, estimates = _zero_estimates(n, l_min - step, l_max + step)
-        c = np.clip(np.floor((zeros - l_min) / step).astype(np.int64), 0, num - 2)
-        a, b, fa, fb = cells(c)
-        missed = (np.sign(fa) == np.sign(fb)) & (fa != 0.0)
-        if missed.any():
-            near = np.clip(c[missed, None] + np.array([-1, 1]), 0, num - 2).ravel()
-            a, b, fa, fb = (np.concatenate(ends) for ends in zip((a, b, fa, fb), cells(near)))
-            estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
+    # every zero lies at least a cell inside the grid, so every cell and its
+    # neighbours are on it
+    estimates = _zero_estimates(n)
+    c = np.floor((estimates - l_min) / step).astype(np.int64)
+    a, b, fa, fb = cells(c)
+    missed = (np.sign(fa) == np.sign(fb)) & (fa != 0.0)
+    if missed.any():
+        near = (c[missed, None] + np.array([-1, 1])).ravel()
+        a, b, fa, fb = (np.concatenate(ends) for ends in zip((a, b, fa, fb), cells(near)))
+        estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
     flips = np.sign(fa) * np.sign(fb) < 0
     zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
-    return _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
+    points = _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
+    return points[points <= 0.5 + 1e-9]
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:
     """The crossover spacing l* of an N-qubit chain: the global minimizer
     of R over the stationary points in (0, 1/2].
 
-    The scan starts below the first stationary point (~1.43/(2N-1)) and
-    overshoots 1/2 by two grid steps so a boundary extremum at exactly
-    l = 1/2 is still bracketed.  Time and memory are O(N): about 0.1-0.16 s
-    and 22 MB at N = 10**5 (2-core Xeon VM); a chain whose grid exceeds
-    :data:`MAX_SCAN_POINTS` raises :class:`CapacityError`.
+    Time and memory are O(N): about 0.1-0.16 s and 22 MB at N = 10**5
+    (2-core Xeon VM); a chain whose grid exceeds :data:`MAX_SCAN_POINTS`
+    raises :class:`CapacityError`.
     """
     n = _validate_n(n_qubits)
-    step = 1.0 / (20 * (2 * n - 1))
-    lo = 0.1 / (2 * n - 1)
-    hi = 0.5 + 2.0 * step
-    points = find_stationary_points(n, lo, hi)
-    points = points[points <= 0.5 + 1e-9]
+    points = find_stationary_points(n)
     if points.size == 0:
         raise InvalidParameterError(f"no stationary points found in (0, 1/2] for N = {n}")
     values = deformation_profile(n, points)

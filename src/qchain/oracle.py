@@ -49,9 +49,9 @@ class OperatorMatrix:
     (photon number, occupation): bit j of the occupation set means qubit j
     excited.  Every basis built here is photon-major, occupations
     ascending.  ``rows`` and ``cols`` index the basis and name each entry
-    at most once; ``values`` must be finite, and complex values need zero
-    imaginary parts.  Symmetry is not checked here: :func:`eigvalsh`
-    checks it when it reduces the matrix.
+    at most once; ``values`` must be real and finite (a complex array is
+    refused, even with zero imaginary parts).  Symmetry is not checked
+    here: :func:`eigvalsh` checks it when it reduces the matrix.
     """
 
     def __init__(self, basis, rows, cols, values):

@@ -14,9 +14,8 @@ bits the library's list forms keep.
 References for the stationary points, which the library finds from
 their branch structure: the full grid scan :func:`bracketed_roots`, whose
 bisection :func:`refine_brackets` evaluates every midpoint, and
-:func:`scanned_stationary_points` and :func:`scanned_crossover`, which
-scan the grids of :func:`qchain.find_stationary_points` and
-:func:`qchain.crossover_point` whole.
+:func:`scanned_crossover`, which scans the grid of
+:func:`qchain.find_stationary_points` whole.
 
 Forms that no command prints and only the tests check: the Chebyshev
 stationarity residual, the ladder's characteristic polynomial, the
@@ -277,16 +276,14 @@ def chebyshev_residual(n_qubits: int, spacing):
 def refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
     """Roots of a vectorized scalar function, ascending: bisect each
     sign-change bracket [a, b] (``fa``, ``fb`` the function at its ends),
-    evaluating every midpoint, to width <= 1e-12, or until the widest one
-    stops shrinking at one ulp, polish with secant steps, add the exact
-    ``zeros`` and deduplicate within 1e-10, one root at a time.  The
-    reference for :func:`qchain.crossover._refine_brackets`, which trusts
-    the branch estimates of the zeros away from them.
+    evaluating every midpoint, to width <= 1e-12, polish with secant steps,
+    add the exact ``zeros`` and deduplicate within 1e-10, one root at a
+    time.  The reference for :func:`qchain.crossover._refine_brackets`,
+    which trusts the branch estimates of the zeros away from them.
     """
     roots = zeros.tolist()
     if a.size:
-        width = np.max(b - a)
-        while width > BISECT_WIDTH:
+        while np.max(b - a) > BISECT_WIDTH:
             mid = 0.5 * (a + b)
             fm = np.asarray(func(mid), dtype=float)
             take_left = fa * fm <= 0.0
@@ -294,11 +291,6 @@ def refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:
             fb = np.where(take_left, fm, fb)
             a = np.where(take_left, a, mid)
             fa = np.where(take_left, fa, fm)
-            last, width = width, np.max(b - a)
-            if width == last:
-                # the widest bracket is one ulp of l wide (l above ~4096):
-                # no midpoint lies strictly inside it, so it cannot shrink
-                break
         x = 0.5 * (a + b)
         for _ in range(4):
             df = fb - fa
@@ -339,20 +331,14 @@ def bracketed_roots(func, lo: float, hi: float, num_points: int) -> np.ndarray:
     return refine_brackets(func, xs[idx], xs[idx + 1], fs[idx], fs[idx + 1], xs[fs == 0.0])
 
 
-def scanned_stationary_points(n_qubits, l_min, l_max) -> np.ndarray:
-    """:func:`qchain.find_stationary_points` by the full scan of its grid:
-    20*(2N-1) points per unit of l, at least 50."""
-    num = int(math.ceil((l_max - l_min) * 20 * (2 * n_qubits - 1))) + 1
-    return bracketed_roots(
-        lambda l: stationarity_residual(n_qubits, l), l_min, l_max, max(num, 50)
-    )
-
-
 def scanned_crossover(n_qubits) -> tuple[np.ndarray, float]:
     """The stationary points in (0, 1/2] and l* of
-    :func:`qchain.crossover_point` by the full scan of its interval."""
+    :func:`qchain.crossover_point` by the full scan of its grid, 20*(2N-1)
+    points per unit of l from 0.1/(2N-1) to two steps past 1/2."""
     k = 2 * n_qubits - 1
-    points = scanned_stationary_points(n_qubits, 0.1 / k, 0.5 + 2.0 / (20 * k))
+    l_min, l_max = 0.1 / k, 0.5 + 2.0 / (20 * k)
+    num = int(math.ceil((l_max - l_min) * 20 * k)) + 1
+    points = bracketed_roots(lambda l: stationarity_residual(n_qubits, l), l_min, l_max, num)
     points = points[points <= 0.5 + 1e-9]
     return points, float(points[np.argmin(deformation_profile(n_qubits, points))])
 

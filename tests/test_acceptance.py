@@ -257,7 +257,9 @@ def test_criterion_13():
     h = 1e-7
     for n in (2, 4, 8):
         num = int(math.ceil(0.98 * 20 * (2 * n - 1))) + 1
-        trig = find_stationary_points(n, 0.01, 0.99)
+        # R is even with period 1: its stationary points on (0, 1) are p and 1 - p
+        points = find_stationary_points(n)
+        trig = np.union1d(points, 1.0 - points)
         cheb = bracketed_roots(lambda l: chebyshev_residual(n, l), 0.01, 0.99, num)
 
         def fd_derivative(l, n=n):

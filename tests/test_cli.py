@@ -157,6 +157,21 @@ def test_spectrum_weak_coupling_column_tracks_states(capsys):
     assert np.abs(np.array(approx) - np.array(exact)).max() <= tol
 
 
+def test_spectrum_drops_the_weak_coupling_levels_it_cannot_form(capsys):
+    # at eta = 0.1 and detuning 0.1 the quartic's radicand is negative: the
+    # weak-coupling levels are left out, the exact states are still printed
+    argv = ("spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--w0", "1.1", "--eta", "0.1")
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["weak_coupling"] is None
+    assert len(doc["states"]) == 4
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["state"] * 4
+
+
 def test_spectrum_json_shape(capsys):
     code, out = run_cli(
         capsys,
@@ -315,6 +330,14 @@ def test_oracle_compare_capacity_exit_code(capsys):
 def test_non_convergence_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(qchain.linalg, "QL_MAX_ITERATIONS", 0)
     code, out = run_cli(capsys, "oracle-compare", "--n", "4", "--l", "0.5", "--u", "1")
+    assert code == 5
+    assert out == ""
+
+
+def test_inverse_iteration_non_convergence_exit_code(capsys, monkeypatch):
+    # no residual is at most a negative tolerance, so every sweep fails
+    monkeypatch.setattr(qchain.linalg, "RESIDUAL_TOL", -1.0)
+    code, out = run_cli(capsys, "spectrum", "--n", "4", "--l", "2/3", "--u", "1")
     assert code == 5
     assert out == ""
 

@@ -1,10 +1,8 @@
 """Stationarity residuals, root finding, and the crossover report."""
 
-import signal
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
@@ -22,7 +20,6 @@ from reference_forms import (
     bracketed_roots,
     chebyshev_residual,
     scanned_crossover,
-    scanned_stationary_points,
 )
 
 
@@ -86,20 +83,19 @@ def test_chebyshev_residual_polynomial_degree():
 
 def test_chebyshev_and_trig_roots_coincide():
     for n in (2, 4, 8):
-        trig = find_stationary_points(n, 0.01, 0.99)
+        trig = find_stationary_points(n)
         num = int(np.ceil(0.98 * 20 * (2 * n - 1))) + 1
         cheb = bracketed_roots(lambda l: chebyshev_residual(n, l), 0.01, 0.99, num)
+        cheb = cheb[cheb <= 0.5 + 1e-9]
         assert trig.size == cheb.size
         assert np.abs(trig - cheb).max() <= 1e-9
 
 
 def test_find_stationary_points_basics():
-    roots = find_stationary_points(2, 0.01, 0.99)
+    roots = find_stationary_points(2)
     assert roots == pytest.approx([0.5], abs=1e-10)
     with pytest.raises(InvalidParameterError):
-        find_stationary_points(1, 0.01, 0.99)
-    with pytest.raises(InvalidParameterError):
-        find_stationary_points(4, 0.5, 0.1)
+        find_stationary_points(1)
     with pytest.raises(InvalidParameterError):
         bracketed_roots(np.sin, 2.0, 1.0, 10)
 
@@ -112,93 +108,32 @@ def test_crossover_point_is_the_full_scan_bit_for_bit():
         assert report.crossover_spacing == l_star, n
 
 
-@pytest.mark.parametrize("l_min, l_max", [(0.01, 0.99), (0.001, 0.999), (0.3, 2.7)])
-def test_stationary_points_are_the_full_scan_bit_for_bit(l_min, l_max):
-    for n in range(2, 400, 17):
-        found = find_stationary_points(n, l_min, l_max)
-        assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max)), n
-
-
-def _give_up(signum, frame):
-    raise TimeoutError("the bisection did not end")
-
-
-def test_bisection_ends_on_brackets_one_ulp_wide():
-    """Above l ~ 4096 one ulp of l is wider than the bisection width, so
-    a bracket there stops shrinking at one ulp; the bisection must still end."""
-    previous = signal.signal(signal.SIGALRM, _give_up)
-    signal.alarm(10)
-    try:
-        found = find_stationary_points(2, 8200.1, 8201)
-        scanned = scanned_stationary_points(2, 8200.1, 8201)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    # N = 2 has its stationary points at the half-integers
-    assert found == pytest.approx([8200.5, 8201.0], abs=1e-4)
-    assert np.array_equal(found, scanned)
-
-
 def test_large_spacings_keep_their_cubic_zeros():
-    """The zero at l = 8201 is cubic; were pi*l formed before l is reduced
-    modulo the period, its rounding would move the zero by ~1e-5."""
-    assert find_stationary_points(2, 8200.1, 8201).tolist() == [8200.5, 8201.0]
-
-
-spacings = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+    """g has period 1, so it is evaluated at the fractional part of l; were
+    pi*l formed before l is reduced, its rounding would move the cubic zero
+    at l = 8201 by ~1e-5."""
+    fractions = np.arange(1, 64) / 64.0
+    for n in (2, 5, 40):
+        reduced = stationarity_residual(n, fractions)
+        for j in (1, 17, 8200):
+            # j + f is exact, and so is its fractional part
+            assert np.array_equal(stationarity_residual(n, j + fractions), reduced), (n, j)
+    assert stationarity_residual(2, 8201.0) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 3000), ends=st.lists(spacings, min_size=2, max_size=2, unique=True))
-def test_stationary_points_follow_the_branch_structure(n, ends):
+@given(n=st.integers(2, 3000))
+def test_stationary_points_follow_the_branch_structure(n):
     # (0, 1/2] holds one point on each branch m*pi < k*pi*l < m*pi + pi/2,
-    # m = 1 ... N-2, then l = 1/2; on any interval the points are the scan's
+    # m = 1 ... N-2, then l = 1/2: the points of the full scan
     k = 2 * n - 1
-    points = crossover_point(n).stationary_points
+    points = find_stationary_points(n)
     assert points.size == n - 1
     branch = k * np.pi * points[:-1]
     m_pi = np.pi * np.arange(1, n - 1)
     assert np.all((m_pi < branch) & (branch < m_pi + np.pi / 2))
     assert points[-1] == pytest.approx(0.5, abs=1e-12)
-    l_min, l_max = sorted(ends)
-    found = find_stationary_points(n, l_min, l_max)
-    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(2, 3000),
-    pick=st.floats(0.0, 1.0),
-    at_margin=st.sampled_from([-1, 0, 1]),
-    ulps=st.integers(-4, 4),
-    other=spacings,
-)
-def test_interval_ends_next_to_a_zero_keep_the_scan_bits(n, pick, at_margin, ulps, other):
-    """One end a few ulps from a stationary point, or from the edge of the
-    margin around it inside which the bisection evaluates the residual."""
-    points = crossover_point(n).stationary_points
-    zero = points[int(pick * (points.size - 1))]
-    cell = 1.0 / (20 * (2 * n - 1))
-    end = zero + at_margin * ESTIMATE_MARGIN * cell + ulps * np.spacing(zero)
-    assume(end != other)
-    l_min, l_max = sorted((end, other))
-    found = find_stationary_points(n, l_min, l_max)
-    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
-
-
-@pytest.mark.parametrize(
-    "n, l_min, span",
-    [
-        (64008853, 0.34759683741231095, 4.871222372021426e-05),
-        (212961166, 0.4534383213546299, 1.7767293207089906e-05),
-    ],
-)
-def test_grids_finer_than_the_rounding_of_l_keep_the_scan_bits(n, l_min, span):
-    """At N ~ 10**8 a tenth of a millionth of a cell is below the rounding of
-    l, so the margin grows with |l| to cover it."""
-    l_max = l_min + span
-    found = find_stationary_points(n, l_min, l_max)
-    assert np.array_equal(found, scanned_stationary_points(n, l_min, l_max))
+    assert np.array_equal(points, scanned_crossover(n)[0])
 
 
 def test_crossover_evaluates_the_residual_near_its_zeros_only(monkeypatch):
@@ -220,7 +155,9 @@ def test_crossover_evaluates_the_residual_near_its_zeros_only(monkeypatch):
 
 def test_root_count_matches_finite_difference_oracle():
     n = 4
-    roots = find_stationary_points(n, 0.001, 0.999)
+    # R is even with period 1: the points on (0, 1) are p and 1 - p
+    points = find_stationary_points(n)
+    roots = np.union1d(points, 1.0 - points)
     grid = np.linspace(0.001, 0.999, 100000)
     h = 1e-7
     deriv = (deformation_profile(n, grid + h) - deformation_profile(n, grid - h)) / (2 * h)
@@ -236,7 +173,7 @@ def test_root_count_matches_finite_difference_oracle():
 
 def test_residual_invariants_at_reported_roots():
     for n in (2, 4, 8, 30):
-        roots = find_stationary_points(n, 0.01, 0.99)
+        roots = find_stationary_points(n)
         g = np.abs(stationarity_residual(n, roots))
         assert g.max() <= 1e-10
         cheb = np.abs(chebyshev_residual(n, roots))
@@ -288,8 +225,24 @@ def test_crossover_n_100000_stays_linear():
 def test_oversized_scans_are_refused_before_allocating():
     with pytest.raises(CapacityError):
         crossover_point(10**9)
-    with pytest.raises(CapacityError):
-        find_stationary_points(4, 0.1, 1e308)
+
+
+def test_the_estimate_margin_covers_the_rounding_of_l_up_to_the_cap(monkeypatch):
+    """N = 250000 is the largest chain the cap admits.  Its grid cells are
+    the finest, and the margin around each estimate is still wider than the
+    rounding of l, up to 64 ulps at 1/2."""
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
     n = MAX_SCAN_POINTS // 20
+    monkeypatch.setattr(crossover, "_zero_estimates", admitted)
+    with pytest.raises(Admitted):
+        find_stationary_points(n)
     with pytest.raises(CapacityError):
-        find_stationary_points(n, 0.1, 0.9)
+        find_stationary_points(n + 1)
+    cell = 1.0 / (20 * (2 * n - 1))
+    assert ESTIMATE_MARGIN * cell >= 64 * np.finfo(float).eps * 0.5

@@ -500,6 +500,26 @@ def test_wilkinson_w21_close_pairs_stay_orthogonal():
     _assert_eigenpairs(d, e, values, vectors)
 
 
+def test_wilkinson_w31_coincident_pair_gets_distinct_shifts():
+    # the top pair of W31+ is closer than dstein's PERTOL, 10*eps*||T||, so
+    # inverse iteration must shift the second value off the first
+    d = np.abs(np.arange(31) - 15.0)
+    e = np.ones(30)
+    values, vectors = tridiagonal_eigh(d, e)
+    assert np.diff(values)[-1] < 10.0 * qchain.linalg.EPS * qchain.linalg._norm(d, e)
+    assert values.tobytes() == tridiagonal_eigvalsh(d, e).tobytes()
+    assert np.abs(vectors.T @ vectors - np.eye(31)).max() <= 1e-12 * 31
+    _assert_eigenpairs(d, e, values, vectors)
+
+
+def test_tridiagonal_lengths_must_match():
+    for solve in (tridiagonal_eigvalsh, tridiagonal_eigh):
+        with pytest.raises(InvalidParameterError, match="off-diagonal of length n-1"):
+            solve([1.0, 2.0, 3.0], [0.5])
+        with pytest.raises(InvalidParameterError, match="off-diagonal of length n-1"):
+            solve([1.0, 2.0], [0.5, 0.5])
+
+
 def test_highly_degenerate_eigenvalue_converges():
     # a 30-fold zero eigenvalue leaves a block of rounding-level entries
     # after Householder; QL must deflate it against ||T||, not against its
@@ -550,6 +570,8 @@ def test_complex_input_is_rejected_not_truncated():
         tridiagonalize(np.eye(2, dtype=complex))
     with pytest.raises(InvalidParameterError, match="complex"):
         tridiagonal_eigvalsh([1.0 + 0j, 2.0], [0.0])
+    with pytest.raises(InvalidParameterError, match="complex"):
+        OperatorMatrix(_basis(2), [0, 1], [0, 1], np.array([1.0, 2.0], dtype=complex))
 
 
 def test_ql_iteration_cap_raises(monkeypatch):
