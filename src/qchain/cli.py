@@ -20,7 +20,10 @@ each refusal to its code.  Exit 4 comes before any large allocation: a
 ladder over 1001 states, an oracle over 12 qubits, a sweep over 10^6
 steps, or a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
 Every CSV cell is a float, int, str or None, each rendered by its own
-type.
+type.  A command line that starts with a command name is parsed once,
+by that command's own sub-parser, so an unrecognized flag is refused
+with exit 2 under the command's own usage line; any other command line
+goes to the full parser, which prints help or refuses it.
 """
 
 from __future__ import annotations
@@ -443,7 +446,14 @@ def _add_chain_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser of the full command line; ``main`` builds one per process."""
+    """A fresh parser of the full command line; ``main`` keeps one per
+    process, with the sub-parser of each command."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A fresh parser of the full command line, and its sub-parser of each
+    command by name."""
     parser = argparse.ArgumentParser(
         prog="qchain",
         description="Deformed collective-spin spectra of an inhomogeneously coupled qubit chain.",
@@ -498,18 +508,31 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse alone takes only plain negative decimals such as -0.5 for values;
         # take every negative number ``rational`` accepts (-1/2, -1e-1, -inf) too
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # parse_args never changes the parser: every call starts from a fresh
-    # namespace, so one parser serves all the calls of a process
-    return build_parser()
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # parse_args never changes a parser: every call starts from a fresh
+    # namespace, so one set of parsers serves all the calls of a process
+    return _build_parsers()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The flags of one command line, parsed once: by the named command's
+    own sub-parser, which the full parser would hand every token after the
+    name to anyway.  Any other command line (none, ``-h``, an unknown
+    command) goes to the full parser, which prints help or refuses it."""
+    parser, commands = _shared_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse(argv)
     for dest, value in vars(args).items():
         # refused here, with the flag's name, before numpy warns about it
         if isinstance(value, float) and not math.isfinite(value):

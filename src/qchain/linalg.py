@@ -25,7 +25,10 @@ A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
 exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
-range.  So no square of an entry overflows, and none underflows unless
+range.  A dense matrix is scaled once: its reduction hands the scaled
+(d, e) straight to QL, without the copy, checks and second scaling of
+:func:`tridiagonal_eigvalsh`, and only the eigenvalues are scaled back.
+So no square of an entry overflows, and none underflows unless
 the entries span more than 2**111 (2**511 once scaled); inside the safe
 range nothing is scaled, and outside it, as a power of two commutes with
 rounding in the normal range, no bit moves either.  ``np.ldexp`` scales
@@ -96,14 +99,16 @@ def _scale_exponent(top: float) -> int:
     return scale if abs(scale) > SAFE_EXPONENT else 0
 
 
-def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Householder reduction of the real symmetric finite float64 array
     ``a`` to tridiagonal form, overwriting ``a``: for callers that form
     the matrix for the reduction alone.
 
-    Returns the diagonal d and the off-diagonal e of Q^T A Q; the
-    eigenvalues are unchanged and Q is not formed.  Each column costs one
-    matrix-vector product and one rank-2 update, a single BLAS product.
+    Returns the diagonal d and the off-diagonal e of Q^T A Q, which has
+    the eigenvalues of A, scaled by 2**-scale (see :func:`_scale_exponent`),
+    and scale: QL runs on the scaled (d, e), and only its eigenvalues are
+    scaled back.  Q is not formed.  Each column costs one matrix-vector
+    product and one rank-2 update, a single BLAS product.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {a.shape}")
@@ -158,9 +163,7 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e[shifted] = np.ldexp(e[shifted], -UNDERFLOW_SHIFT)
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
-    if scale:
-        return np.ldexp(a.diagonal(), scale), np.ldexp(e, scale, out=e)
-    return a.diagonal().copy(), e
+    return a.diagonal().copy(), e, scale
 
 
 def _norm(d: np.ndarray, e: np.ndarray) -> float:

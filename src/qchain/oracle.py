@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
-from .linalg import _tridiagonalize_in_place, as_real, tridiagonal_eigvalsh
+from .linalg import EPS, _norm, _ql, _tridiagonalize_in_place, as_real
 
 __all__ = [
     "MAX_QUBITS",
@@ -50,8 +50,10 @@ class OperatorMatrix:
     excited.  Every basis built here is photon-major, occupations
     ascending.  ``rows`` and ``cols`` index the basis and name each entry
     at most once; ``values`` must be real and finite (a complex array is
-    refused, even with zero imaginary parts).  Symmetry is not checked
-    here: :func:`eigvalsh` checks it when it reduces the matrix.
+    refused, even with zero imaginary parts).  Repeated entries and
+    symmetry are not checked here: :attr:`entries` refuses two values for
+    one entry, and :func:`eigvalsh` checks symmetry when it reduces the
+    matrix.
     """
 
     def __init__(self, basis, rows, cols, values):
@@ -82,9 +84,15 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense float64 matrix, formed anew on each access."""
+        """The dense float64 matrix, formed anew on each access.  Raises
+        :class:`InvalidParameterError` if two triplets give one entry two
+        values, as numpy does not say which of them it would keep."""
         entries = np.zeros((self.dim, self.dim))
         entries[self.rows, self.cols] = self.values
+        # of two triplets that name one entry, numpy keeps either value;
+        # a byte compare is the cheapest test that every value came back
+        if entries[self.rows, self.cols].tobytes() != self.values.tobytes():
+            raise InvalidParameterError("an operator names one (row, column) entry twice")
         return entries
 
 
@@ -230,6 +238,16 @@ def sector_spectrum(config: ChainConfig, total_excitation) -> np.ndarray:
 def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
     Householder reduction and implicit QL; no eigenvectors are formed.
-    Raises :class:`InvalidParameterError` if the operator is not symmetric."""
+    Raises :class:`InvalidParameterError` if the operator is not symmetric.
+
+    The matrix is scaled once, by the reduction: QL runs on the scaled
+    (d, e) it returns, and the eigenvalues alone are scaled back.  QL
+    never computes with an off-diagonal at or below its threshold, so the
+    zeroing that :func:`tridiagonal_eigvalsh` adds moves no bit.  Nor are
+    (d, e) scaled back, so none is rounded to a subnormal, and 2**p * H
+    solves to 2**p times the eigenvalues of H bit for bit even at
+    p = -1000.
+    """
     # the dense matrix is formed anew for this solve, so it is reduced in place
-    return tridiagonal_eigvalsh(*_tridiagonalize_in_place(operator.entries))
+    d, e, scale = _tridiagonalize_in_place(operator.entries)
+    return np.ldexp(_ql(d.tolist(), e.tolist(), EPS * _norm(d, e)), scale)

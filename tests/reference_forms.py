@@ -127,8 +127,10 @@ def h1_matrix_dense(sub, deformation, detuning, coupling):
 def tridiagonalize(matrix):
     """Householder reduction of a real symmetric matrix to its tridiagonal
     (d, e), as the oracle runs it, on the copy :func:`as_real` makes, so
-    ``matrix`` is left as it is."""
-    return _tridiagonalize_in_place(as_real(matrix))
+    ``matrix`` is left as it is; (d, e) are scaled back to ``matrix``'s
+    own scale."""
+    d, e, scale = _tridiagonalize_in_place(as_real(matrix))
+    return np.ldexp(d, scale), np.ldexp(e, scale)
 
 
 def tridiagonalize_stack(matrix):

@@ -500,7 +500,47 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["deform", "--n", "4", "--l", "0.5", "--bogus", "1"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    # refused by the command's own parser, under its own usage line
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qchain deform ")
+    assert captured.err.endswith("qchain deform: error: unrecognized arguments: --bogus 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [([], 2), (["-h"], 0), (["--help"], 0), (["bogus"], 2), (["--format", "json", "deform"], 2),
+     (["spectrum", "--bogus", "1"], 2), (["spectrum", "-h"], 0)],
+)
+def test_help_and_refusals_keep_their_exit_codes(capsys, argv, code):
+    """Help exits 0 on stdout; a refusal exits 2 with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith("usage: qchain") and captured.err == ""
+    else:
+        assert captured.out == "" and "error:" in captured.err
+
+
+def _namespace_or_refusal(parser, argv):
+    """The parsed flags of ``argv`` as reprs, or argparse's exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            flags = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("argparse", exc.code)
+    # repr, so that two nan flags compare equal
+    return {dest: repr(value) for dest, value in flags.items()}
+
+
+def _parsed_by_command_and_by_full_parser(argv):
+    full = _namespace_or_refusal(qchain.cli.build_parser(), argv)
+    if isinstance(full, dict):
+        assert full.pop("command") == repr(argv[0])
+    _, commands = qchain.cli._shared_parsers()
+    return _namespace_or_refusal(commands[argv[0]], argv[1:]), full
 
 
 def test_byte_determinism(capsys):
@@ -651,6 +691,12 @@ def test_golden_output_digests(capsys, argv, fmt, digest):
     code, out = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_command_parser_reads_each_golden_command_line_as_the_full_parser():
+    for argv, fmt, _ in GOLDEN_DIGESTS:
+        by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv + ["--format", fmt])
+        assert isinstance(by_command, dict) and by_command == by_full_parser, argv
 
 
 def test_table1_pole_prints_null_and_empty_cells(capsys):
@@ -837,16 +883,32 @@ FLAG_GRAMMAR = {
 
 @st.composite
 def command_lines(draw):
+    """A command line of the grammar; about one in eight omits one of the
+    command's required flags, and about one in eight adds a flag that no
+    command has."""
     command = draw(st.sampled_from(sorted(FLAG_GRAMMAR)))
     required, optional = FLAG_GRAMMAR[command]
+    missing = draw(_mostly(st.none(), st.sampled_from(sorted(required)) if required else st.none()))
     argv = [command]
     for flag, values in required.items():
-        argv += [flag, draw(values)]
+        if flag != missing:
+            argv += [flag, draw(values)]
     for flag, values in optional.items():
         if draw(st.booleans()):
             argv += [flag, draw(values)]
     argv += draw(st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]))
-    return argv
+    unknown = draw(_mostly(st.just([]), st.sampled_from([["--bogus", "1"], ["--bogus"], ["-x"]])))
+    position = draw(st.integers(1, len(argv)))
+    return argv[:position] + unknown + argv[position:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_lines())
+def test_command_parser_reads_every_command_line_as_the_full_parser(argv):
+    """The command's own parser gives the full parser's flags, less the
+    command name, and refuses what the full parser refuses, with exit 2."""
+    by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv)
+    assert by_command == by_full_parser
 
 
 def _run_in_process(argv):

@@ -199,7 +199,7 @@ for n in range(1, 8):
                                  photon_freq=photon_freq, coupling=0.3)
             for u in np.arange(-n / 2, n / 2 + 1.5):
                 h = sector_hamiltonian(config, u).entries
-                reduced = linalg._tridiagonalize_in_place(h.copy())
+                reduced = linalg._tridiagonalize_in_place(h.copy())[:2]  # (d, e): no sector here is scaled
                 reference = tridiagonalize_stack(h)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(reduced, reference)), (n, u)
                 d, e, tiny, _ = linalg._tridiagonal(*reduced)

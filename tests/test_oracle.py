@@ -169,6 +169,20 @@ def test_hs_projection_refuses_an_entry_named_twice():
         hs_projection(ops.s_z, twice)
 
 
+def test_dense_matrix_refuses_two_values_for_one_entry():
+    """numpy keeps one of two values scattered to one entry, and does not
+    say which: the dense matrix, and so the solve, refuses them."""
+    twice = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0])
+    with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
+        twice.entries
+    with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
+        eigvalsh(twice)
+    # one value named twice gives back the same matrix
+    same = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [2.0, 2.0, 1.0])
+    assert np.array_equal(same.entries, np.diag([2.0, 1.0]))
+    assert eigvalsh(same).tolist() == [1.0, 2.0]
+
+
 def test_decoupled_hamiltonian_is_diagonal():
     cfg = _config(3, 0.4, wq=0.9, w0=1.7, eta=0.0)
     h = build_hamiltonian(cfg, 2)
@@ -328,6 +342,27 @@ def test_eigh_diagonal_and_swap():
     assert tridiagonal_eigvalsh(*tridiagonalize(swap)) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
 
+def test_reduction_refuses_a_non_square_matrix():
+    for shape in ((2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(InvalidParameterError, match="matrix must be square"):
+            tridiagonalize(np.zeros(shape))
+
+
+def test_non_finite_input_is_refused():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match="matrix must be finite"):
+            qchain.linalg.as_real([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(InvalidParameterError, match="diagonal must be finite"):
+            tridiagonal_eigvalsh([1.0, bad], [0.5])
+
+
+@pytest.mark.parametrize("name", ["spacing", "qubit_freq", "photon_freq"])
+def test_chain_config_refuses_non_finite_parameters(name):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            ChainConfig(**{"n_qubits": 2, "spacing": 0.3, name: bad})
+
+
 def test_eigvalsh_rejects_non_symmetric_operator():
     op = dense_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2))
     with pytest.raises(InvalidParameterError):
@@ -336,14 +371,24 @@ def test_eigvalsh_rejects_non_symmetric_operator():
         tridiagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _sector_matrices():
+def _sector_matrices(w0=1.15):
     """The dense Hamiltonian of every excitation sector of N <= 7 qubits
     (u + N/2 = 0..N; above N the dimension stays 2^N) at four spacings."""
     for n in range(1, 8):
         for l in (0.37, 2.0 / 3.0, 1.4, 0.0):
-            cfg = _config(n, l, wq=1.0, w0=1.15, eta=0.3)
+            cfg = _config(n, l, wq=1.0, w0=w0, eta=0.3)
             for n_max in range(n + 1):
                 yield sector_hamiltonian(cfg, n_max - n / 2.0)
+
+
+def test_eigvalsh_runs_ql_on_its_own_reduction_bit_for_bit():
+    """QL on the reduction's scaled (d, e), with no second scaling and no
+    zeroing of negligible off-diagonals, gives the bits of the checked
+    tridiagonal route on every resonant sector of N <= 7; the test below
+    checks the detuned ones."""
+    for op in _sector_matrices(w0=1.0):
+        checked = tridiagonal_eigvalsh(*tridiagonalize(op.entries))
+        assert eigvalsh(op).tobytes() == checked.tobytes(), op.dim
 
 
 def _random_symmetric(rng):
@@ -459,8 +504,16 @@ def test_far_matrices_solve_to_scaled_bits(power):
         a = rng.normal(size=(n, n))
         reduced = tridiagonalize(a + a.T)
         far_reduced = tridiagonalize(np.ldexp(a + a.T, power))
-        for far, near in zip(far_reduced, reduced):
+        for far, near in zip(far_reduced, reduced, strict=True):
             assert far.tobytes() == np.ldexp(near, power).tobytes()
+        op = dense_operator(a + a.T, _basis(n))
+        far_op = OperatorMatrix(op.basis, op.rows, op.cols, np.ldexp(op.values, power))
+        assert eigvalsh(far_op).tobytes() == np.ldexp(eigvalsh(op), power).tobytes()
+    for n in range(1, 6):
+        for n_max in range(n + 1):
+            op = sector_hamiltonian(_config(n, 0.37, wq=1.0, w0=1.15, eta=0.3), n_max - n / 2.0)
+            far_op = OperatorMatrix(op.basis, op.rows, op.cols, np.ldexp(op.values, power))
+            assert eigvalsh(far_op).tobytes() == np.ldexp(eigvalsh(op), power).tobytes(), op.dim
 
 
 def test_ascending_order_and_sign_rule():
