@@ -5,14 +5,15 @@ qubit (x) Fock space.
 Operators are real (the couplings are real cosines under the
 rotating-wave approximation), live on integer (photon number,
 occupation) bases and are stored as their nonzero (row, column, value)
-triplets, the one form :class:`OperatorMatrix` is built from.  One
-private builder makes every Hamiltonian; the tests run it on a
-truncated Fock space as well.  Sector spectra come from the dense
-matrix, formed for the solve only, by the in-house Householder +
-implicit QL eigensolver of :mod:`qchain.linalg`, which also checks its
-symmetry, so every closed-form result in the package can be checked
-against something that knows nothing about the deformed algebra.
-Desk-scale verification only: <= 12 qubits, so dense dims <= 4096.
+triplets, the one form :class:`OperatorMatrix` is built from; it refuses
+an entry named twice.  One private builder makes every Hamiltonian; the
+tests run it on a truncated Fock space as well.  Sector spectra come
+from the dense matrix, formed for the solve only, by the in-house
+Householder + implicit QL eigensolver of :mod:`qchain.linalg`, once
+:func:`eigvalsh` has checked symmetry on the triplets, so every
+closed-form result in the package can be checked against something that
+knows nothing about the deformed algebra.  Desk-scale verification only:
+<= 12 qubits, so no basis holds more than 4096 states.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import numpy as np
 
 from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
-from .linalg import EPS, _norm, _ql, _tridiagonalize_in_place, as_real
+from .linalg import _eigvalsh_in_place, as_real
 
 __all__ = [
     "MAX_QUBITS",
-    "MAX_DENSE_DIM",
     "OperatorMatrix",
     "CollectiveOps",
     "build_collective_ops",
@@ -37,9 +37,7 @@ __all__ = [
 ]
 
 MAX_QUBITS = 12
-# the qubit cap bounds every basis built here: a sector or the collective
-# qubit space holds at most 2^N states
-MAX_DENSE_DIM = 1 << MAX_QUBITS
+SYMMETRY_TOL = 1e-12
 
 
 class OperatorMatrix:
@@ -48,12 +46,11 @@ class OperatorMatrix:
     ``basis`` is an int array of shape (dim, 2) whose rows are
     (photon number, occupation): bit j of the occupation set means qubit j
     excited.  Every basis built here is photon-major, occupations
-    ascending.  ``rows`` and ``cols`` index the basis and name each entry
-    at most once; ``values`` must be real and finite (a complex array is
-    refused, even with zero imaginary parts).  Repeated entries and
-    symmetry are not checked here: :attr:`entries` refuses two values for
-    one entry, and :func:`eigvalsh` checks symmetry when it reduces the
-    matrix.
+    ascending.  ``rows`` and ``cols`` index the basis and are stored as
+    int64; a (row, column) pair named twice is refused, even with one
+    value, so the triplets and :attr:`entries` agree.  ``values`` must be
+    real and finite (a complex array is refused, even with zero imaginary
+    parts).  Symmetry is checked by :func:`eigvalsh`, not here.
     """
 
     def __init__(self, basis, rows, cols, values):
@@ -76,6 +73,11 @@ class OperatorMatrix:
             0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < len(basis)
         ):
             raise InvalidParameterError(f"indices outside the basis of dim {len(basis)}")
+        # in range, so the int64 copies and their keys row * dim + col are exact
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        keys = np.sort(rows * len(basis) + cols)
+        if np.count_nonzero(keys[1:] == keys[:-1]):
+            raise InvalidParameterError("an operator names one (row, column) entry twice")
         self.basis, self.rows, self.cols, self.values = basis, rows, cols, values
 
     @property
@@ -84,15 +86,9 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense float64 matrix, formed anew on each access.  Raises
-        :class:`InvalidParameterError` if two triplets give one entry two
-        values, as numpy does not say which of them it would keep."""
+        """The dense float64 matrix, formed anew on each access."""
         entries = np.zeros((self.dim, self.dim))
         entries[self.rows, self.cols] = self.values
-        # of two triplets that name one entry, numpy keeps either value;
-        # a byte compare is the cheapest test that every value came back
-        if entries[self.rows, self.cols].tobytes() != self.values.tobytes():
-            raise InvalidParameterError("an operator names one (row, column) entry twice")
         return entries
 
 
@@ -168,19 +164,16 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     sigma_z onto s_z on the full tensor space, from the stored triplets:
     for the collective operators, one dot product of two diagonals.  It
     reproduces the deformation factor, as a ``np.float64`` scalar, whose
-    ``repr`` differs from a float's.  An operator that names one entry
-    twice raises :class:`InvalidParameterError`: its triplets and its
-    dense matrix would disagree.
+    ``repr`` differs from a float's.  Each operator names each entry once,
+    so the sums over its triplets are sums over its dense matrix.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
         raise InvalidParameterError("operators live on different bases")
-    keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
-    if any(np.unique(key).size != key.size for key in keys):
-        raise InvalidParameterError("an operator names one (row, column) entry twice")
     denom = s_z.values @ s_z.values
     if denom == 0.0:
         raise InvalidParameterError("projection target has zero Hilbert-Schmidt norm")
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
+    keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
     return sigma_z.values[ia] @ s_z.values[ib] / denom
 
@@ -238,16 +231,16 @@ def sector_spectrum(config: ChainConfig, total_excitation) -> np.ndarray:
 def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
     Householder reduction and implicit QL; no eigenvectors are formed.
-    Raises :class:`InvalidParameterError` if the operator is not symmetric.
+    Raises :class:`InvalidParameterError` if an entry and its mirror
+    differ by more than ``SYMMETRY_TOL`` times max(1, largest |entry|).
 
-    The matrix is scaled once, by the reduction: QL runs on the scaled
-    (d, e) it returns, and the eigenvalues alone are scaled back.  QL
-    never computes with an off-diagonal at or below its threshold, so the
-    zeroing that :func:`tridiagonal_eigvalsh` adds moves no bit.  Nor are
-    (d, e) scaled back, so none is rounded to a subnormal, and 2**p * H
-    solves to 2**p times the eigenvalues of H bit for bit even at
-    p = -1000.
+    Symmetry is checked on the triplets: every nonzero of the dense matrix
+    is a triplet, so the largest |a[c, r] - v| over the triplets (r, c, v)
+    is the largest entry of |A - A^T|, and no second dim^2 array is formed.
     """
     # the dense matrix is formed anew for this solve, so it is reduced in place
-    d, e, scale = _tridiagonalize_in_place(operator.entries)
-    return np.ldexp(_ql(d.tolist(), e.tolist(), EPS * _norm(d, e)), scale)
+    a, values = operator.entries, operator.values
+    defect = np.abs(a[operator.cols, operator.rows] - values).max(initial=0.0)
+    if defect > SYMMETRY_TOL * max(1.0, np.abs(values).max(initial=0.0)):
+        raise InvalidParameterError("the eigensolver requires a symmetric matrix")
+    return _eigvalsh_in_place(a)

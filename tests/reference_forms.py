@@ -24,7 +24,8 @@ sigma_z deviation weights, the Casimir scalar h(m) and the Bloch metric.
 
 Operator helpers for the oracle tests: :func:`dense_operator` stores a
 dense matrix as an :class:`qchain.OperatorMatrix`, :func:`commutator`
-forms AB - BA, and :func:`build_hamiltonian` and
+forms AB - BA, :func:`dense_symmetry_refused` is the dense symmetry test
+for the oracle's triplet one, and :func:`build_hamiltonian` and
 :func:`build_excitation_number` build on a truncated Fock space through
 the oracle's own private builders, so one Hamiltonian builder remains.
 """
@@ -128,7 +129,8 @@ def tridiagonalize(matrix):
     """Householder reduction of a real symmetric matrix to its tridiagonal
     (d, e), as the oracle runs it, on the copy :func:`as_real` makes, so
     ``matrix`` is left as it is; (d, e) are scaled back to ``matrix``'s
-    own scale."""
+    own scale.  Like the library's reduction it checks neither shape nor
+    symmetry."""
     d, e, scale = _tridiagonalize_in_place(as_real(matrix))
     return np.ldexp(d, scale), np.ldexp(e, scale)
 
@@ -136,7 +138,7 @@ def tridiagonalize(matrix):
 def tridiagonalize_stack(matrix):
     """Householder reduction as :func:`tridiagonalize`, with
     the rank-2 update's [v q] and [q; v] operands built by ``np.stack``
-    each column; the symmetry check is left to the library."""
+    each column."""
     a = as_real(matrix)
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
@@ -428,6 +430,15 @@ def dense_operator(entries, basis) -> OperatorMatrix:
     return OperatorMatrix(basis, rows, cols, entries[rows, cols])
 
 
+def dense_symmetry_refused(matrix) -> bool:
+    """Whether any entry of |A - A^T| exceeds ``oracle.SYMMETRY_TOL`` times
+    max(1, largest |entry|), tested on the dense matrix with its dim^2
+    temporary: the decision :func:`qchain.eigvalsh` takes on the triplets."""
+    a = np.asarray(matrix, dtype=float)
+    top = np.abs(a).max(initial=0.0)
+    return bool(np.abs(a - a.T).max(initial=0.0) > oracle.SYMMETRY_TOL * max(1.0, top))
+
+
 def commutator(a, b) -> OperatorMatrix:
     """AB - BA on a shared basis, by dense matrix products."""
     if not np.array_equal(a.basis, b.basis):
@@ -435,16 +446,21 @@ def commutator(a, b) -> OperatorMatrix:
     return dense_operator(a.entries @ b.entries - b.entries @ a.entries, a.basis)
 
 
+# the oracle's qubit cap bounds each basis it builds: a sector or the
+# collective qubit space holds at most 2^N states
+MAX_DENSE_DIM = 1 << oracle.MAX_QUBITS
+
+
 def _truncated_basis(config, fock_cutoff):
     """Every product state with at most ``fock_cutoff`` photons, within the
-    oracle's qubit cap and a dense dimension of ``oracle.MAX_DENSE_DIM``."""
+    oracle's qubit cap and a dense dimension of ``MAX_DENSE_DIM``."""
     if not isinstance(fock_cutoff, (int, np.integer)) or fock_cutoff < 0:
         raise InvalidParameterError(f"fock_cutoff must be an integer >= 0, got {fock_cutoff!r}")
     n = config.n_qubits
     oracle._check_capacity(n)
     dim = (1 << n) * (int(fock_cutoff) + 1)
-    if dim > oracle.MAX_DENSE_DIM:
-        raise CapacityError(f"dense dimension {dim} exceeds {oracle.MAX_DENSE_DIM}")
+    if dim > MAX_DENSE_DIM:
+        raise CapacityError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     return oracle._grid(n, range(fock_cutoff + 1))
 
 

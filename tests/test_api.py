@@ -36,7 +36,7 @@ MODULES = {
         "tridiagonal_eigvalsh",
     ],
     "oracle": [
-        "CollectiveOps", "MAX_DENSE_DIM", "MAX_QUBITS", "OperatorMatrix",
+        "CollectiveOps", "MAX_QUBITS", "OperatorMatrix",
         "build_collective_ops",
         "eigvalsh", "hs_projection", "sector_spectrum",
     ],

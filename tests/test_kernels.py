@@ -146,6 +146,19 @@ def _ql_line(text):
 
 # 2**-1064 times small integers: the rotations underflow to exactly 0
 UNDERFLOWING = ([-6.0 * 2.0**-1064, 0.0, -5.0 * 2.0**-1064], [-8.0 * 2.0**-1064, -7.0 * 2.0**-1064])
+# the Householder (d, e) of the dim-8 sector N = 7, u = -2.5 at l = 0.37,
+# w_q = 1, w_0 = 1.1 and eta = 0.3, as an AVX-512 (SkylakeX) OpenBLAS kernel
+# rounds it; stored as bits, because other kernels round its rounding-level
+# off-diagonals otherwise, and then no sweep ends a block mid-sweep
+SPLITTING = tuple(
+    [float.fromhex(x) for x in bits.split()]
+    for bits in (
+        "-0x1.4000000000000p+1 -0x1.3333333333332p+1 -0x1.4000000000003p+1 -0x1.4000000000004p+1"
+        " -0x1.4000000000000p+1 -0x1.4000000000000p+1 -0x1.4000000000000p+1 -0x1.4000000000003p+1",
+        "0x1.3333333333333p-2 0x1.05b6360913249p-1 0x1.18618683d914ep-50 0x1.fd2052168c389p-52"
+        " 0x1.0a2098ee20dd9p-50 0x1.0b384bb40533fp-49 -0x1.da073b12d3e9dp-50",
+    )
+)
 
 
 @pytest.mark.parametrize(
@@ -167,7 +180,9 @@ def test_ql_takes_each_block_end_from_the_sweep(case, branch):
         tiny = 0.0
     else:
         config = ChainConfig(n_qubits=7, spacing=0.37, qubit_freq=1.0, photon_freq=1.1, coupling=0.3)
-        d, e, tiny, _ = linalg._tridiagonal(*tridiagonalize(sector_hamiltonian(config, -2.5).entries))
+        reduced = tridiagonalize(sector_hamiltonian(config, -2.5).entries)
+        assert all(np.allclose(x, y, rtol=0.0, atol=1e-13) for x, y in zip(reduced, SPLITTING))
+        d, e, tiny, _ = linalg._tridiagonal(*SPLITTING)
         d, e = d.tolist(), e.tolist()
     assert _ql_line(branch) in _lines_run(linalg._ql, d, e, tiny)
     assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))

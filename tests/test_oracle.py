@@ -34,6 +34,7 @@ from reference_forms import (
     collective_ops_dense,
     commutator,
     dense_operator,
+    dense_symmetry_refused,
     sector_hamiltonian_loop,
     tridiagonalize,
     tridiagonalize_stack,
@@ -158,29 +159,37 @@ def test_hs_projection_zero_denominator():
         hs_projection(ops.sigma_z, zero)
 
 
-def test_hs_projection_refuses_an_entry_named_twice():
-    """With (0, 0) given as 1.0 and 2.0 the dense matrix holds 2.0 while a
-    sum over the triplets would count both: the projection refuses it."""
-    ops = build_collective_ops(_config(1, 0.3))
-    twice = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        hs_projection(twice, ops.s_z)
-    with pytest.raises(InvalidParameterError):
-        hs_projection(ops.s_z, twice)
+def test_operator_refuses_an_entry_named_twice():
+    """Each (row, column) pair is one triplet, whatever its values: with
+    (0, 0) given as 1.0 and 2.0 the dense matrix would keep one value and
+    a sum over the triplets count both, so construction refuses any
+    repeated pair, one value named twice included."""
+    for rows, cols, values in (
+        ([0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0]),
+        ([0, 0, 1], [0, 0, 1], [2.0, 2.0, 1.0]),
+        ([0, 1, 0], [1, 0, 1], [0.5, 0.5, 0.5]),
+        ([1, 1], [1, 1], [0.0, 0.0]),
+    ):
+        with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
+            OperatorMatrix(_basis(2), rows, cols, values)
 
 
-def test_dense_matrix_refuses_two_values_for_one_entry():
-    """numpy keeps one of two values scattered to one entry, and does not
-    say which: the dense matrix, and so the solve, refuses them."""
-    twice = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0])
-    with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
-        twice.entries
-    with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
-        eigvalsh(twice)
-    # one value named twice gives back the same matrix
-    same = OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [2.0, 2.0, 1.0])
-    assert np.array_equal(same.entries, np.diag([2.0, 1.0]))
-    assert eigvalsh(same).tolist() == [1.0, 2.0]
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+def test_narrow_index_dtypes_keep_their_entries(dtype):
+    """Indices are stored as int64, so keys row * dim + col wrap in no
+    caller's integer dtype: an int64 entry at (199, 199) projects onto a
+    narrow-dtype identity, and (0, 0) and (163, 336), whose key
+    163 * 400 + 336 = 2**16 is 0 in 16 bits, stay two entries."""
+    index = np.arange(200, dtype=dtype)
+    identity = OperatorMatrix(_basis(200), index, index, np.ones(200))
+    corner = OperatorMatrix(_basis(200), np.array([199]), np.array([199]), [1.0])
+    assert hs_projection(corner, identity) == 1.0 / 200.0
+    assert corner.rows.dtype == identity.rows.dtype == np.int64
+    index = np.arange(400, dtype=np.int16)
+    identity = OperatorMatrix(_basis(400), index, index, np.ones(400))
+    pair = OperatorMatrix(_basis(400), np.array([0, 163], np.int16), np.array([0, 336], np.int16), [3.0, 2.0])
+    assert hs_projection(pair, identity) == 3.0 / 400.0
+    assert pair.entries[[0, 163], [0, 336]].tolist() == [3.0, 2.0]
 
 
 def test_decoupled_hamiltonian_is_diagonal():
@@ -342,18 +351,14 @@ def test_eigh_diagonal_and_swap():
     assert tridiagonal_eigvalsh(*tridiagonalize(swap)) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
 
-def test_reduction_refuses_a_non_square_matrix():
-    for shape in ((2, 3), (3,), (2, 2, 2)):
-        with pytest.raises(InvalidParameterError, match="matrix must be square"):
-            tridiagonalize(np.zeros(shape))
-
-
 def test_non_finite_input_is_refused():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidParameterError, match="matrix must be finite"):
             qchain.linalg.as_real([[1.0, bad], [bad, 1.0]])
         with pytest.raises(InvalidParameterError, match="diagonal must be finite"):
             tridiagonal_eigvalsh([1.0, bad], [0.5])
+        with pytest.raises(InvalidParameterError, match="values must be finite"):
+            OperatorMatrix(_basis(2), [0, 1], [0, 1], [1.0, bad])
 
 
 @pytest.mark.parametrize("name", ["spacing", "qubit_freq", "photon_freq"])
@@ -365,10 +370,62 @@ def test_chain_config_refuses_non_finite_parameters(name):
 
 def test_eigvalsh_rejects_non_symmetric_operator():
     op = dense_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), _basis(2))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="requires a symmetric matrix"):
         eigvalsh(op)
-    with pytest.raises(InvalidParameterError):
-        tridiagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _mirror_at_tolerance(x, bound, away):
+    """The last float y from x towards ``away`` (+-inf) with
+    |y - x| <= bound, and the float after it."""
+    y = x + np.copysign(bound, away)
+    while abs(y - x) > bound:
+        y = np.nextafter(y, x)
+    while abs(np.nextafter(y, away) - x) <= bound:
+        y = np.nextafter(y, away)
+    return y, np.nextafter(y, away)
+
+
+def test_triplet_symmetry_check_decides_as_the_dense_one():
+    """eigvalsh refuses an operator exactly when the dense test of
+    |A - A^T| does, on seeded operators whose largest |entry| runs from
+    1e-3 to 1e6: symmetric ones with stored zeros, one-sided triplets, a
+    stored zero mirroring a nonzero, and mirrors the last float within
+    the tolerance and the first beyond it."""
+    rng = np.random.default_rng(2026)
+    expected = {"symmetric": False, "one-sided": True, "stored zero": True, "below": False, "above": True}
+    for top in (1e-3, 0.7, 1.0, 3.0, 1e3, 1e6):
+        bound = qchain.oracle.SYMMETRY_TOL * max(1.0, top)
+        for trial in range(12):
+            dim = int(rng.integers(3, 7))
+            upper = np.triu(rng.uniform(-top / 2, top / 2, (dim, dim)))
+            a = upper + np.triu(upper, 1).T
+            stored = np.triu(rng.random((dim, dim)) < 0.7)
+            stored |= stored.T
+            a[~stored] = 0.0
+            zeros = np.triu(rng.random((dim, dim)) < 0.2, 1)
+            a[zeros | zeros.T] = 0.0  # stored zeros, both sides
+            stored[0, 0] = True
+            a[0, 0] = top if trial % 2 else -top  # the largest |entry|, never perturbed
+            i, j = sorted(rng.choice(np.arange(1, dim), 2, replace=False).tolist())
+            stored[i, j] = stored[j, i] = True
+            a[i, j] = a[j, i] = rng.uniform(top / 8, top / 2) * rng.choice([-1.0, 1.0])
+            away = rng.choice([-np.inf, np.inf])
+            for kind, want in expected.items():
+                b, keep = a.copy(), stored.copy()
+                if kind == "one-sided":
+                    b[j, i], keep[j, i] = 0.0, False
+                elif kind == "stored zero":
+                    b[j, i] = 0.0
+                elif kind in ("below", "above"):
+                    b[j, i] = _mirror_at_tolerance(b[i, j], bound, away)[kind == "above"]
+                rows, cols = np.nonzero(keep)
+                op = OperatorMatrix(_basis(dim), rows, cols, b[rows, cols])
+                try:
+                    eigvalsh(op)
+                    refused = False
+                except InvalidParameterError:
+                    refused = True
+                assert refused == dense_symmetry_refused(op.entries) == want, (top, trial, kind)
 
 
 def _sector_matrices(w0=1.15):
@@ -597,7 +654,8 @@ def test_sector_eigenvalues_match_lapack(n_qubits, u):
 def test_eigvalsh_holds_no_dense_copy():
     # N = 8, u = 1: dim 219, a 0.38 MB dense matrix; the operator keeps only
     # its triplets, the matrix formed for the solve is reduced in place, and
-    # the symmetry check adds one dim^2 temporary
+    # the first Householder column's rank-2 product is one more (dim - 1)^2
+    # array, while symmetry is checked on the triplets
     op = sector_hamiltonian(_config(8, 0.437, wq=1.0, w0=1.15, eta=0.3), 1)
     matrix_bytes = op.dim**2 * 8
     tracemalloc.start()
