@@ -159,11 +159,18 @@ def test_hs_projection_zero_denominator():
         hs_projection(ops.sigma_z, zero)
 
 
-def test_operator_refuses_an_entry_named_twice():
-    """Each (row, column) pair is one triplet, whatever its values: with
-    (0, 0) given as 1.0 and 2.0 the dense matrix would keep one value and
-    a sum over the triplets count both, so construction refuses any
-    repeated pair, one value named twice included."""
+def test_hs_projection_refuses_an_entry_named_twice():
+    """With (0, 0) given as 1.0 and 2.0 the dense matrix would hold one
+    value while a sum over the triplets would count both: no such operator
+    is built, so none reaches the projection."""
+    with pytest.raises(InvalidParameterError, match="names one .row, column. entry twice"):
+        OperatorMatrix(_basis(2), [0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0])
+
+
+def test_dense_matrix_refuses_two_values_for_one_entry():
+    """numpy keeps one of two values scattered to one entry, and does not
+    say which: construction refuses any repeated (row, column) pair, one
+    value named twice included, so .entries and the solve never see one."""
     for rows, cols, values in (
         ([0, 0, 1], [0, 0, 1], [1.0, 2.0, 1.0]),
         ([0, 0, 1], [0, 0, 1], [2.0, 2.0, 1.0]),
