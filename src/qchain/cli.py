@@ -8,22 +8,22 @@ always starts with a header line.  JSON output is exactly the bytes of
 number list at a time, not by one Python call per value.  ``spectrum``
 renders the coefficient runs of each CSV row whole, and JSON scalars and
 keys are rendered by their exact type, without building an encoder per
-value.  Commands
-compute only what they print, with one eigensolve per ladder:
-``oracle-compare`` and ``table1`` take eigenvalues alone, and the
-resonant rows of ``spectrum`` are the eigenvalues of its states.  Exit
-codes: 0 success, 2 usage error (a non-finite number flag, a
+value.  Commands compute only what they print, with one eigensolve per
+ladder: ``oracle-compare`` and ``table1`` take eigenvalues alone, and
+the resonant rows of ``spectrum`` are the eigenvalues of its states.
+Exit codes: 0 success, 2 usage error (a non-finite number flag, a
 half-integer flag such as ``--u`` beyond 2^52, where doubles can no
-longer tell half-integers apart, or an overflow), 3 empty sector, 4
-capacity exceeded, 5 eigensolver did not converge; ``EXIT_CODES`` maps
-each refusal to its code.  Exit 4 comes before any large allocation: a
-ladder over 1001 states, an oracle over 12 qubits, a sweep over 10^6
-steps, or a crossover scan over ``crossover.MAX_SCAN_POINTS`` points.
-Every CSV cell is a float, int, str or None, each rendered by its own
-type.  A command line that starts with a command name is parsed once,
-by that command's own sub-parser, so an unrecognized flag is refused
-with exit 2 under the command's own usage line; any other command line
-goes to the full parser, which prints help or refuses it.
+longer tell half-integers apart, an overflow or an unwritable
+``--out``), 3 empty sector, 4 capacity exceeded, 5 eigensolver did not
+converge; ``EXIT_CODES`` maps each refusal to its code.  Exit 4 comes
+before any large allocation: a ladder over 1001 states, an oracle over
+12 qubits, a sweep over 10^6 steps, or a crossover scan over
+``crossover.MAX_SCAN_POINTS`` points.  Every CSV cell is a float, int,
+str or None, each rendered by its own type.  A command line that starts
+with a command name is parsed once, by that command's own sub-parser, so
+an unrecognized flag is refused with exit 2 under the command's own
+usage line; any other command line goes to the full parser, which prints
+help or refuses it.
 """
 
 from __future__ import annotations
@@ -543,17 +543,17 @@ def main(argv=None) -> int:
         # finite flags too large or small for floats: a usage error, not a leaked warning
         with np.errstate(all="raise", under="ignore"):
             text = args.func(args)
+        if args.out is not None:  # an unwritable path is an OSError: a usage error
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except FloatingPointError as exc:
         print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
         return EXIT_USAGE
-    except (EmptySectorError, CapacityError, ConvergenceError, ValueError) as exc:
+    except (EmptySectorError, CapacityError, ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), EXIT_USAGE)
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
     return 0
 
 

@@ -9,7 +9,7 @@ class InvalidParameterError(QChainError, ValueError):
     """An argument is out of its documented domain: a scalar off its range,
     a half-integer beyond 2^52, operators on different bases or indexing
     outside their basis, a non-symmetric eigensolver input, or a
-    projection onto an operator of zero Hilbert-Schmidt norm."""
+    Hilbert-Schmidt projection out of float range."""
 
 
 class CapacityError(QChainError):

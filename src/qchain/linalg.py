@@ -25,9 +25,9 @@ A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
 exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
-range.  A dense matrix is scaled once: its reduction hands the scaled
-(d, e) straight to QL, without the copy, checks and second scaling of
-:func:`tridiagonal_eigvalsh`, and only the eigenvalues are scaled back.
+range.  :func:`_scale_down` alone decides and applies the scaling, to a
+dense matrix before its reduction and to a validated (d, e), and
+:func:`_eigenvalues` alone runs QL on a scaled (d, e) and scales back.
 So no square of an entry overflows, and none underflows unless
 the entries span more than 2**111 (2**511 once scaled); inside the safe
 range nothing is scaled, and outside it, as a power of two commutes with
@@ -90,12 +90,17 @@ def as_real(array, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _scale_exponent(top: float) -> int:
-    """The power of two by which to scale down a matrix whose largest
-    absolute entry is ``top``: 0 inside the safe range, else the binary
-    exponent of ``top``."""
+def _scale_down(*arrays: np.ndarray) -> int:
+    """Scale ``arrays`` in place by 2**-scale and return scale: 0 while
+    their largest absolute entry lies within 2**(+-SAFE_EXPONENT), else the
+    binary exponent of that entry."""
+    top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
     scale = math.frexp(top)[1]
-    return scale if abs(scale) > SAFE_EXPONENT else 0
+    if abs(scale) <= SAFE_EXPONENT:
+        return 0
+    for x in arrays:
+        np.ldexp(x, -scale, out=x)
+    return scale
 
 
 def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -105,15 +110,12 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     checked here; :func:`qchain.oracle.eigvalsh` checks its operator.
 
     Returns the diagonal d and the off-diagonal e of Q^T A Q, which has
-    the eigenvalues of A, scaled by 2**-scale (see :func:`_scale_exponent`),
-    and scale: QL runs on the scaled (d, e), and only its eigenvalues are
-    scaled back.  Q is not formed.  Each column costs one matrix-vector
-    product and one rank-2 update, a single BLAS product.
+    the eigenvalues of A, scaled by 2**-scale (see :func:`_scale_down`),
+    and scale, which :func:`_eigenvalues` takes as they are.  Q is not
+    formed.  Each column costs one matrix-vector product and one rank-2
+    update, a single BLAS product.
     """
-    top = max(a.max(initial=0.0), -a.min(initial=0.0))
-    scale = _scale_exponent(top)
-    if scale:
-        np.ldexp(a, -scale, out=a)
+    scale = _scale_down(a)
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
     shifted = []  # columns reflected scaled by 2**UNDERFLOW_SHIFT
@@ -250,35 +252,24 @@ def _ql(d: list, e: list, tiny: float) -> list:
     return sorted(d)
 
 
-def _eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``a``, which must meet the precondition of
-    :func:`_tridiagonalize_in_place` and is overwritten.  QL runs at
-    eps * ||T|| on the reduction's scaled (d, e), which are not scaled back,
-    so none is rounded to a subnormal and 2**p * A solves to 2**p times the
-    eigenvalues of A bit for bit; QL never computes with an off-diagonal at
-    or below its threshold, so the zeroing of :func:`tridiagonal_eigvalsh`
-    would move no bit."""
-    d, e, scale = _tridiagonalize_in_place(a)
+def _eigenvalues(d: np.ndarray, e: np.ndarray, scale: int) -> np.ndarray:
+    """Ascending eigenvalues of 2**scale times the tridiagonal (d, e): QL
+    at eps * ||T|| on the scaled (d, e), whose eigenvalues alone are scaled
+    back, so none is rounded to a subnormal and 2**p * T solves to 2**p
+    times the eigenvalues of T bit for bit.  QL never computes with an
+    off-diagonal at or below its threshold, so none needs zeroing."""
     return np.ldexp(_ql(d.tolist(), e.tolist(), EPS * _norm(d, e)), scale)
 
 
-def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Validated (d, e) scaled by 2**-scale (see :func:`_scale_exponent`),
-    with every off-diagonal of at most eps * ||T|| set to exactly zero,
-    that threshold and scale."""
-    d = as_real(d, "diagonal")
-    e = as_real(e, "off-diagonal")
+def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validated new (d, e), scaled by 2**-scale (see :func:`_scale_down`), and scale."""
+    d, e = as_real(d, "diagonal"), as_real(e, "off-diagonal")
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
         raise InvalidParameterError(
             f"need a diagonal of length n and an off-diagonal of length n-1, "
             f"got shapes {d.shape} and {e.shape}"
         )
-    scale = _scale_exponent(max(np.abs(d).max(initial=0.0), np.abs(e).max(initial=0.0)))
-    if scale:
-        np.ldexp(d, -scale, out=d)
-        np.ldexp(e, -scale, out=e)
-    tiny = EPS * _norm(d, e)
-    return d, np.where(np.abs(e) <= tiny, 0.0, e), tiny, scale
+    return d, e, _scale_down(d, e)
 
 
 def tridiagonal_eigvalsh(d, e) -> np.ndarray:
@@ -288,8 +279,7 @@ def tridiagonal_eigvalsh(d, e) -> np.ndarray:
     Raises :class:`ConvergenceError` if an eigenvalue needs more than
     ``QL_MAX_ITERATIONS`` QL sweeps.
     """
-    d, e, tiny, scale = _tridiagonal(d, e)
-    return np.ldexp(_ql(d.tolist(), e.tolist(), tiny), scale)
+    return _eigenvalues(*_tridiagonal(d, e))
 
 
 def _lu(d, e, shifts, tiny):
@@ -403,14 +393,17 @@ def tridiagonal_eigh(d, e) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the symmetric tridiagonal matrix (d, e).
 
     Returns ascending eigenvalues and orthonormal eigenvectors as columns.
-    The matrix is split where an off-diagonal is negligible; each vector
-    lives on one block, and equal eigenvalues of different blocks keep the
-    block order.  Each vector's first component with magnitude above 1e-8
-    is positive.
+    The matrix is split where an off-diagonal is at most eps * ||T||; each
+    vector lives on one block, and equal eigenvalues of different blocks
+    keep the block order.  Each vector's first component with magnitude
+    above 1e-8 is positive.
     """
-    d, e, tiny, scale = _tridiagonal(d, e)
+    d, e, scale = _tridiagonal(d, e)
     n = d.size
-    cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [n]))
+    if n == 0:
+        return d, np.zeros((0, 0))
+    tiny = EPS * _norm(d, e)
+    cuts = np.concatenate(([0], np.flatnonzero(np.abs(e) <= tiny) + 1, [n]))
     values = np.empty(n)
     vectors = np.zeros((n, n))
     for lo, hi in zip(cuts[:-1], cuts[1:]):

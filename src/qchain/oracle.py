@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
-from .linalg import _eigvalsh_in_place, as_real
+from .linalg import SMALLEST_NORMAL, _eigenvalues, _tridiagonalize_in_place, as_real
 
 __all__ = [
     "MAX_QUBITS",
@@ -165,17 +165,24 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     for the collective operators, one dot product of two diagonals.  It
     reproduces the deformation factor, as a ``np.float64`` scalar, whose
     ``repr`` differs from a float's.  Each operator names each entry once,
-    so the sums over its triplets are sums over its dense matrix.
+    so the sums over its triplets are sums over its dense matrix.  Raises
+    :class:`InvalidParameterError` unless tr(B^T B) is a normal float and
+    the coefficient is finite.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
         raise InvalidParameterError("operators live on different bases")
-    denom = s_z.values @ s_z.values
-    if denom == 0.0:
-        raise InvalidParameterError("projection target has zero Hilbert-Schmidt norm")
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
     keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
-    return sigma_z.values[ia] @ s_z.values[ib] / denom
+    with np.errstate(all="ignore"):  # out of float range: refused below, not warned about
+        denom = s_z.values @ s_z.values
+        projection = sigma_z.values[ia] @ s_z.values[ib] / denom
+    if not (SMALLEST_NORMAL <= denom < np.inf and np.isfinite(projection)):
+        raise InvalidParameterError(
+            "no finite Hilbert-Schmidt projection onto a target with tr(B^T B) = "
+            f"{denom:.3g} and largest |entry| {np.abs(s_z.values).max(initial=0.0):.3g}"
+        )
+    return projection
 
 
 def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
@@ -243,4 +250,4 @@ def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     defect = np.abs(a[operator.cols, operator.rows] - values).max(initial=0.0)
     if defect > SYMMETRY_TOL * max(1.0, np.abs(values).max(initial=0.0)):
         raise InvalidParameterError("the eigensolver requires a symmetric matrix")
-    return _eigvalsh_in_place(a)
+    return _eigenvalues(*_tridiagonalize_in_place(a))

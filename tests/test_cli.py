@@ -576,6 +576,18 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert target.read_bytes().endswith(b"\n")
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    """A missing directory or a directory as --out: one error line on
+    stderr, nothing on stdout, exit 2, like any other bad flag value."""
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code = main(["deform", "--n", "4", "--l", "2/3", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE, target
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("steps", ["1000001", "100000000000000000000"])
 @pytest.mark.parametrize(
     "command",

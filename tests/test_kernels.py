@@ -33,7 +33,8 @@ def _same(new, old) -> bool:
 
 
 def _check_ql(d, e):
-    d, e, tiny, _ = linalg._tridiagonal(d, e)
+    d, e, _ = linalg._tridiagonal(d, e)
+    tiny = linalg.EPS * linalg._norm(d, e)
     assert _same(linalg._ql(d.tolist(), e.tolist(), tiny), ql_while(d.tolist(), e.tolist(), tiny))
     return d, e, tiny
 
@@ -42,7 +43,7 @@ def _check_kernels(d, e, rng):
     """QL on the whole matrix, then the LU factors and a solve on each
     unreduced block, shifted by the block's eigenvalues."""
     d, e, tiny = _check_ql(d, e)
-    cuts = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [d.size]))
+    cuts = np.concatenate(([0], np.flatnonzero(np.abs(e) <= tiny) + 1, [d.size]))
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         m = hi - lo
         if m < 2:
@@ -175,14 +176,15 @@ def test_ql_takes_each_block_end_from_the_sweep(case, branch):
     if case == "restart":
         # reached by a direct call on subnormal entries with tiny = 0; no
         # input found through _tridiagonal, which scales every matrix into
-        # 2**(+-400) and sets tiny = eps * ||T||, reaches it
+        # 2**(+-400) and whose QL runs at tiny = eps * ||T||, reaches it
         d, e = UNDERFLOWING
         tiny = 0.0
     else:
         config = ChainConfig(n_qubits=7, spacing=0.37, qubit_freq=1.0, photon_freq=1.1, coupling=0.3)
         reduced = tridiagonalize(sector_hamiltonian(config, -2.5).entries)
         assert all(np.allclose(x, y, rtol=0.0, atol=1e-13) for x, y in zip(reduced, SPLITTING))
-        d, e, tiny, _ = linalg._tridiagonal(*SPLITTING)
+        d, e, _ = linalg._tridiagonal(*SPLITTING)
+        tiny = linalg.EPS * linalg._norm(d, e)
         d, e = d.tolist(), e.tolist()
     assert _ql_line(branch) in _lines_run(linalg._ql, d, e, tiny)
     assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))
@@ -217,7 +219,8 @@ for n in range(1, 8):
                 reduced = linalg._tridiagonalize_in_place(h.copy())[:2]  # (d, e): no sector here is scaled
                 reference = tridiagonalize_stack(h)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(reduced, reference)), (n, u)
-                d, e, tiny, _ = linalg._tridiagonal(*reduced)
+                d, e, _ = linalg._tridiagonal(*reduced)
+                tiny = linalg.EPS * linalg._norm(d, e)
                 values = np.array(linalg._ql(d.tolist(), e.tolist(), tiny))
                 assert values.tobytes() == np.array(ql_while(d.tolist(), e.tolist(), tiny)).tobytes()
                 sectors += 1

@@ -159,6 +159,29 @@ def test_hs_projection_zero_denominator():
         hs_projection(ops.sigma_z, zero)
 
 
+@pytest.mark.parametrize(
+    "sigma, target, top",
+    [
+        # tr(A^T B) = 0, but 1e200**2 overflows: nan, once only warned about
+        ([1e200, -1e200], [1e200, 1e200], "1e\\+200"),
+        # the coefficient is 0.6, but tr(B^T B) underflows to 0: not a zero target
+        ([0.6e-200, 1.2e-200], [1e-200, 2e-200], "2e-200"),
+        # tr(B^T B) is subnormal: a division that keeps a few bits
+        ([0.6e-160, 0.0], [1e-160, 0.0], "1e-160"),
+        # tr(A^T B) overflows over a finite tr(B^T B)
+        ([1e308, 1e308], [10.0, 10.0], "10"),
+    ],
+    ids=["overflow", "underflow", "subnormal", "overflowing-numerator"],
+)
+def test_hs_projection_refuses_sums_out_of_float_range(sigma, target, top):
+    """No nan, no inf and no division by a zero or subnormal tr(B^T B):
+    each is refused, naming the target's largest entry, without a warning
+    (which the test configuration turns into an error)."""
+    a, b = (OperatorMatrix(_basis(2), [0, 1], [0, 1], v) for v in (sigma, target))
+    with pytest.raises(InvalidParameterError, match=f"largest \\|entry\\| {top}$"):
+        hs_projection(a, b)
+
+
 def test_hs_projection_refuses_an_entry_named_twice():
     """With (0, 0) given as 1.0 and 2.0 the dense matrix would hold one
     value while a sum over the triplets would count both: no such operator
@@ -499,6 +522,37 @@ def test_tridiagonal_eigvalsh_is_eigh_values_bit_for_bit():
         negligible = np.abs(e) <= np.finfo(float).eps * qchain.linalg._norm(d, e)
         partly_split += bool(negligible.any() and not negligible.all())
     assert partly_split > 0
+
+
+def test_ql_never_reads_a_negligible_off_diagonal():
+    """QL gives the same bits whether the off-diagonals at or below its
+    threshold eps * ||T|| are zeroed first or not, so no solve zeroes them:
+    on every ladder, partly split ones included, and on random graded
+    tridiagonals, some of whose off-diagonals are scaled to rounding level."""
+    rng = np.random.default_rng(22)
+    graded = []
+    for d, e in _random_tridiagonals(rng):
+        e = e.copy()
+        e[rng.random(e.size) < 0.3] *= qchain.linalg.EPS * rng.uniform(0.1, 4.0)
+        graded.append((d, e))
+    for corpus in (list(_ladders()), graded):
+        zeroed = 0
+        for d, e in corpus:
+            d, e, _ = qchain.linalg._tridiagonal(d, e)
+            tiny = qchain.linalg.EPS * qchain.linalg._norm(d, e)
+            negligible = np.abs(e) <= tiny
+            cut = np.where(negligible, 0.0, e)
+            kept = np.array(qchain.linalg._ql(d.tolist(), e.tolist(), tiny))
+            assert kept.tobytes() == np.array(qchain.linalg._ql(d.tolist(), cut.tolist(), tiny)).tobytes()
+            zeroed += bool(np.any(negligible & (e != 0.0)))
+        assert zeroed > 0
+
+
+def test_tridiagonal_eigh_of_an_empty_matrix():
+    values, vectors = tridiagonal_eigh([], [])
+    assert values.shape == (0,) and vectors.shape == (0, 0)
+    assert values.dtype == vectors.dtype == np.float64
+    assert tridiagonal_eigvalsh([], []).shape == (0,)
 
 
 def _dense(d, e):
