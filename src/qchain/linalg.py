@@ -25,17 +25,17 @@ A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
 exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
-range.  :func:`_scale_down` alone decides and applies the scaling, to a
-dense matrix before its reduction and to a validated (d, e), and
-:func:`_eigenvalues` alone runs QL on a scaled (d, e) and scales back.
-So no square of an entry overflows, and none underflows unless
-the entries span more than 2**111 (2**511 once scaled); inside the safe
-range nothing is scaled, and outside it, as a power of two commutes with
-rounding in the normal range, no bit moves either.  ``np.ldexp`` scales
-without forming 2**-scale, which overflows for scale below -1023
-(``dlascl`` takes such a factor in two steps).  A Householder column
-whose squares still underflow is reflected scaled by 2**511, which gives
-the same reflection.
+range.  :func:`_scale_down` alone scales a dense matrix and a (d, e);
+:func:`_eigenvalues` runs QL and scales back for ``tridiagonal_eigvalsh``
+and ``oracle.eigvalsh``, and ``tridiagonal_eigh`` cuts its blocks at QL's
+threshold and scales back itself.  So no square of an entry overflows, and
+none underflows unless the entries span more than 2**111 (2**511 once
+scaled); inside the safe range nothing is scaled, and outside it, as a
+power of two commutes with rounding in the normal range, no bit moves
+either.  ``np.ldexp`` scales without forming 2**-scale, which overflows
+for scale below -1023 (``dlascl`` takes such a factor in two steps).  A
+Householder column whose squares still underflow is reflected scaled by
+2**511, which gives the same reflection.
 
 Every routine is deterministic: the same input gives the same output bits.
 """
