@@ -28,7 +28,6 @@ from .oracle import (
     CollectiveOps,
     OperatorMatrix,
     build_collective_ops,
-    eigvalsh,
     hs_projection,
     sector_spectrum,
 )

@@ -46,6 +46,12 @@ def validate_coupling(coupling) -> float:
     return eta
 
 
+def check_finite(value, name: str) -> None:
+    """Refuse a real number that is inf or nan."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
 def check_normal_hops(hops: np.ndarray, coupling) -> None:
     """Refuse coupling matrix elements eta * (factors) of a Hamiltonian,
     each nonzero in exact arithmetic, if one is below the smallest normal
@@ -104,8 +110,7 @@ class ChainConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", validate_n_qubits(self.n_qubits))
         for name in ("spacing", "qubit_freq", "photon_freq"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+            check_finite(getattr(self, name), name)
         object.__setattr__(self, "coupling", validate_coupling(self.coupling))
 
     def coupling_profile(self) -> np.ndarray:

@@ -27,7 +27,7 @@ exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
 range.  :func:`_scale_down` alone scales a dense matrix and a (d, e);
 :func:`_eigenvalues` runs QL and scales back for ``tridiagonal_eigvalsh``
-and ``oracle.eigvalsh``, and ``tridiagonal_eigh`` cuts its blocks at QL's
+and ``oracle.sector_spectrum``; ``tridiagonal_eigh`` cuts its blocks at QL's
 threshold and scales back itself.  So no square of an entry overflows, and
 none underflows unless the entries span more than 2**111 (2**511 once
 scaled); inside the safe range nothing is scaled, and outside it, as a
@@ -107,7 +107,7 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     """Householder reduction of ``a`` to tridiagonal form, overwriting
     ``a``: for callers that form the matrix for the reduction alone.
     ``a`` must be a square, symmetric, finite float64 array, which is not
-    checked here; :func:`qchain.oracle.eigvalsh` checks its operator.
+    checked here: the oracle's one Hamiltonian builder makes each so.
 
     Returns the diagonal d and the off-diagonal e of Q^T A Q, which has
     the eigenvalues of A, scaled by 2**-scale (see :func:`_scale_down`),

@@ -6,14 +6,14 @@ Operators are real (the couplings are real cosines under the
 rotating-wave approximation), live on integer (photon number,
 occupation) bases and are stored as their nonzero (row, column, value)
 triplets, the one form :class:`OperatorMatrix` is built from; it refuses
-an entry named twice.  One private builder makes every Hamiltonian; the
-tests run it on a truncated Fock space as well.  Sector spectra come
-from the dense matrix, formed for the solve only, by the in-house
-Householder + implicit QL eigensolver of :mod:`qchain.linalg`, once
-:func:`eigvalsh` has checked symmetry on the triplets, so every
-closed-form result in the package can be checked against something that
-knows nothing about the deformed algebra.  Desk-scale verification only:
-<= 12 qubits, so no basis holds more than 4096 states.
+an entry named twice.  One private builder makes every Hamiltonian as
+finite triplets that name each entry once, beside its mirror; the tests
+run it on a truncated Fock space as well.  Sector spectra come from the
+dense matrix of those triplets, formed for the solve only, by the
+in-house Householder + implicit QL eigensolver of :mod:`qchain.linalg`,
+so every closed-form result in the package can be checked against
+something that knows nothing about the deformed algebra.  Desk-scale
+verification only: <= 12 qubits, so no basis holds more than 4096 states.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ __all__ = [
     "build_collective_ops",
     "hs_projection",
     "sector_spectrum",
-    "eigvalsh",
 ]
 
 MAX_QUBITS = 12
-SYMMETRY_TOL = 1e-12
 
 
 class OperatorMatrix:
@@ -50,7 +48,7 @@ class OperatorMatrix:
     int64; a (row, column) pair named twice is refused, even with one
     value, so the triplets and :attr:`entries` agree.  ``values`` must be
     real and finite (a complex array is refused, even with zero imaginary
-    parts).  Symmetry is checked by :func:`eigvalsh`, not here.
+    parts).  It need not be symmetric: S_+ is not.
     """
 
     def __init__(self, basis, rows, cols, values):
@@ -87,9 +85,14 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The dense float64 matrix, formed anew on each access."""
-        entries = np.zeros((self.dim, self.dim))
-        entries[self.rows, self.cols] = self.values
-        return entries
+        return _dense(self.dim, self.rows, self.cols, self.values)
+
+
+def _dense(dim: int, rows, cols, values) -> np.ndarray:
+    """The dim x dim float64 matrix holding each triplet's value."""
+    entries = np.zeros((dim, dim))
+    entries[rows, cols] = values
+    return entries
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,11 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     return projection
 
 
-def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
+def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> tuple:
     """Rotating-wave Hamiltonian on a photon-major ``basis`` that holds
     (n - 1, b + 2^j) for each of its rows (n >= 1, b) with qubit j in b
-    unexcited, so every hopping term stays inside it."""
+    unexcited, so every hopping term stays inside it, as (rows, cols, values)
+    triplets, each hop beside its mirror; a value out of float range is refused."""
     n = config.n_qubits
     photons, occupations = basis.T
     bits = _bits(occupations, n)
@@ -202,9 +206,11 @@ def _hamiltonian(config: ChainConfig, basis: np.ndarray) -> OperatorMatrix:
     # whose hops underflow leaves at least one stored, and subnormal
     check_normal_hops(hop, config.coupling)
     diag = config.qubit_freq * (bits.sum(axis=0) - n / 2.0) + config.photon_freq * photons
+    values = np.concatenate((diag, hop, hop))
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(f"{config!r} gives Hamiltonian entries out of float range")
     index = np.arange(len(basis))
-    rows, cols = np.concatenate((index, dst, src)), np.concatenate((index, src, dst))
-    return OperatorMatrix(basis, rows, cols, np.concatenate((diag, hop, hop)))
+    return np.concatenate((index, dst, src)), np.concatenate((index, src, dst)), values
 
 
 def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:
@@ -227,27 +233,13 @@ def sector_basis(config: ChainConfig, total_excitation) -> np.ndarray:
 
 def sector_hamiltonian(config: ChainConfig, total_excitation) -> OperatorMatrix:
     """Hamiltonian restricted to one excitation sector (exact truncation)."""
-    return _hamiltonian(config, sector_basis(config, total_excitation))
+    basis = sector_basis(config, total_excitation)
+    return OperatorMatrix(basis, *_hamiltonian(config, basis))
 
 
 def sector_spectrum(config: ChainConfig, total_excitation) -> np.ndarray:
-    """Ascending eigenvalues of the Hamiltonian on one excitation sector."""
-    return eigvalsh(sector_hamiltonian(config, total_excitation))
-
-
-def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric :class:`OperatorMatrix`, by
-    Householder reduction and implicit QL; no eigenvectors are formed.
-    Raises :class:`InvalidParameterError` if an entry and its mirror
-    differ by more than ``SYMMETRY_TOL`` times max(1, largest |entry|).
-
-    Symmetry is checked on the triplets: every nonzero of the dense matrix
-    is a triplet, so the largest |a[c, r] - v| over the triplets (r, c, v)
-    is the largest entry of |A - A^T|, and no second dim^2 array is formed.
-    """
-    # the dense matrix is formed anew for this solve, so it is reduced in place
-    a, values = operator.entries, operator.values
-    defect = np.abs(a[operator.cols, operator.rows] - values).max(initial=0.0)
-    if defect > SYMMETRY_TOL * max(1.0, np.abs(values).max(initial=0.0)):
-        raise InvalidParameterError("the eigensolver requires a symmetric matrix")
-    return _eigenvalues(*_tridiagonalize_in_place(a))
+    """Ascending eigenvalues of the Hamiltonian on one excitation sector,
+    from the dense matrix of its triplets, which the reduction overwrites."""
+    basis = sector_basis(config, total_excitation)
+    entries = _dense(len(basis), *_hamiltonian(config, basis))
+    return _eigenvalues(*_tridiagonalize_in_place(entries))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _ladder_product, _validate_deformation
-from .config import check_normal_hops, halves, twice, validate_coupling
+from .config import check_finite, check_normal_hops, halves, twice, validate_coupling
 from .errors import (
     CapacityError,
     EmptySectorError,
@@ -137,9 +137,10 @@ def build_h1_matrix(
     """Interaction matrix w~_0 * a^dag a + eta*(S+ a + S- a^dag) on the
     subspace basis as its diagonal d and off-diagonal e: d = w~_0 * n, and
     the element between n and n+1 is eta * sqrt(n+1) * alpha_{u-n-1}^(r).
-    The coupling eta must be finite and >= 0, and no element subnormal.
+    The detuning must be finite, eta finite and >= 0, and no element subnormal.
     """
     R = _validate_deformation(deformation)
+    check_finite(detuning, "detuning")
     eta = validate_coupling(coupling)
     ns = np.asarray(sub.photon_numbers)
     alphas = np.sqrt(R * _ladder_products(sub))  # alpha_{u-n-1}^(r)
@@ -162,6 +163,8 @@ def solve_dressed(sub: ExcitationSubspace, deformation, detuning, coupling) -> l
 
 def _scaled_offsets(v, detuning, coupling, count):
     """vt_n = (v - detuning*n)/coupling for n = 0..count-1."""
+    check_finite(v, "eigenvalue v")
+    check_finite(detuning, "detuning")
     eta = validate_coupling(coupling)
     if eta == 0.0:
         raise InvalidParameterError(f"coupling must be > 0, got {coupling!r}")
@@ -266,6 +269,7 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     w_q; they track the exact spectrum only at leading order in eta/dw.
     """
     R = _validate_deformation(deformation)
+    check_finite(detuning, "detuning")
     # numpy scalars, so that an overflow raises under np.errstate instead of giving inf
     dw = np.float64(detuning)
     if dw == 0.0:

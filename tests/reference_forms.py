@@ -22,12 +22,16 @@ stationarity residual, the ladder's characteristic polynomial, the
 truncated weak-coupling quartic, the deformed ladder elements, the
 sigma_z deviation weights, the Casimir scalar h(m) and the Bloch metric.
 
-Operator helpers for the oracle tests: :func:`dense_operator` stores a
-dense matrix as an :class:`qchain.OperatorMatrix`, :func:`commutator`
-forms AB - BA, :func:`dense_symmetry_refused` is the dense symmetry test
-for the oracle's triplet one, and :func:`build_hamiltonian` and
-:func:`build_excitation_number` build on a truncated Fock space through
-the oracle's own private builders, so one Hamiltonian builder remains.
+Operator helpers for the oracle tests: :func:`eigvalsh` solves any
+:class:`qchain.OperatorMatrix` after checking its symmetry on the
+triplets, the checked route beside the library's
+:func:`qchain.sector_spectrum`, which solves the builder's triplets
+unchecked; :func:`dense_operator` stores a dense matrix as an operator,
+:func:`commutator` forms AB - BA, :func:`dense_symmetry_refused` is the
+dense symmetry test for the triplet one, and :func:`build_hamiltonian`
+and :func:`build_excitation_number` build on a truncated Fock space
+through the oracle's own private builders, so one Hamiltonian builder
+remains.
 """
 
 import math
@@ -47,7 +51,7 @@ from qchain import (
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
 from qchain.crossover import BISECT_WIDTH, DEDUPE_TOL, _validate_n
-from qchain.linalg import QL_MAX_ITERATIONS, _tridiagonalize_in_place, as_real
+from qchain.linalg import QL_MAX_ITERATIONS, _eigenvalues, _tridiagonalize_in_place, as_real
 
 
 def cosine_sum(n, spacings):
@@ -423,6 +427,27 @@ def bloch_metric(deformation) -> tuple[float, float, float]:
     return (1.0, 1.0, R)
 
 
+SYMMETRY_TOL = 1e-12
+
+
+def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric :class:`qchain.OperatorMatrix`,
+    by Householder reduction and implicit QL; no eigenvectors are formed.
+    Raises :class:`InvalidParameterError` if an entry and its mirror
+    differ by more than ``SYMMETRY_TOL`` times max(1, largest |entry|).
+
+    Symmetry is checked on the triplets: every nonzero of the dense matrix
+    is a triplet, so the largest |a[c, r] - v| over the triplets (r, c, v)
+    is the largest entry of |A - A^T|, and no second dim^2 array is formed.
+    """
+    # the dense matrix is formed anew for this solve, so it is reduced in place
+    a, values = operator.entries, operator.values
+    defect = np.abs(a[operator.cols, operator.rows] - values).max(initial=0.0)
+    if defect > SYMMETRY_TOL * max(1.0, np.abs(values).max(initial=0.0)):
+        raise InvalidParameterError("the eigensolver requires a symmetric matrix")
+    return _eigenvalues(*_tridiagonalize_in_place(a))
+
+
 def dense_operator(entries, basis) -> OperatorMatrix:
     """The operator of a dense matrix on ``basis``, its nonzeros as triplets."""
     entries = np.asarray(entries)
@@ -431,12 +456,12 @@ def dense_operator(entries, basis) -> OperatorMatrix:
 
 
 def dense_symmetry_refused(matrix) -> bool:
-    """Whether any entry of |A - A^T| exceeds ``oracle.SYMMETRY_TOL`` times
+    """Whether any entry of |A - A^T| exceeds ``SYMMETRY_TOL`` times
     max(1, largest |entry|), tested on the dense matrix with its dim^2
-    temporary: the decision :func:`qchain.eigvalsh` takes on the triplets."""
+    temporary: the decision :func:`eigvalsh` takes on the triplets."""
     a = np.asarray(matrix, dtype=float)
     top = np.abs(a).max(initial=0.0)
-    return bool(np.abs(a - a.T).max(initial=0.0) > oracle.SYMMETRY_TOL * max(1.0, top))
+    return bool(np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * max(1.0, top))
 
 
 def commutator(a, b) -> OperatorMatrix:
@@ -473,7 +498,8 @@ def build_hamiltonian(config, fock_cutoff) -> OperatorMatrix:
     on the 2^N * (fock_cutoff+1) product space, photon-major ordering, by
     the oracle's sector builder.
     """
-    return oracle._hamiltonian(config, _truncated_basis(config, fock_cutoff))
+    basis = _truncated_basis(config, fock_cutoff)
+    return OperatorMatrix(basis, *oracle._hamiltonian(config, basis))
 
 
 def build_excitation_number(config, fock_cutoff) -> OperatorMatrix:

@@ -16,7 +16,7 @@ PACKAGE = [
     "QChainError",
     "build_collective_ops", "build_h1_matrix",
     "coefficients_closed", "coefficients_recursive",
-    "crossover_point", "deformation_factor", "deformation_profile", "eigvalsh",
+    "crossover_point", "deformation_factor", "deformation_profile",
     "find_stationary_points", "four_qubit_reference_coefficients", "h_curve", "hs_projection",
     "resonant_alternate_energies", "sector_spectrum",
     "solve_dressed", "stationarity_residual", "subspace", "weak_coupling_energies",
@@ -38,7 +38,7 @@ MODULES = {
     "oracle": [
         "CollectiveOps", "MAX_QUBITS", "OperatorMatrix",
         "build_collective_ops",
-        "eigvalsh", "hs_projection", "sector_spectrum",
+        "hs_projection", "sector_spectrum",
     ],
     "spectra": [
         "DressedState", "ExcitationSubspace", "build_h1_matrix",

@@ -21,7 +21,6 @@ from qchain import (
     OperatorMatrix,
     build_collective_ops,
     deformation_factor,
-    eigvalsh,
     hs_projection,
     sector_spectrum,
 )
@@ -29,12 +28,14 @@ from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
 from reference_forms import (
+    SYMMETRY_TOL,
     build_excitation_number,
     build_hamiltonian,
     collective_ops_dense,
     commutator,
     dense_operator,
     dense_symmetry_refused,
+    eigvalsh,
     sector_hamiltonian_loop,
     tridiagonalize,
     tridiagonalize_stack,
@@ -424,7 +425,7 @@ def test_triplet_symmetry_check_decides_as_the_dense_one():
     rng = np.random.default_rng(2026)
     expected = {"symmetric": False, "one-sided": True, "stored zero": True, "below": False, "above": True}
     for top in (1e-3, 0.7, 1.0, 3.0, 1e3, 1e6):
-        bound = qchain.oracle.SYMMETRY_TOL * max(1.0, top)
+        bound = SYMMETRY_TOL * max(1.0, top)
         for trial in range(12):
             dim = int(rng.integers(3, 7))
             upper = np.triu(rng.uniform(-top / 2, top / 2, (dim, dim)))
@@ -459,23 +460,38 @@ def test_triplet_symmetry_check_decides_as_the_dense_one():
 
 
 def _sector_matrices(w0=1.15):
-    """The dense Hamiltonian of every excitation sector of N <= 7 qubits
-    (u + N/2 = 0..N; above N the dimension stays 2^N) at four spacings."""
+    """The Hamiltonian of every excitation sector of N <= 7 qubits
+    (u + N/2 = 0..N; above N the dimension stays 2^N) at four spacings,
+    each with the library's :func:`sector_spectrum` of that sector, which
+    solves the builder's triplets with no operator and no symmetry check."""
     for n in range(1, 8):
         for l in (0.37, 2.0 / 3.0, 1.4, 0.0):
             cfg = _config(n, l, wq=1.0, w0=w0, eta=0.3)
             for n_max in range(n + 1):
-                yield sector_hamiltonian(cfg, n_max - n / 2.0)
+                u = n_max - n / 2.0
+                yield sector_hamiltonian(cfg, u), sector_spectrum(cfg, u)
+
+
+@pytest.mark.parametrize("name", ["qubit_freq", "coupling"])
+def test_sector_spectrum_refuses_entries_out_of_float_range(name):
+    # finite parameters whose products overflow in the sector N = 4, u = 2:
+    # 2 * 1e308 on the diagonal, and 1e308 * sqrt(4) on a hop
+    cfg = ChainConfig(**{"n_qubits": 4, "spacing": 0.3, name: 1e308})
+    with np.errstate(over="ignore"), pytest.raises(InvalidParameterError):
+        sector_spectrum(cfg, 2)
 
 
 def test_eigvalsh_runs_ql_on_its_own_reduction_bit_for_bit():
     """QL on the reduction's scaled (d, e), with no second scaling and no
     zeroing of negligible off-diagonals, gives the bits of the checked
-    tridiagonal route on every resonant sector of N <= 7; the test below
-    checks the detuned ones."""
-    for op in _sector_matrices(w0=1.0):
+    tridiagonal route on every resonant sector of N <= 7, and the library's
+    unchecked sector solve gives the bits of this checked one; the test
+    below checks the detuned ones."""
+    for op, spectrum in _sector_matrices(w0=1.0):
         checked = tridiagonal_eigvalsh(*tridiagonalize(op.entries))
-        assert eigvalsh(op).tobytes() == checked.tobytes(), op.dim
+        values = eigvalsh(op)
+        assert values.tobytes() == checked.tobytes(), op.dim
+        assert spectrum.tobytes() == values.tobytes(), op.dim
 
 
 def _random_symmetric(rng):
@@ -490,11 +506,14 @@ def _same_bits(first, second):
 
 def test_tridiagonalize_matches_stack_reference_bit_for_bit():
     # the rank-2 update's operands are built without np.stack: same BLAS
-    # product, same shapes, so the same bits, in place or on a copy
-    for op in _sector_matrices():
+    # product, same shapes, so the same bits, in place or on a copy; and the
+    # library's unchecked sector solve keeps the checked route's bits
+    for op, spectrum in _sector_matrices():
         reference = tridiagonalize_stack(op.entries)
         assert _same_bits(tridiagonalize(op.entries), reference), op.dim
-        assert eigvalsh(op).tobytes() == tridiagonal_eigvalsh(*reference).tobytes()
+        values = eigvalsh(op)
+        assert values.tobytes() == tridiagonal_eigvalsh(*reference).tobytes()
+        assert spectrum.tobytes() == values.tobytes(), op.dim
     for a in _random_symmetric(np.random.default_rng(17)):
         kept = a.copy()
         assert _same_bits(tridiagonalize(a), tridiagonalize_stack(a)), a.shape
@@ -713,15 +732,15 @@ def test_sector_eigenvalues_match_lapack(n_qubits, u):
 
 
 def test_eigvalsh_holds_no_dense_copy():
-    # N = 8, u = 1: dim 219, a 0.38 MB dense matrix; the operator keeps only
-    # its triplets, the matrix formed for the solve is reduced in place, and
-    # the first Householder column's rank-2 product is one more (dim - 1)^2
-    # array, while symmetry is checked on the triplets
-    op = sector_hamiltonian(_config(8, 0.437, wq=1.0, w0=1.15, eta=0.3), 1)
-    matrix_bytes = op.dim**2 * 8
+    # N = 8, u = 1: dim 219, a 0.38 MB dense matrix; the library's sector
+    # solve builds the triplets, scatters them into the one matrix it
+    # reduces in place, and the first Householder column's rank-2 product
+    # is one more (dim - 1)^2 array
+    cfg = _config(8, 0.437, wq=1.0, w0=1.15, eta=0.3)
+    matrix_bytes = len(sector_basis(cfg, 1)) ** 2 * 8
     tracemalloc.start()
     try:
-        eigvalsh(op)
+        sector_spectrum(cfg, 1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

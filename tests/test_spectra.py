@@ -403,6 +403,33 @@ def test_one_coupling_validator(caller):
         call(0.0)
 
 
+# every route that takes a detuning or an eigenvalue v, as a function of both
+FINITE_CALLERS = {
+    "build_h1_matrix": lambda v, dw: build_h1_matrix(subspace(1, 2), 0.625, dw, 0.1),
+    "coefficients_recursive": lambda v, dw: coefficients_recursive(
+        v, subspace(1, 2), 0.625, dw, 0.1
+    ),
+    "coefficients_closed": lambda v, dw: coefficients_closed(v, subspace(1, 2), 0.625, dw, 0.1),
+    "four_qubit_reference_coefficients": lambda v, dw: four_qubit_reference_coefficients(
+        v, 0.625, dw, 0.1
+    ),
+    "weak_coupling_energies": lambda v, dw: weak_coupling_energies(0.625, dw, 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(FINITE_CALLERS))
+def test_non_finite_detuning_or_eigenvalue_is_refused(caller):
+    # without the check, inf * 0 and nan give nan amplitudes and energies
+    call = FINITE_CALLERS[caller]
+    call(0.25, 2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="detuning must be finite"):
+            call(0.25, bad)
+        if caller in VT_ROUTES:
+            with pytest.raises(InvalidParameterError, match="eigenvalue v must be finite"):
+                call(bad, 2.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(u2=st.integers(-120, 220), r2=st.integers(0, 100))
 def test_every_ladder_product_of_a_subspace_is_at_least_one(u2, r2):
