@@ -10,16 +10,21 @@ inverse iteration on each unreduced block, run for all of the block's
 eigenvalues at once, with the vectors of close eigenvalues re-orthogonalized
 as in LAPACK ``dstein``.
 
-The sequential kernels keep their state in Python objects: QL works on
-lists of floats, and the LU factorization and solves of inverse iteration
-(LAPACK ``dlagtf``/``dlagts``) hold one numpy row per matrix row, with one
-value per shift, in Python lists.  Each step then reads and appends whole
-rows instead of storing into preallocated arrays.  QL scans the
-off-diagonals for the end of an unreduced block only where no sweep has
-told it, as each sweep yields the block end that a scan after it would
-find; a Householder column reads its scalars once as Python floats and
-forms q with one temporary.  Neither moves a bit: each BLAS product keeps
-its operands, shapes, layouts and order.
+The sequential kernels keep their state in Python objects.  QL works on
+lists of floats.  The LU factorization and solves of inverse iteration
+(LAPACK ``dlagtf``/``dlagts``) take one of two routes, chosen by the
+block's dimension m as LAPACK chooses its blocked routes by NX.  Up to
+``FLOAT_LU_MAX_DIM`` they run on Python floats, one shift at a time
+(:func:`_lu_floats`, :func:`_lu_solve_floats`).  Above it they hold one
+numpy row per matrix row, with one value per shift, in Python lists
+(:func:`_lu`, :func:`_lu_solve`), and each step reads and appends whole
+rows instead of storing into preallocated arrays.  Both routes do the
+same IEEE operations in the same order, so they give the same bits.  QL
+scans the off-diagonals for the end of an unreduced block only where no
+sweep has told it, as each sweep yields the block end that a scan after
+it would find; a Householder column reads its scalars once as Python
+floats and forms q with one temporary.  Neither moves a bit: each BLAS
+product keeps its operands, shapes, layouts and order.
 
 A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
@@ -27,15 +32,18 @@ exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
 range.  :func:`_scale_down` alone scales a dense matrix and a (d, e);
 :func:`_eigenvalues` runs QL and scales back for ``tridiagonal_eigvalsh``
-and ``oracle.sector_spectrum``; ``tridiagonal_eigh`` cuts its blocks at QL's
-threshold and scales back itself.  So no square of an entry overflows, and
-none underflows unless the entries span more than 2**111 (2**511 once
-scaled); inside the safe range nothing is scaled, and outside it, as a
-power of two commutes with rounding in the normal range, no bit moves
-either.  ``np.ldexp`` scales without forming 2**-scale, which overflows
-for scale below -1023 (``dlascl`` takes such a factor in two steps).  A
-Householder column whose squares still underflow is reflected scaled by
-2**511, which gives the same reflection.
+and ``oracle.sector_spectrum``; ``tridiagonal_eigh`` cuts its blocks at
+QL's threshold and scales back itself, both through :func:`_scale_back`.
+So no square of an entry overflows, and none underflows unless the
+entries span more than 2**111 (2**511 once scaled); inside the safe range
+nothing is scaled, and outside it, as a power of two commutes with
+rounding in the normal range, no bit moves either.  ``np.ldexp`` scales
+without forming 2**-scale, which overflows for scale below -1023
+(``dlascl`` takes such a factor in two steps).  A Householder column
+whose squares still underflow is reflected scaled by 2**511, which gives
+the same reflection.  A matrix of finite entries can still have
+eigenvalues beyond float range: :func:`_scale_back` refuses them with
+:class:`InvalidParameterError`.
 
 Every routine is deterministic: the same input gives the same output bits.
 """
@@ -43,6 +51,7 @@ Every routine is deterministic: the same input gives the same output bits.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +81,15 @@ SAFE_EXPONENT = 400
 # deterministic, without the symmetries of the matrices, and it spares
 # the memory of loading numpy.random
 START_STEP = (math.sqrt(5.0) - 1.0) / 2.0
+# inverse iteration factors and solves a block of dimension m up to this on
+# Python floats, one shift at a time (m^2 scalar steps), and a larger one on
+# numpy rows of m values (m steps of ~22 numpy calls each).  The float route
+# took 0.34 / 0.54 / 0.77 / 0.88 of the numpy route's time for an LU and two
+# solves at m = 5 / 13 / 21 / 29, and 1.10 / 1.29 / 1.92 of it at m = 31 / 41
+# / 61 (spectrum's ladders; medians of 21 interleaved timings on a 2-core
+# Xeon VM, Python 3.11, numpy 2.4), so the switch sits where they cross, as
+# LAPACK's NX does for its blocked routes
+FLOAT_LU_MAX_DIM = 29
 
 
 def as_real(array, what: str = "matrix") -> np.ndarray:
@@ -258,7 +276,20 @@ def _eigenvalues(d: np.ndarray, e: np.ndarray, scale: int) -> np.ndarray:
     back, so none is rounded to a subnormal and 2**p * T solves to 2**p
     times the eigenvalues of T bit for bit.  QL never computes with an
     off-diagonal at or below its threshold, so none needs zeroing."""
-    return np.ldexp(_ql(d.tolist(), e.tolist(), EPS * _norm(d, e)), scale)
+    return _scale_back(_ql(d.tolist(), e.tolist(), EPS * _norm(d, e)), scale)
+
+
+def _scale_back(values, scale: int) -> np.ndarray:
+    """2**scale times the ascending eigenvalues ``values``.  A matrix of
+    finite entries can have eigenvalues beyond float range (||T|| reaches
+    3 times its largest entry): they raise :class:`InvalidParameterError`,
+    found from the binary exponent of the largest, before any overflows."""
+    top = float(max(-values[0], values[-1])) if len(values) else 0.0
+    if math.frexp(top)[1] + scale > 1024:
+        raise InvalidParameterError(
+            f"eigenvalues overflow floats: the largest |value| is {top!r} * 2**{scale}"
+        )
+    return np.ldexp(values, scale)
 
 
 def _tridiagonal(d, e) -> tuple[np.ndarray, np.ndarray, int]:
@@ -284,9 +315,10 @@ def tridiagonal_eigvalsh(d, e) -> np.ndarray:
 
 def _lu(d, e, shifts, tiny):
     """Row-pivoted LU factors of T - shift*I for every shift at once
-    (LAPACK dlagtf).  Each factor is a list of rows, one array per row
-    with one value per shift: the pivots u0, the two superdiagonals u1 and
-    u2 of the upper factor, the multipliers and the row swaps."""
+    (LAPACK dlagtf): the route for blocks above ``FLOAT_LU_MAX_DIM``.
+    Each factor is a list of rows, one numpy array per row with one value
+    per shift: the pivots u0, the two superdiagonals u1 and u2 of the
+    upper factor, the multipliers and the row swaps."""
     m = d.size
     e = e.tolist()
     rows = d[:, None] - shifts  # row i of T - shift: d[i] - shift
@@ -338,6 +370,77 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     return np.array(x[::-1])
 
 
+def _lu_floats(d: list, e: list, shift: float, tiny: float) -> tuple:
+    """:func:`_lu` for one shift on Python floats, with the same operations
+    in the same order, so the same bits: the factors as lists of floats,
+    and the swaps as bools.
+
+    Python raises ZeroDivisionError where numpy would warn, but no pivot
+    is 0 in an unreduced block: every |e_i| exceeds eps * ||T|| > 0, a
+    pivot that is not e_i is at least |e_i|, and the last pivot is moved
+    off 0 to at least ``tiny`` (eps times the block's norm, also > 0).
+    """
+    u0, u1, u2, mult, swap = [], [], [], [], []
+    w0 = d[0] - shift
+    w1 = e[0]
+    for e_i, d_next, c in zip(e, d[1:], e[1:] + [0.0]):
+        a = d_next - shift
+        s = abs(w0) < abs(e_i)
+        if s:
+            mu = w0 / e_i
+            u0.append(e_i)
+            u1.append(a)
+            u2.append(c)
+            w0 = w1 - mu * a
+            w1 = 0.0 - mu * c
+        else:
+            mu = e_i / w0
+            u0.append(w0)
+            u1.append(w1)
+            u2.append(0.0)
+            w0 = a - mu * w1
+            w1 = c - mu * 0.0
+        mult.append(mu)
+        swap.append(s)
+    u0.append((-tiny if w0 < 0.0 else tiny) if abs(w0) < tiny else w0)
+    return u0, u1, u2, mult, swap
+
+
+def _lu_solve_floats(factors: tuple, b: list) -> list:
+    """:func:`_lu_solve` for one shift on Python floats, from the factors
+    of :func:`_lu_floats`: the same operations in the same order."""
+    u0, u1, u2, mult, swap = factors
+    y = []
+    carry = b[0]
+    for s, mu, b_next in zip(swap, mult, b[1:]):
+        if s:
+            y.append(b_next)
+            carry = carry - mu * b_next
+        else:
+            y.append(carry)
+            carry = b_next - mu * carry
+    y.append(carry)
+    m = len(y)
+    x1 = y[m - 1] / u0[m - 1]
+    x = [x1]
+    if m >= 2:
+        x2, x1 = x1, (y[m - 2] - u1[m - 2] * x1) / u0[m - 2]
+        x.append(x1)
+    for i in range(m - 3, -1, -1):
+        x2, x1 = x1, (y[i] - u1[i] * x1 - u2[i] * x2) / u0[i]
+        x.append(x1)
+    return x[::-1]
+
+
+def _solve_columns(factors: list, b: np.ndarray) -> np.ndarray:
+    """Column j of ``b`` solved with the factors of shift j, by
+    :func:`_lu_solve_floats`, as the C-ordered array :func:`_lu_solve`
+    returns: ``_column_norms`` sums a C-ordered array row by row but an
+    F-ordered one pairwise, which rounds differently."""
+    columns = [_lu_solve_floats(f, column) for f, column in zip(factors, b.T.tolist())]
+    return np.array(columns).T.copy()
+
+
 def _column_norms(x: np.ndarray) -> np.ndarray:
     # the sums numpy.linalg.norm(x, axis=0) forms, without numpy.linalg
     return np.sqrt(np.add.reduce(x * x, axis=0))
@@ -351,7 +454,7 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarr
         return np.ones((1, 1))
     norm = _norm(d, e)
     # coincident eigenvalues get distinct shifts (dstein's PERTOL)
-    shifts = values.copy()
+    shifts = values.tolist()
     pertol = 10.0 * EPS * norm
     for j in range(1, m):
         if shifts[j] - shifts[j - 1] < pertol:
@@ -362,11 +465,16 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarr
         for lo, hi in zip(np.concatenate(([0], starts)), np.concatenate((starts, [m])))
         if hi - lo > 1
     ]
-    factors = _lu(d, e, shifts, EPS * norm)
+    tiny = EPS * norm
+    if m <= FLOAT_LU_MAX_DIM:
+        d_list, e_list = d.tolist(), e.tolist()
+        solve = partial(_solve_columns, [_lu_floats(d_list, e_list, s, tiny) for s in shifts])
+    else:
+        solve = partial(_lu_solve, _lu(d, e, np.array(shifts), tiny))
     x = 2.0 * ((np.arange(1, m * m + 1) * START_STEP) % 1.0).reshape(m, m) - 1.0
     tol = RESIDUAL_TOL * m * norm
     for sweep in range(INVERSE_MAX_SWEEPS):
-        x = _lu_solve(factors, x / np.abs(x).max(axis=0))
+        x = solve(x / np.abs(x).max(axis=0))
         x /= _column_norms(x)
         for lo, hi in clusters:
             for j in range(lo + 1, hi):
@@ -415,4 +523,4 @@ def tridiagonal_eigh(d, e) -> tuple[np.ndarray, np.ndarray]:
     vectors = vectors[:, order]
     lead = vectors[np.argmax(np.abs(vectors) > SIGNIFICANT_COMPONENT, axis=0), np.arange(n)]
     vectors *= np.where(lead < 0.0, -1.0, 1.0)
-    return np.ldexp(values, scale), vectors
+    return _scale_back(values, scale), vectors

@@ -270,6 +270,7 @@ def weak_coupling_energies(deformation, detuning, coupling, qubit_freq) -> np.nd
     """
     R = _validate_deformation(deformation)
     check_finite(detuning, "detuning")
+    check_finite(qubit_freq, "qubit_freq")
     # numpy scalars, so that an overflow raises under np.errstate instead of giving inf
     dw = np.float64(detuning)
     if dw == 0.0:

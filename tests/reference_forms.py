@@ -9,7 +9,7 @@ Householder reduction with ``np.stack`` operands for the oracle's
 in-place one, which :func:`tridiagonalize` runs on a copy of a test's
 dense matrix, and the array forms of the tridiagonal kernels
 (:func:`ql_while`, :func:`lu_arrays`, :func:`lu_solve_arrays`), whose
-bits the library's list forms keep.
+bits the library's list forms and its float forms of small blocks keep.
 
 References for the stationary points, which the library finds from
 their branch structure: the full grid scan :func:`bracketed_roots`, whose

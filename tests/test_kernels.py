@@ -1,13 +1,17 @@
 """The tridiagonal kernels keep the bits of their array forms.
 
 :func:`qchain.linalg._ql`, ``_lu`` and ``_lu_solve`` carry their rows in
-Python lists; ``reference_forms`` keeps the array forms they replaced
+Python lists, and ``_lu_floats`` and ``_lu_solve_floats``, which inverse
+iteration runs on blocks up to ``FLOAT_LU_MAX_DIM``, one shift at a time on
+Python floats; ``reference_forms`` keeps the array forms they replaced
 (:func:`ql_while`, :func:`lu_arrays`, :func:`lu_solve_arrays`).  Every
-comparison is by ``tobytes``: on random tridiagonals, on the ladders
-``spectrum`` builds and on the oracle's sectors.  A line tracer shows that
-each way ``_ql`` takes a block end from a sweep runs, and a subprocess
-under another OpenBLAS kernel checks the oracle's reduction and QL against
-their reference forms.
+comparison is by ``tobytes``: on random tridiagonals and Wilkinson
+matrices, whose coincident shifts, clusters and vanishing last pivots run
+every branch of inverse iteration, on the ladders ``spectrum`` builds,
+with blocks on both sides of ``FLOAT_LU_MAX_DIM``, and on the oracle's
+sectors.  A line tracer shows that each way ``_ql`` takes a block end from
+a sweep runs, and a subprocess under another OpenBLAS kernel checks the
+oracle's reduction and QL against their reference forms.
 """
 
 import inspect
@@ -41,9 +45,11 @@ def _check_ql(d, e):
 
 def _check_kernels(d, e, rng):
     """QL on the whole matrix, then the LU factors and a solve on each
-    unreduced block, shifted by the block's eigenvalues."""
+    unreduced block, shifted by the block's eigenvalues, by both routes.
+    Returns the number of last pivots moved off 0."""
     d, e, tiny = _check_ql(d, e)
     cuts = np.concatenate(([0], np.flatnonzero(np.abs(e) <= tiny) + 1, [d.size]))
+    moved = 0
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         m = hi - lo
         if m < 2:
@@ -52,15 +58,41 @@ def _check_kernels(d, e, rng):
         shifts = np.array(ql_while(block_d.tolist(), block_e.tolist(), tiny))
         small = linalg.EPS * linalg._norm(block_d, block_e)
         new = linalg._lu(block_d, block_e, shifts, small)
+        floats = [
+            linalg._lu_floats(block_d.tolist(), block_e.tolist(), shift, small)
+            for shift in shifts.tolist()
+        ]
         old = lu_arrays(block_d, block_e, shifts, small)
         # u0 has m rows; u1, u2, the multipliers and the swaps m - 1 written ones
-        for new_rows, old_rows, written in zip(new, old, (m, m - 1, m - 1, m - 1, m - 1)):
+        for new_rows, per_shift, old_rows, written in zip(
+            new, zip(*floats), old, (m, m - 1, m - 1, m - 1, m - 1)
+        ):
             assert _same(np.array(new_rows).reshape(written, m), old_rows[:written])
+            assert _same(np.array(per_shift).T, old_rows[:written])
+        moved += int(np.count_nonzero(np.abs(old[0][m - 1]) == small))
         b = rng.standard_normal((m, m))
-        assert _same(linalg._lu_solve(new, b), lu_solve_arrays(old, b))
+        expected = lu_solve_arrays(old, b)
+        assert _same(linalg._lu_solve(new, b), expected)
+        solved = linalg._solve_columns(floats, b)
+        assert _same(solved, expected) and solved.flags.c_contiguous
+    return moved
+
+
+def _wilkinson(m):
+    """Wilkinson's W+ matrix of odd dimension m: d = |k - (m - 1)/2|, e = 1.
+    Its eigenvalues come in pairs that agree to within rounding, whose
+    shifts inverse iteration perturbs apart, in clusters that it
+    re-orthogonalizes, and integer entries make some last pivots 0."""
+    return np.abs(np.arange(m) - (m - 1) / 2), np.ones(m - 1)
+
+
+# one Wilkinson block on each side of FLOAT_LU_MAX_DIM
+WILKINSON_DIMS = (23, 41)
 
 
 def _use_array_kernels(monkeypatch):
+    """Every block through the numpy route, patched with the array forms."""
+    monkeypatch.setattr(linalg, "FLOAT_LU_MAX_DIM", 0)
     monkeypatch.setattr(linalg, "_ql", ql_while)
     monkeypatch.setattr(linalg, "_lu", lu_arrays)
     monkeypatch.setattr(linalg, "_lu_solve", lu_solve_arrays)
@@ -83,6 +115,10 @@ def test_kernels_on_random_tridiagonals():
         elif kind == 3:
             d[:] = rng.integers(-2, 3, n) * scale  # repeated diagonal entries
         _check_kernels(d, e, rng)
+    moved = sum(_check_kernels(*_wilkinson(m), rng) for m in WILKINSON_DIMS)
+    assert moved > 0
+    # a tie in the swap test: at the eigenvalue 3, |d - 3| = |e| = 1
+    _check_kernels(np.array([2.0, 2.0]), np.array([1.0]), rng)
 
 
 # (u, r) of each kind of ladder spectrum builds: the full irrep of a
@@ -94,15 +130,38 @@ LADDERS += [((dim - 1) / 2 + 3, (dim - 1) / 2) for dim in (4, 31, 101)]
 
 @pytest.mark.parametrize("detuning, eta", [(0.03, 0.2), (-0.4, 1.3), (0.0, 0.2), (0.03, 0.0)])
 def test_ladders_solve_to_the_same_bytes(monkeypatch, detuning, eta):
-    """tridiagonal_eigh with the list kernels and with the array kernels
-    patched in, as spectrum runs it: eta = 0 splits every ladder into
-    1 x 1 blocks, and zero detuning leaves a zero diagonal."""
+    """tridiagonal_eigh with the list and float kernels and with the array
+    kernels patched in, as spectrum runs it: eta = 0 splits every ladder
+    into 1 x 1 blocks, and zero detuning leaves a zero diagonal.  At
+    eta > 0 each ladder is one unreduced block, and they lie on both sides
+    of FLOAT_LU_MAX_DIM."""
     ladders = [build_h1_matrix(subspace(u, r), 0.7, detuning, eta) for u, r in LADDERS]
+    if eta > 0.0:
+        assert all(np.all(e != 0.0) for _, e in ladders)
+        sizes = [d.size for d, _ in ladders]
+        assert min(sizes) <= linalg.FLOAT_LU_MAX_DIM < max(sizes)
     solved = [linalg.tridiagonal_eigh(d, e) for d, e in ladders]
     _use_array_kernels(monkeypatch)
     for (d, e), (values, vectors) in zip(ladders, solved):
         old_values, old_vectors = linalg.tridiagonal_eigh(d, e)
         assert _same(values, old_values) and _same(vectors, old_vectors)
+
+
+@pytest.mark.parametrize("m", WILKINSON_DIMS)
+def test_inverse_iteration_branches_solve_to_the_same_bytes(monkeypatch, m):
+    """A Wilkinson block on each route runs the shift perturbation of
+    coincident eigenvalues and the cluster Gram-Schmidt, and keeps the
+    bits of the array kernels."""
+    d, e = _wilkinson(m)
+    values = np.array(ql_while(d.tolist(), e.tolist(), linalg.EPS * linalg._norm(d, e)))
+    assert WILKINSON_DIMS[0] <= linalg.FLOAT_LU_MAX_DIM < WILKINSON_DIMS[1]
+    lines = _lines_run(linalg._block_vectors, d, e, values)
+    for text in ("shifts[j] = shifts[j - 1] + pertol", "x[:, j] -= prev @ (prev.T @ x[:, j])"):
+        assert _line(linalg._block_vectors, text) in lines, text
+    solved = linalg.tridiagonal_eigh(d, e)
+    _use_array_kernels(monkeypatch)
+    for new, old in zip(solved, linalg.tridiagonal_eigh(d, e)):
+        assert _same(new, old)
 
 
 def test_oracle_sectors_reduce_to_the_same_eigenvalues():
@@ -137,9 +196,9 @@ def _lines_run(function, *args):
     return seen
 
 
-def _ql_line(text):
-    """The line number of the one line of ``_ql`` that reads ``text``."""
-    lines, first = inspect.getsourcelines(linalg._ql)
+def _line(function, text):
+    """The line number of the one line of ``function`` that reads ``text``."""
+    lines, first = inspect.getsourcelines(function)
     found = [first + k for k, line in enumerate(lines) if line.strip() == text]
     assert len(found) == 1, text
     return found[0]
@@ -186,7 +245,7 @@ def test_ql_takes_each_block_end_from_the_sweep(case, branch):
         d, e, _ = linalg._tridiagonal(*SPLITTING)
         tiny = linalg.EPS * linalg._norm(d, e)
         d, e = d.tolist(), e.tolist()
-    assert _ql_line(branch) in _lines_run(linalg._ql, d, e, tiny)
+    assert _line(linalg._ql, branch) in _lines_run(linalg._ql, d, e, tiny)
     assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))
 
 

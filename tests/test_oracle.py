@@ -481,6 +481,22 @@ def test_sector_spectrum_refuses_entries_out_of_float_range(name):
         sector_spectrum(cfg, 2)
 
 
+def test_eigenvalues_beyond_float_range_are_refused():
+    """Finite entries whose eigenvalues overflow when scaled back: the
+    sector N = 4, u = 1 at eta = 1e308 (hops up to 1.73e308), and a 2 x 2
+    whose eigenvalues are 2e308 and 0; the same 2 x 2 with d = (1e308,
+    -1e308) has eigenvalues +-1.41e308, which are solved."""
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidParameterError, match="eigenvalues overflow floats"):
+            sector_spectrum(_config(4, 0.3, eta=1e308), 1)
+        for solve in (tridiagonal_eigvalsh, tridiagonal_eigh):
+            with pytest.raises(InvalidParameterError, match="eigenvalues overflow floats"):
+                solve([1e308, 1e308], [1e308])
+            with pytest.raises(InvalidParameterError, match="eigenvalues overflow floats"):
+                solve([-1e308, -1e308], [1e308])
+        assert np.isfinite(tridiagonal_eigh([1e308, -1e308], [1e308])[0]).all()
+
+
 def test_eigvalsh_runs_ql_on_its_own_reduction_bit_for_bit():
     """QL on the reduction's scaled (d, e), with no second scaling and no
     zeroing of negligible off-diagonals, gives the bits of the checked

@@ -430,6 +430,13 @@ def test_non_finite_detuning_or_eigenvalue_is_refused(caller):
                 call(bad, 2.0)
 
 
+def test_weak_coupling_energies_refuses_a_non_finite_qubit_freq():
+    # without the check, w_q is added to each energy: four nan or inf
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="qubit_freq must be finite"):
+            weak_coupling_energies(0.5, 2.0, 0.1, bad)
+
+
 @settings(max_examples=300, deadline=None)
 @given(u2=st.integers(-120, 220), r2=st.integers(0, 100))
 def test_every_ladder_product_of_a_subspace_is_at_least_one(u2, r2):
