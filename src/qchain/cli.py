@@ -511,11 +511,9 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-@functools.cache
-def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # parse_args never changes a parser: every call starts from a fresh
-    # namespace, so one set of parsers serves all the calls of a process
-    return _build_parsers()
+# parse_args never changes a parser: every call starts from a fresh
+# namespace, so one set of parsers serves all the calls of a process
+_shared_parsers = functools.cache(_build_parsers)
 
 
 def _parse(argv) -> argparse.Namespace:

@@ -12,19 +12,20 @@ as in LAPACK ``dstein``.
 
 The sequential kernels keep their state in Python objects.  QL works on
 lists of floats.  The LU factorization and solves of inverse iteration
-(LAPACK ``dlagtf``/``dlagts``) take one of two routes, chosen by the
-block's dimension m as LAPACK chooses its blocked routes by NX.  Up to
-``FLOAT_LU_MAX_DIM`` they run on Python floats, one shift at a time
-(:func:`_lu_floats`, :func:`_lu_solve_floats`).  Above it they hold one
-numpy row per matrix row, with one value per shift, in Python lists
-(:func:`_lu`, :func:`_lu_solve`), and each step reads and appends whole
-rows instead of storing into preallocated arrays.  Both routes do the
-same IEEE operations in the same order, so they give the same bits.  QL
-scans the off-diagonals for the end of an unreduced block only where no
-sweep has told it, as each sweep yields the block end that a scan after
-it would find; a Householder column reads its scalars once as Python
-floats and forms q with one temporary.  Neither moves a bit: each BLAS
-product keeps its operands, shapes, layouts and order.
+(LAPACK ``dlagtf``/``dlagts``) have two kernel pairs with one signature:
+each factors the block's (d, e) at a list of shifts, and each solves an
+(m, k) array to a C-ordered (m, k) array.  The block's dimension m alone
+picks one, as LAPACK picks its blocked routes by NX: up to
+``FLOAT_LU_MAX_DIM``, :func:`_lu_floats` and :func:`_lu_solve_floats` run
+one shift at a time on Python floats; above it, :func:`_lu` and
+:func:`_lu_solve` hold one numpy row per matrix row, with one value per
+shift, in Python lists.  Both pairs do the same IEEE operations in the
+same order, so they give the same bits.  QL scans the off-diagonals for
+the end of an unreduced block only where no sweep has told it, as each
+sweep yields the block end that a scan after it would find; a Householder
+column reads its scalars once as Python floats and forms q with one
+temporary.  Neither moves a bit: each BLAS product keeps its operands,
+shapes, layouts and order.
 
 A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
@@ -41,9 +42,9 @@ rounding in the normal range, no bit moves either.  ``np.ldexp`` scales
 without forming 2**-scale, which overflows for scale below -1023
 (``dlascl`` takes such a factor in two steps).  A Householder column
 whose squares still underflow is reflected scaled by 2**511, which gives
-the same reflection.  A matrix of finite entries can still have
-eigenvalues beyond float range: :func:`_scale_back` refuses them with
-:class:`InvalidParameterError`.
+the same reflection, and its off-diagonal is scaled back at once.  A
+matrix of finite entries can still have eigenvalues beyond float range:
+:func:`_scale_back` refuses them with :class:`InvalidParameterError`.
 
 Every routine is deterministic: the same input gives the same output bits.
 """
@@ -51,7 +52,6 @@ Every routine is deterministic: the same input gives the same output bits.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -108,16 +108,21 @@ def as_real(array, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _scale_down(*arrays: np.ndarray) -> int:
-    """Scale ``arrays`` in place by 2**-scale and return scale: 0 while
-    their largest absolute entry lies within 2**(+-SAFE_EXPONENT), else the
-    binary exponent of that entry."""
+def _scale_exponent(*arrays: np.ndarray) -> int:
+    """0 while the largest absolute entry of ``arrays`` lies within
+    2**(+-SAFE_EXPONENT), else the binary exponent of that entry."""
     top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
     scale = math.frexp(top)[1]
-    if abs(scale) <= SAFE_EXPONENT:
-        return 0
-    for x in arrays:
-        np.ldexp(x, -scale, out=x)
+    return scale if abs(scale) > SAFE_EXPONENT else 0
+
+
+def _scale_down(*arrays: np.ndarray) -> int:
+    """Scale ``arrays`` in place by 2**-scale and return scale, the
+    exponent :func:`_scale_exponent` gives them."""
+    scale = _scale_exponent(*arrays)
+    if scale:
+        for x in arrays:
+            np.ldexp(x, -scale, out=x)
     return scale
 
 
@@ -136,7 +141,6 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     scale = _scale_down(a)
     n = a.shape[0]
     e = np.zeros(max(n - 1, 0))
-    shifted = []  # columns reflected scaled by 2**UNDERFLOW_SHIFT
     smallest_normal = SMALLEST_NORMAL  # a local: it is read at every column
     # ndarray.dot and matmul pass the same operands to the same BLAS call
     # (ddot, dgemm); dot dispatches in about half the time, except on the
@@ -144,14 +148,15 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
     for k in range(n - 2):
         x = a[k + 1 :, k]
         squares = float(x.dot(x))
+        shift = 0  # the binary exponent the column is reflected at
         if squares < smallest_normal:
             if squares == 0.0:
                 continue
             # the squares of the column underflow: reflect 2**511 * x,
             # which gives the same H, as it depends on v v^T / h alone
-            x = np.ldexp(x, UNDERFLOW_SHIFT)
+            shift = UNDERFLOW_SHIFT
+            x = np.ldexp(x, shift)
             squares = float(x.dot(x))
-            shifted.append(k)
         alpha = math.sqrt(squares)
         x0 = float(x[0])
         if x0 > 0.0:
@@ -160,7 +165,7 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         v = x.copy()
         v[0] = x0 - alpha
         h = alpha * alpha - alpha * x0
-        e[k] = alpha
+        e[k] = math.ldexp(alpha, -shift)  # C ldexp, as np.ldexp rounds
         rest = a[k + 1 :, k + 1 :]
         p = rest @ v
         p /= h
@@ -173,8 +178,6 @@ def _tridiagonalize_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         qv[0] = q
         qv[1] = v
         rest -= qv[::-1].T.copy().dot(qv)
-    if shifted:
-        e[shifted] = np.ldexp(e[shifted], -UNDERFLOW_SHIFT)
     if n >= 2:
         e[n - 2] = a[n - 1, n - 2]
     return a.diagonal().copy(), e, scale
@@ -314,30 +317,27 @@ def tridiagonal_eigvalsh(d, e) -> np.ndarray:
 
 
 def _lu(d, e, shifts, tiny):
-    """Row-pivoted LU factors of T - shift*I for every shift at once
-    (LAPACK dlagtf): the route for blocks above ``FLOAT_LU_MAX_DIM``.
-    Each factor is a list of rows, one numpy array per row with one value
-    per shift: the pivots u0, the two superdiagonals u1 and u2 of the
-    upper factor, the multipliers and the row swaps."""
-    m = d.size
+    """Row-pivoted LU factors of T - shift*I for every shift of the list
+    ``shifts`` at once (LAPACK dlagtf), on the block's arrays (d, e): the
+    numpy kernel, for blocks above ``FLOAT_LU_MAX_DIM``.  Each factor is a
+    list of rows, one numpy array per row with one value per shift: the
+    pivots u0, the two superdiagonals u1 and u2 of the upper factor, the
+    multipliers and the row swaps."""
     e = e.tolist()
-    rows = d[:, None] - shifts  # row i of T - shift: d[i] - shift
+    rows = d[:, None] - np.array(shifts)  # row i of T - shift: d[i] - shift
     u0, u1, u2, mult, swap = [], [], [], [], []
     # the row still to be eliminated: columns i, i+1 (column i+2 is zero)
     w0 = rows[0]
-    w1 = np.full(shifts.size, e[0])
-    for i in range(m - 1):
-        # the next row of T - shift: columns i, i+1, i+2
-        a_next = rows[i + 1]
-        c_next = e[i + 1] if i + 1 < m - 1 else 0.0
-        e_i = e[i]
+    w1 = np.full(len(shifts), e[0])
+    # e_i couples rows i and i+1; a and c are the next row's columns i+1, i+2
+    for e_i, a, c in zip(e, rows[1:], e[1:] + [0.0]):
         s = np.abs(w0) < abs(e_i)
         p0 = np.where(s, e_i, w0)
-        p1 = np.where(s, a_next, w1)
-        p2 = np.where(s, c_next, 0.0)
+        p1 = np.where(s, a, w1)
+        p2 = np.where(s, c, 0.0)
         mu = np.where(s, w0, e_i) / p0
-        w0 = np.where(s, w1, a_next) - mu * p1
-        w1 = np.where(s, 0.0, c_next) - mu * p2
+        w0 = np.where(s, w1, a) - mu * p1
+        w1 = np.where(s, 0.0, c) - mu * p2
         u0.append(p0)
         u1.append(p1)
         u2.append(p2)
@@ -349,7 +349,9 @@ def _lu(d, e, shifts, tiny):
 
 
 def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solve (T - shift_j I) x_j = b_j for every column j (LAPACK dlagts)."""
+    """Solve (T - shift_j I) x_j = b_j for every column j of the (m, k)
+    array ``b`` (LAPACK dlagts), from the factors of :func:`_lu`, as a
+    C-ordered (m, k) array.  m >= 2: a 1 x 1 block is solved without an LU."""
     u0, u1, u2, mult, swap = factors
     b = list(b)
     # forward: apply the row swaps and multipliers
@@ -363,81 +365,80 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     # back substitution through the upper factor, last row first
     m = len(y)
     x = [y[m - 1] / u0[m - 1]]
-    if m >= 2:
-        x.append((y[m - 2] - u1[m - 2] * x[-1]) / u0[m - 2])
+    x.append((y[m - 2] - u1[m - 2] * x[-1]) / u0[m - 2])
     for i in range(m - 3, -1, -1):
         x.append((y[i] - u1[i] * x[-1] - u2[i] * x[-2]) / u0[i])
     return np.array(x[::-1])
 
 
-def _lu_floats(d: list, e: list, shift: float, tiny: float) -> tuple:
-    """:func:`_lu` for one shift on Python floats, with the same operations
-    in the same order, so the same bits: the factors as lists of floats,
-    and the swaps as bools.
+def _lu_floats(d, e, shifts, tiny) -> list:
+    """:func:`_lu` on Python floats, one shift at a time, with the same
+    arguments and the same operations in the same order, so the same bits:
+    the float kernel, for blocks up to ``FLOAT_LU_MAX_DIM``.  Returns each
+    shift's factors, as lists of floats and the swaps as bools.
 
     Python raises ZeroDivisionError where numpy would warn, but no pivot
     is 0 in an unreduced block: every |e_i| exceeds eps * ||T|| > 0, a
     pivot that is not e_i is at least |e_i|, and the last pivot is moved
     off 0 to at least ``tiny`` (eps times the block's norm, also > 0).
     """
-    u0, u1, u2, mult, swap = [], [], [], [], []
-    w0 = d[0] - shift
-    w1 = e[0]
-    for e_i, d_next, c in zip(e, d[1:], e[1:] + [0.0]):
-        a = d_next - shift
-        s = abs(w0) < abs(e_i)
-        if s:
-            mu = w0 / e_i
-            u0.append(e_i)
-            u1.append(a)
-            u2.append(c)
-            w0 = w1 - mu * a
-            w1 = 0.0 - mu * c
-        else:
-            mu = e_i / w0
-            u0.append(w0)
-            u1.append(w1)
-            u2.append(0.0)
-            w0 = a - mu * w1
-            w1 = c - mu * 0.0
-        mult.append(mu)
-        swap.append(s)
-    u0.append((-tiny if w0 < 0.0 else tiny) if abs(w0) < tiny else w0)
-    return u0, u1, u2, mult, swap
+    d, e = d.tolist(), e.tolist()
+    steps = list(zip(e, d[1:], e[1:] + [0.0]))
+    factors = []
+    for shift in shifts:
+        u0, u1, u2, mult, swap = [], [], [], [], []
+        w0 = d[0] - shift
+        w1 = e[0]
+        for e_i, d_next, c in steps:
+            a = d_next - shift
+            s = abs(w0) < abs(e_i)
+            if s:
+                mu = w0 / e_i
+                u0.append(e_i)
+                u1.append(a)
+                u2.append(c)
+                w0 = w1 - mu * a
+                w1 = 0.0 - mu * c
+            else:
+                mu = e_i / w0
+                u0.append(w0)
+                u1.append(w1)
+                u2.append(0.0)
+                w0 = a - mu * w1
+                w1 = c - mu * 0.0
+            mult.append(mu)
+            swap.append(s)
+        u0.append((-tiny if w0 < 0.0 else tiny) if abs(w0) < tiny else w0)
+        factors.append((u0, u1, u2, mult, swap))
+    return factors
 
 
-def _lu_solve_floats(factors: tuple, b: list) -> list:
-    """:func:`_lu_solve` for one shift on Python floats, from the factors
-    of :func:`_lu_floats`: the same operations in the same order."""
-    u0, u1, u2, mult, swap = factors
-    y = []
-    carry = b[0]
-    for s, mu, b_next in zip(swap, mult, b[1:]):
-        if s:
-            y.append(b_next)
-            carry = carry - mu * b_next
-        else:
-            y.append(carry)
-            carry = b_next - mu * carry
-    y.append(carry)
-    m = len(y)
-    x1 = y[m - 1] / u0[m - 1]
-    x = [x1]
-    if m >= 2:
-        x2, x1 = x1, (y[m - 2] - u1[m - 2] * x1) / u0[m - 2]
-        x.append(x1)
-    for i in range(m - 3, -1, -1):
-        x2, x1 = x1, (y[i] - u1[i] * x1 - u2[i] * x2) / u0[i]
-        x.append(x1)
-    return x[::-1]
-
-
-def _solve_columns(factors: list, b: np.ndarray) -> np.ndarray:
-    """Column j of ``b`` solved with the factors of shift j, by
-    :func:`_lu_solve_floats`, as the C-ordered array :func:`_lu_solve`
-    returns: ``_column_norms`` sums a C-ordered array row by row but an
-    F-ordered one pairwise, which rounds differently."""
-    columns = [_lu_solve_floats(f, column) for f, column in zip(factors, b.T.tolist())]
+def _lu_solve_floats(factors: list, b: np.ndarray) -> np.ndarray:
+    """:func:`_lu_solve` on Python floats, column j of ``b`` with the
+    factors of shift j from :func:`_lu_floats`: the same operations in the
+    same order, returned as the same C-ordered (m, k) array, since
+    ``_column_norms`` sums a C-ordered array row by row but an F-ordered
+    one pairwise, which rounds differently."""
+    columns = []
+    for (u0, u1, u2, mult, swap), column in zip(factors, b.T.tolist()):
+        y = []
+        carry = column[0]
+        for s, mu, b_next in zip(swap, mult, column[1:]):
+            if s:
+                y.append(b_next)
+                carry = carry - mu * b_next
+            else:
+                y.append(carry)
+                carry = b_next - mu * carry
+        y.append(carry)
+        m = len(y)
+        x2 = y[m - 1] / u0[m - 1]
+        x1 = (y[m - 2] - u1[m - 2] * x2) / u0[m - 2]
+        x = [x2, x1]
+        for i in range(m - 3, -1, -1):
+            x2, x1 = x1, (y[i] - u1[i] * x1 - u2[i] * x2) / u0[i]
+            x.append(x1)
+        columns.append(x[::-1])
     return np.array(columns).T.copy()
 
 
@@ -465,16 +466,13 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarr
         for lo, hi in zip(np.concatenate(([0], starts)), np.concatenate((starts, [m])))
         if hi - lo > 1
     ]
-    tiny = EPS * norm
-    if m <= FLOAT_LU_MAX_DIM:
-        d_list, e_list = d.tolist(), e.tolist()
-        solve = partial(_solve_columns, [_lu_floats(d_list, e_list, s, tiny) for s in shifts])
-    else:
-        solve = partial(_lu_solve, _lu(d, e, np.array(shifts), tiny))
+    # the kernel pair for the block's size: one signature, the same bits
+    lu, solve = (_lu_floats, _lu_solve_floats) if m <= FLOAT_LU_MAX_DIM else (_lu, _lu_solve)
+    factors = lu(d, e, shifts, EPS * norm)
     x = 2.0 * ((np.arange(1, m * m + 1) * START_STEP) % 1.0).reshape(m, m) - 1.0
     tol = RESIDUAL_TOL * m * norm
     for sweep in range(INVERSE_MAX_SWEEPS):
-        x = solve(x / np.abs(x).max(axis=0))
+        x = solve(factors, x / np.abs(x).max(axis=0))
         x /= _column_norms(x)
         for lo, hi in clusters:
             for j in range(lo + 1, hi):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
-from .linalg import SMALLEST_NORMAL, _eigenvalues, _tridiagonalize_in_place, as_real
+from .linalg import _eigenvalues, _scale_exponent, _tridiagonalize_in_place, as_real
 
 __all__ = [
     "MAX_QUBITS",
@@ -168,22 +168,33 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     for the collective operators, one dot product of two diagonals.  It
     reproduces the deformation factor, as a ``np.float64`` scalar, whose
     ``repr`` differs from a float's.  Each operator names each entry once,
-    so the sums over its triplets are sums over its dense matrix.  Raises
-    :class:`InvalidParameterError` unless tr(B^T B) is a normal float and
-    the coefficient is finite.
+    so the sums over its triplets are sums over its dense matrix.
+
+    An operator whose largest entry lies outside 2**(+-SAFE_EXPONENT) is
+    summed scaled by its own power of two, on a copy, by the rule of
+    :mod:`qchain.linalg`'s eigensolver, and the quotient is scaled back by
+    the difference of the two exponents; so no sum over- or underflows,
+    and inside that range nothing is scaled.  Raises
+    :class:`InvalidParameterError` for a zero target or a coefficient
+    beyond float range.
     """
     if not np.array_equal(sigma_z.basis, s_z.basis):
         raise InvalidParameterError("operators live on different bases")
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
     keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
-    with np.errstate(all="ignore"):  # out of float range: refused below, not warned about
-        denom = s_z.values @ s_z.values
-        projection = sigma_z.values[ia] @ s_z.values[ib] / denom
-    if not (SMALLEST_NORMAL <= denom < np.inf and np.isfinite(projection)):
+    scales = [_scale_exponent(op.values) for op in (sigma_z, s_z)]
+    a, b = (np.ldexp(op.values, -k) if k else op.values for op, k in zip((sigma_z, s_z), scales))
+    # a zero target (0/0) or a coefficient beyond float range: refused below, not warned about
+    with np.errstate(all="ignore"):
+        projection = a[ia] @ b[ib] / (b @ b)
+        if scales[0] != scales[1]:
+            projection = np.ldexp(projection, scales[0] - scales[1])
+    if not np.isfinite(projection):
+        tops = (np.abs(op.values).max(initial=0.0) for op in (sigma_z, s_z))
         raise InvalidParameterError(
-            "no finite Hilbert-Schmidt projection onto a target with tr(B^T B) = "
-            f"{denom:.3g} and largest |entry| {np.abs(s_z.values).max(initial=0.0):.3g}"
+            "no finite Hilbert-Schmidt projection of an operator with largest |entry| "
+            "{:.3g} onto a target with largest |entry| {:.3g}".format(*tops)
         )
     return projection
 

@@ -298,9 +298,15 @@ def resonant_alternate_energies(deformation, coupling) -> np.ndarray:
     v^4 - 30*R*eta^2*v^2 + 72*R^2*eta^4.  This pair holds the real roots
     obtained when the constant term's sign is flipped to -72*R^2*eta^4;
     it is not part of the spectrum and is kept for comparison output only.
+    A pair beyond float range raises :class:`InvalidParameterError`.
     """
     R = _validate_deformation(deformation)
-    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * validate_coupling(coupling)
+    eta = validate_coupling(coupling)
+    mag = math.sqrt((15.0 + 3.0 * math.sqrt(33.0)) * R) * eta
+    if not math.isfinite(mag):  # Python floats overflow to inf without a warning
+        raise InvalidParameterError(
+            f"resonant alternate energies overflow floats at R = {R!r}, eta = {eta!r}"
+        )
     return np.array([-mag, mag])
 
 

@@ -214,11 +214,12 @@ def ql_while(d: list, e: list, tiny: float) -> list:
 
 
 def lu_arrays(d, e, shifts, tiny):
-    """:func:`qchain.linalg._lu` storing each factor row into a
-    preallocated (m, k) array.  The last rows of ``u1`` and ``u2`` are never
-    written: compare only their first m - 1 rows."""
+    """:func:`qchain.linalg._lu` on the list ``shifts``, storing each
+    factor row into a preallocated (m, k) array.  The last rows of ``u1``
+    and ``u2`` are never written: compare only their first m - 1 rows."""
     m = d.size
-    k = shifts.size
+    k = len(shifts)
+    shifts = np.array(shifts)
     u0 = np.empty((m, k))
     u1 = np.empty((m, k))
     u2 = np.empty((m, k))

@@ -949,6 +949,9 @@ def _finite_cells(tree):
 @example(["oracle-compare", "--n", "13", "--l", "0.3", "--u", "1"])
 @example(["crossover", "--n", "1000000"])
 @example(["deform-sweep", "--n", "4", "--l-start", "0.1", "--l-end", "1", "--steps", "1000000000"])
+# the ladder's eigenvalues are floats, but the resonant alternate pair overflows
+@example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307"])
+@example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307", "--format", "json"])
 def test_every_command_line_ends_in_a_whole_answer_or_one_refusal(argv):
     """Exit 0 prints a rectangular CSV table or strict JSON with finite
     numbers only; a refusal by ``main`` prints one stderr line and nothing

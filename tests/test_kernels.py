@@ -1,17 +1,21 @@
 """The tridiagonal kernels keep the bits of their array forms.
 
-:func:`qchain.linalg._ql`, ``_lu`` and ``_lu_solve`` carry their rows in
-Python lists, and ``_lu_floats`` and ``_lu_solve_floats``, which inverse
-iteration runs on blocks up to ``FLOAT_LU_MAX_DIM``, one shift at a time on
-Python floats; ``reference_forms`` keeps the array forms they replaced
-(:func:`ql_while`, :func:`lu_arrays`, :func:`lu_solve_arrays`).  Every
-comparison is by ``tobytes``: on random tridiagonals and Wilkinson
-matrices, whose coincident shifts, clusters and vanishing last pivots run
-every branch of inverse iteration, on the ladders ``spectrum`` builds,
-with blocks on both sides of ``FLOAT_LU_MAX_DIM``, and on the oracle's
-sectors.  A line tracer shows that each way ``_ql`` takes a block end from
-a sweep runs, and a subprocess under another OpenBLAS kernel checks the
-oracle's reduction and QL against their reference forms.
+:func:`qchain.linalg._ql` carries its state in Python lists.  Inverse
+iteration has two LU kernel pairs with one signature, and the block's
+dimension m alone picks one: ``_lu_floats`` and ``_lu_solve_floats`` run
+one shift at a time on Python floats up to ``FLOAT_LU_MAX_DIM``, and
+``_lu`` and ``_lu_solve`` one numpy row per matrix row above it.
+``reference_forms`` keeps the array forms they replaced (:func:`ql_while`,
+:func:`lu_arrays`, :func:`lu_solve_arrays`).  Every comparison is by
+``tobytes``, with both kernel pairs called on the same arguments: on
+random tridiagonals and Wilkinson matrices, whose coincident shifts,
+clusters and vanishing last pivots run every branch of inverse iteration,
+on 2 x 2 blocks, the smallest that reach the solves, on the ladders
+``spectrum`` builds, with blocks on both sides of ``FLOAT_LU_MAX_DIM``,
+and on the oracle's sectors.  A line tracer shows that each way ``_ql``
+takes a block end from a sweep runs, and a subprocess under another
+OpenBLAS kernel checks the oracle's reduction and QL against their
+reference forms.
 """
 
 import inspect
@@ -45,8 +49,9 @@ def _check_ql(d, e):
 
 def _check_kernels(d, e, rng):
     """QL on the whole matrix, then the LU factors and a solve on each
-    unreduced block, shifted by the block's eigenvalues, by both routes.
-    Returns the number of last pivots moved off 0."""
+    unreduced block, shifted by the block's eigenvalues, by both kernel
+    pairs on the same arguments and by the array forms.  Returns the number
+    of last pivots moved off 0."""
     d, e, tiny = _check_ql(d, e)
     cuts = np.concatenate(([0], np.flatnonzero(np.abs(e) <= tiny) + 1, [d.size]))
     moved = 0
@@ -55,13 +60,10 @@ def _check_kernels(d, e, rng):
         if m < 2:
             continue
         block_d, block_e = d[lo:hi], e[lo : hi - 1]
-        shifts = np.array(ql_while(block_d.tolist(), block_e.tolist(), tiny))
+        shifts = ql_while(block_d.tolist(), block_e.tolist(), tiny)
         small = linalg.EPS * linalg._norm(block_d, block_e)
         new = linalg._lu(block_d, block_e, shifts, small)
-        floats = [
-            linalg._lu_floats(block_d.tolist(), block_e.tolist(), shift, small)
-            for shift in shifts.tolist()
-        ]
+        floats = linalg._lu_floats(block_d, block_e, shifts, small)
         old = lu_arrays(block_d, block_e, shifts, small)
         # u0 has m rows; u1, u2, the multipliers and the swaps m - 1 written ones
         for new_rows, per_shift, old_rows, written in zip(
@@ -72,9 +74,9 @@ def _check_kernels(d, e, rng):
         moved += int(np.count_nonzero(np.abs(old[0][m - 1]) == small))
         b = rng.standard_normal((m, m))
         expected = lu_solve_arrays(old, b)
-        assert _same(linalg._lu_solve(new, b), expected)
-        solved = linalg._solve_columns(floats, b)
-        assert _same(solved, expected) and solved.flags.c_contiguous
+        for factors, solve in ((new, linalg._lu_solve), (floats, linalg._lu_solve_floats)):
+            solved = solve(factors, b)
+            assert _same(solved, expected) and solved.flags.c_contiguous
     return moved
 
 
@@ -117,8 +119,6 @@ def test_kernels_on_random_tridiagonals():
         _check_kernels(d, e, rng)
     moved = sum(_check_kernels(*_wilkinson(m), rng) for m in WILKINSON_DIMS)
     assert moved > 0
-    # a tie in the swap test: at the eigenvalue 3, |d - 3| = |e| = 1
-    _check_kernels(np.array([2.0, 2.0]), np.array([1.0]), rng)
 
 
 # (u, r) of each kind of ladder spectrum builds: the full irrep of a
@@ -162,6 +162,22 @@ def test_inverse_iteration_branches_solve_to_the_same_bytes(monkeypatch, m):
     _use_array_kernels(monkeypatch)
     for new, old in zip(solved, linalg.tridiagonal_eigh(d, e)):
         assert _same(new, old)
+
+
+@pytest.mark.parametrize("d, e", [([0.3, -1.2], [0.7]), ([2.0, 2.0], [1.0])], ids=["plain", "swap-tie"])
+def test_two_by_two_blocks_solve_to_the_same_bytes(monkeypatch, d, e):
+    """m = 2, the smallest block that reaches the solves: their back
+    substitution runs its last two rows alone, with no loop step.  The
+    float kernels, the numpy kernels and the array forms give the same
+    bytes; the second block ties in the swap test at its eigenvalue 3."""
+    d, e = np.array(d), np.array(e)
+    _check_kernels(d, e, np.random.default_rng(2))
+    on_floats = linalg.tridiagonal_eigh(d, e)
+    monkeypatch.setattr(linalg, "FLOAT_LU_MAX_DIM", 0)
+    on_rows = linalg.tridiagonal_eigh(d, e)
+    _use_array_kernels(monkeypatch)
+    for floats, rows, old in zip(on_floats, on_rows, linalg.tridiagonal_eigh(d, e)):
+        assert _same(floats, old) and _same(rows, old)
 
 
 def test_oracle_sectors_reduce_to_the_same_eigenvalues():

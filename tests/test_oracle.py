@@ -160,27 +160,39 @@ def test_hs_projection_zero_denominator():
         hs_projection(ops.sigma_z, zero)
 
 
+EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize(
-    "sigma, target, top",
+    "sigma, target, expected",
     [
-        # tr(A^T B) = 0, but 1e200**2 overflows: nan, once only warned about
-        ([1e200, -1e200], [1e200, 1e200], "1e\\+200"),
+        # tr(A^T B) = 0, but 1e200**2 overflows; a fused ddot leaves ~1.5e-17
+        ([1e200, -1e200], [1e200, 1e200], 0.0),
         # the coefficient is 0.6, but tr(B^T B) underflows to 0: not a zero target
-        ([0.6e-200, 1.2e-200], [1e-200, 2e-200], "2e-200"),
-        # tr(B^T B) is subnormal: a division that keeps a few bits
-        ([0.6e-160, 0.0], [1e-160, 0.0], "1e-160"),
+        ([0.6e-200, 1.2e-200], [1e-200, 2e-200], 0.6),
+        # tr(B^T B) is subnormal: a division that would keep a few bits
+        ([0.6e-160, 0.0], [1e-160, 0.0], 0.6),
         # tr(A^T B) overflows over a finite tr(B^T B)
-        ([1e308, 1e308], [10.0, 10.0], "10"),
+        ([1e308, 1e308], [10.0, 10.0], 1e307),
+        # the coefficient itself, 1e600, is beyond float range: refused
+        ([1e300, 1e300], [1e-300, 1e-300], None),
     ],
-    ids=["overflow", "underflow", "subnormal", "overflowing-numerator"],
+    ids=["overflow", "underflow", "subnormal", "overflowing-numerator", "overflowing-quotient"],
 )
-def test_hs_projection_refuses_sums_out_of_float_range(sigma, target, top):
-    """No nan, no inf and no division by a zero or subnormal tr(B^T B):
-    each is refused, naming the target's largest entry, without a warning
-    (which the test configuration turns into an error)."""
+def test_hs_projection_refuses_sums_out_of_float_range(sigma, target, expected):
+    """Sums that over- or underflow floats are summed scaled by each
+    operator's power of two, so a representable coefficient comes back
+    within 4 eps, as a np.float64, and one beyond float range is refused,
+    naming the target's largest entry, without a warning (which the test
+    configuration turns into an error)."""
     a, b = (OperatorMatrix(_basis(2), [0, 1], [0, 1], v) for v in (sigma, target))
-    with pytest.raises(InvalidParameterError, match=f"largest \\|entry\\| {top}$"):
-        hs_projection(a, b)
+    if expected is None:
+        with pytest.raises(InvalidParameterError, match="largest \\|entry\\| 1e-300$"):
+            hs_projection(a, b)
+        return
+    value = hs_projection(a, b)
+    assert type(value) is np.float64
+    assert abs(value - expected) <= 4.0 * EPS * (abs(expected) or 1.0)  # absolute at 0
 
 
 def test_hs_projection_refuses_an_entry_named_twice():
@@ -667,6 +679,29 @@ def test_far_matrices_solve_to_scaled_bits(power):
             op = sector_hamiltonian(_config(n, 0.37, wq=1.0, w0=1.15, eta=0.3), n_max - n / 2.0)
             far_op = OperatorMatrix(op.basis, op.rows, op.cols, np.ldexp(op.values, power))
             assert eigvalsh(far_op).tobytes() == np.ldexp(eigvalsh(op), power).tobytes(), op.dim
+
+
+def test_columns_whose_squares_underflow_reduce_to_scaled_values():
+    """A Householder column whose squares underflow is reflected scaled by
+    2**511 and its off-diagonal scaled straight back: with the largest
+    entry 1 nothing else is scaled, and [[1, t x^T], [t x, t C]] at
+    t = 2**-520 (squares near 2**-1040: subnormal, not 0) reduces to t
+    times the reduction of [[0, x^T], [x, C]] below its first diagonal
+    entry.  Not bit for bit: the scaled column is a contiguous copy, whose
+    dot product BLAS sums in another order than the strided column's."""
+    rng = np.random.default_rng(25)
+    for n in range(3, 12):
+        a = rng.normal(size=(n, n))
+        a += a.T
+        a[0, 0] = 0.0
+        far = np.ldexp(a, -520)
+        far[0, 0] = 1.0
+        tol = 1e-13 * n * np.abs(a).max()
+        far_d, far_e = tridiagonalize(far)
+        assert far_d[0] == 1.0
+        d, e = tridiagonalize(a)
+        assert np.abs(np.ldexp(far_d[1:], 520) - d[1:]).max() <= tol, n
+        assert np.abs(np.ldexp(far_e, 520) - e).max() <= tol, n
 
 
 def test_ascending_order_and_sign_rule():

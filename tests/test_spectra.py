@@ -370,6 +370,16 @@ def test_resonant_energies_closed_forms():
             resonant_alternate_energies(0.625, eta)
 
 
+def test_resonant_alternate_energies_refuse_a_pair_beyond_float_range():
+    """At R = 0.625 and eta = 4.1e307 the ladder's eigenvalues, up to
+    1.70e308, are floats, but the alternate pair, +-1.84e308, is not: it
+    is refused, not returned as +-inf; just below the overflow it holds."""
+    with pytest.raises(InvalidParameterError, match="resonant alternate energies overflow floats"):
+        resonant_alternate_energies(0.625, 4.1e307)
+    top = np.finfo(float).max / math.sqrt((15 + 3 * math.sqrt(33)) * 0.625) * (1 - 1e-12)
+    assert np.isfinite(resonant_alternate_energies(0.625, top)).all()
+
+
 # every caller of config.validate_coupling, as a function of the coupling alone
 COUPLING_CALLERS = {
     "ChainConfig": lambda eta: ChainConfig(n_qubits=4, spacing=0.3, coupling=eta),
