@@ -191,6 +191,12 @@ def cmd_hcurve(args) -> str:
     return csv_lines(["m", "h"], columns=[ms, hs])
 
 
+def _qubit_energy(args, sub: ExcitationSubspace) -> np.float64:
+    """w_q * u, formed by numpy like every E = w_q * u + v from it, so that
+    an overflow raises under main's np.errstate guard instead of printing inf."""
+    return np.float64(args.wq) * sub.total_excitation
+
+
 def _spin_of(args) -> float:
     if args.r is None:
         return args.n / 2.0
@@ -210,9 +216,7 @@ def cmd_spectrum(args) -> str:
     eigenvalues, vectors = tridiagonal_eigh(*build_h1_matrix(sub, R, detuning, args.eta))
     vectors = vectors.T  # row k: state k
     has_c0 = sub.photon_numbers[0] == 0
-    # every E = w_q * u + v is formed by numpy, so an overflow raises under
-    # main's np.errstate guard instead of printing inf
-    wq_u = np.float64(args.wq) * sub.total_excitation
+    wq_u = _qubit_energy(args, sub)
     energies = (wq_u + eigenvalues).tolist()
     values = eigenvalues.tolist()
     c0_is_one = [None] * sub.dim
@@ -304,7 +308,7 @@ def cmd_oracle_compare(args) -> str:
     sub = ExcitationSubspace(args.u, r)
     # only the model's energies are printed: eigenvalues alone, no vectors
     values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, args.w0 - args.wq, args.eta))
-    energies = args.wq * sub.total_excitation + values
+    energies = _qubit_energy(args, sub) + values
     # each level's nearest oracle eigenvalue, the first of equally near ones
     nearest_values = oracle[np.abs(oracle - energies[:, None]).argmin(axis=1)]
     levels = []

@@ -177,7 +177,9 @@ def find_stationary_points(n_qubits: int) -> np.ndarray:
     bisection, plus the grid points where it is exactly 0.  The grid has
     step <= 1/(20*(2N-1)); it starts at l_min = 0.1/(2N-1), below the first
     point (~1.43/(2N-1)), and overshoots 1/2 by two steps so that l = 1/2
-    is still bracketed.
+    is still bracketed.  No point beyond 1/2 is found: the zero after 1/2,
+    1 - r_{N-2} (1 at N = 2), lies more than 1/(2N-1), or 20 steps, above
+    it, and only cells within one cell of a zero estimate are searched.
 
     Only the cells holding a zero of the residual, named by its branch
     structure, are evaluated, and their two neighbours where a cell's ends
@@ -222,8 +224,7 @@ def find_stationary_points(n_qubits: int) -> np.ndarray:
         estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
     flips = np.sign(fa) * np.sign(fb) < 0
     zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
-    points = _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
-    return points[points <= 0.5 + 1e-9]
+    return _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:

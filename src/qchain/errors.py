@@ -6,10 +6,14 @@ class QChainError(Exception):
 
 
 class InvalidParameterError(QChainError, ValueError):
-    """An argument is out of its documented domain: a scalar off its range,
-    a half-integer beyond 2^52, operators on different bases or indexing
-    outside their basis, a non-symmetric eigensolver input, or a
-    Hilbert-Schmidt projection out of float range."""
+    """An argument is out of its documented domain: a scalar off its range
+    (among them a non-finite spacing, frequency, coupling, detuning or
+    eigenvalue v), a half-integer beyond 2^52, a coupling that makes matrix
+    elements subnormal, a complex, non-finite or misshapen eigensolver
+    input, operators on different bases, indexing outside their basis or
+    naming one entry twice, or a result out of float range: a Hamiltonian
+    entry, an eigenvalue, the resonant alternate pair or a Hilbert-Schmidt
+    projection."""
 
 
 class CapacityError(QChainError):

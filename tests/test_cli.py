@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -588,6 +589,32 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        # the oracle's sector solve: the header, 4 levels and the summary
+        (["oracle-compare", "--n", "4", "--l", "2/3", "--u", "1"], 6),
+        # a ladder's eigenstates by inverse iteration on Python floats: the
+        # header, 4 states and 6 resonant rows
+        (["spectrum", "--n", "4", "--l", "2/3", "--u", "1"], 11),
+        # and on numpy rows: the dim-31 ladder of N = 60 at u = 0, above
+        # FLOAT_LU_MAX_DIM, as strict JSON of 31 states
+        (["spectrum", "--n", "60", "--l", "2/3", "--u", "0", "--format", "json"], 31),
+    ],
+    ids=["oracle-compare", "spectrum-float-lu", "spectrum-numpy-lu-json"],
+)
+def test_commands_without_a_digest_print_whole_answers(capsys, argv, size):
+    """Exit 0 and the whole table (its line count) or document (its state
+    count).  No digest is asserted: the oracle's bits depend on the BLAS
+    kernel, and R's on numpy's SIMD level (ROADMAP item 8)."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if "json" in argv:
+        assert len(_finite_json(out)["states"]) == size
+    else:
+        assert out.count("\n") == size
+
+
 @pytest.mark.parametrize("steps", ["1000001", "100000000000000000000"])
 @pytest.mark.parametrize(
     "command",
@@ -614,6 +641,8 @@ def test_sweep_step_cap_exit_code(capsys, command, steps):
         # E = w_q * u + v overflows in the state rows, then in the weak-coupling rows
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "1e308"],
         ["spectrum", "--n", "4", "--l", "0.3", "--u", "1", "--w0", "1e160"],
+        # and in oracle-compare's model levels, whose oracle levels are finite
+        ["oracle-compare", "--n", "2", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "5e307"],
     ],
 )
 def test_overflowing_flags_exit_2(capsys, argv):
@@ -794,16 +823,38 @@ def test_json_text_matches_indented_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
 
-def _fresh_process(argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+# the body of the qchain console script that setuptools generates: main()
+# reads sys.argv, and its return value or argparse's SystemExit is the
+# process's exit status
+CONSOLE_SCRIPT = "import sys; from qchain.cli import main; sys.exit(main())"
+
+
+def _console_script(*argv):
+    """``qchain *argv`` in a fresh interpreter that turns warnings into
+    errors: its exit status, stdout bytes and stderr text."""
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qchain", *argv],
-        env=env,
+        [sys.executable, "-W", "error", "-c", CONSOLE_SCRIPT, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
-        text=True,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        # the bytes that GOLDEN_DIGESTS[0] hashes
+        (["deform", "--n", "4", "--l", "2/3"], 0, b"N,l,R\n4,0.6666666666666666,0.625\n", ""),
+        (["spectrum", "--bogus", "1"], 2, b"", r"usage: qchain spectrum .*\nqchain spectrum: error: [^\n]*\n"),
+        (["deform", "--n", "4", "--l", "2/3", "--out", "{tmp}/missing/x.csv"], 2, b"", r"error: [^\n]*\n"),
+    ],
+    ids=["deform", "refused-by-argparse", "unwritable-out"],
+)
+def test_console_script_prints_mains_bytes_and_exits_with_its_code(tmp_path, argv, code, out, err):
+    status, stdout, stderr = _console_script(*[arg.format(tmp=tmp_path) for arg in argv])
+    assert status == code, stderr
+    assert stdout == out
+    assert re.fullmatch(err, stderr, re.DOTALL), stderr
 
 
 def test_reused_parser_forgets_flags_of_earlier_calls(tmp_path, capsys):
@@ -814,10 +865,8 @@ def test_reused_parser_forgets_flags_of_earlier_calls(tmp_path, capsys):
     code, out = run_cli(capsys, *chain, "--r", "1", "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     _, out = run_cli(capsys, *chain)
-    assert out == _fresh_process(chain)
-    assert target.read_text(encoding="utf-8") == _fresh_process(
-        chain + ["--r", "1", "--format", "json"]
-    )
+    assert _console_script(*chain) == (0, out.encode(), "")
+    assert _console_script(*chain, "--r", "1", "--format", "json") == (0, target.read_bytes(), "")
 
 
 def test_cli_runs_on_the_kernels_not_their_wrappers(capsys, monkeypatch):
@@ -952,6 +1001,7 @@ def _finite_cells(tree):
 # the ladder's eigenvalues are floats, but the resonant alternate pair overflows
 @example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307"])
 @example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307", "--format", "json"])
+@example(["oracle-compare", "--n", "2", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "5e307", "--format", "json"])
 def test_every_command_line_ends_in_a_whole_answer_or_one_refusal(argv):
     """Exit 0 prints a rectangular CSV table or strict JSON with finite
     numbers only; a refusal by ``main`` prints one stderr line and nothing
