@@ -105,16 +105,17 @@ def stationarity_residual(n_qubits: int, spacing):
     return float(out) if np.isscalar(spacing) else out
 
 
-def _refine_brackets(func, a, b, fa, estimates, zeros) -> np.ndarray:
-    """Roots of a vectorized scalar function, ascending: bisect each
-    sign-change bracket [a, b] (``fa`` the function at a) to width
-    <= 1e-12, polish with secant steps, add the exact ``zeros`` and
-    deduplicate within 1e-10, comparing each root with the last one kept.
+def _refine_brackets(n, a, b, fa, estimates, zeros) -> np.ndarray:
+    """Zeros of :func:`stationarity_residual` of an ``n``-qubit chain,
+    ascending: bisect each sign-change bracket [a, b] (``fa`` the residual
+    at a) to width <= 1e-12, polish with secant steps, add the exact
+    ``zeros`` and deduplicate within 1e-10, comparing each root with the
+    last one kept.
 
     ``estimates`` holds each bracket's zero to well within
     :data:`ESTIMATE_MARGIN` of the bracket's width.  A midpoint farther than
     that from the estimate has the sign of its side of the zero, so the
-    estimate picks its half; ``func`` is evaluated only at the midpoints
+    estimate picks its half; the residual is evaluated only at the midpoints
     inside the margin.  The midpoints, and so the brackets, are those of a
     bisection that evaluates every midpoint.
 
@@ -130,19 +131,19 @@ def _refine_brackets(func, a, b, fa, estimates, zeros) -> np.ndarray:
             take_left = mid > estimates
             doubt = np.flatnonzero(np.abs(mid - estimates) <= margin)
             if doubt.size:
-                fm = np.asarray(func(mid[doubt]), dtype=float)
+                fm = stationarity_residual(n, mid[doubt])
                 take_left[doubt] = fa[doubt] * fm <= 0.0
             b = np.where(take_left, mid, b)
             a = np.where(take_left, a, mid)
-        fa = np.asarray(func(a), dtype=float)
-        fb = np.asarray(func(b), dtype=float)
+        fa = stationarity_residual(n, a)
+        fb = stationarity_residual(n, b)
         x = 0.5 * (a + b)
         for _ in range(4):
             df = fb - fa
             safe = df != 0.0
             x = np.where(safe, b - fb * (b - a) / np.where(safe, df, 1.0), x)
             x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
-            fx = np.asarray(func(x), dtype=float)
+            fx = stationarity_residual(n, x)
             root_on_left = fa * fx <= 0.0
             b = np.where(root_on_left, x, b)
             fb = np.where(root_on_left, fx, fb)
@@ -202,14 +203,11 @@ def find_stationary_points(n_qubits: int) -> np.ndarray:
     num = int(math.ceil(span)) + 1
     step = (l_max - l_min) / (num - 1)
 
-    def residual(l):
-        return stationarity_residual(n, l)
-
     def cells(c):
         # both ends of grid cells c, formed as np.linspace forms its points
         i = np.concatenate((c, c + 1))
         x = np.where(i == num - 1, l_max, i * step + l_min)
-        f = residual(x)
+        f = stationarity_residual(n, x)
         return x[: c.size], x[c.size :], f[: c.size], f[c.size :]
 
     # every zero lies at least a cell inside the grid, so every cell and its
@@ -224,7 +222,7 @@ def find_stationary_points(n_qubits: int) -> np.ndarray:
         estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
     flips = np.sign(fa) * np.sign(fb) < 0
     zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
-    return _refine_brackets(residual, a[flips], b[flips], fa[flips], estimates[flips], zeros)
+    return _refine_brackets(n, a[flips], b[flips], fa[flips], estimates[flips], zeros)
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:
@@ -236,9 +234,8 @@ def crossover_point(n_qubits: int) -> CrossoverReport:
     raises :class:`CapacityError`.
     """
     n = _validate_n(n_qubits)
+    # never empty: l = 1/2 is a simple zero of the residual for every N >= 2
     points = find_stationary_points(n)
-    if points.size == 0:
-        raise InvalidParameterError(f"no stationary points found in (0, 1/2] for N = {n}")
     values = deformation_profile(n, points)
     best = int(np.argmin(values))
     l_star = float(points[best])

@@ -32,26 +32,47 @@ dense symmetry test for the triplet one, and :func:`build_hamiltonian`
 and :func:`build_excitation_number` build on a truncated Fock space
 through the oracle's own private builders, so one Hamiltonian builder
 remains.
+
+The oracle's one sector check, :func:`check_oracle_sectors`, holds every
+sector of N <= 7 to these reference forms with plain asserts, in the test
+process or in one under another BLAS kernel; :func:`openblas_core` names
+the kernel set that numpy's OpenBLAS runs.
 """
 
+import ctypes
+import glob
+import itertools
 import math
+import os
 
 import numpy as np
 
 from qchain import (
     CapacityError,
+    ChainConfig,
     ConvergenceError,
     InvalidParameterError,
     OperatorMatrix,
     build_h1_matrix,
     deformation_profile,
     oracle,
+    sector_spectrum,
     stationarity_residual,
 )
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
 from qchain.crossover import BISECT_WIDTH, DEDUPE_TOL, _validate_n
-from qchain.linalg import QL_MAX_ITERATIONS, _eigenvalues, _tridiagonalize_in_place, as_real
+from qchain.linalg import (
+    EPS,
+    QL_MAX_ITERATIONS,
+    _eigenvalues,
+    _norm,
+    _tridiagonal,
+    _tridiagonalize_in_place,
+    as_real,
+    tridiagonal_eigvalsh,
+)
+from qchain.oracle import sector_hamiltonian
 
 
 def cosine_sum(n, spacings):
@@ -447,6 +468,53 @@ def eigvalsh(operator: OperatorMatrix) -> np.ndarray:
     if defect > SYMMETRY_TOL * max(1.0, np.abs(values).max(initial=0.0)):
         raise InvalidParameterError("the eigensolver requires a symmetric matrix")
     return _eigenvalues(*_tridiagonalize_in_place(a))
+
+
+def _bits(*arrays) -> tuple:
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+def check_oracle_sectors(spacings, photon_freqs) -> int:
+    """Check every oracle sector of N = 1..7 qubits, u = -N/2 .. N/2 + 1
+    (one photon past a full chain), at w_q = 1 and eta = 0.3, at each of
+    ``spacings`` and ``photon_freqs``, and return how many were checked.
+
+    On each sector, byte for byte: the in-place reduction of a copy of the
+    Hamiltonian, unscaled, is :func:`tridiagonalize_stack`'s; and
+    :func:`ql_while` on it, ``tridiagonal_eigvalsh`` of it (``_ql`` at
+    scale 0), :func:`qchain.sector_spectrum`, which solves the builder's
+    triplets, and :func:`eigvalsh` of the Hamiltonian agree.  Plain
+    asserts, so that a process under another BLAS kernel runs the same
+    check.
+    """
+    sectors = 0
+    for n, spacing, photon_freq in itertools.product(range(1, 8), spacings, photon_freqs):
+        config = ChainConfig(n, spacing, qubit_freq=1.0, photon_freq=photon_freq, coupling=0.3)
+        for u in np.arange(-n / 2, n / 2 + 1.5):
+            operator = sector_hamiltonian(config, u)
+            h = operator.entries
+            *reduced, scale = _tridiagonalize_in_place(h.copy())
+            assert scale == 0 and _bits(*reduced) == _bits(*tridiagonalize_stack(h)), (n, u)
+            d, e, _ = _tridiagonal(*reduced)
+            reference = _bits(ql_while(d.tolist(), e.tolist(), EPS * _norm(d, e)))
+            # eigvalsh reduces h in place, so it runs after every other use of h
+            solved = (tridiagonal_eigvalsh(*reduced), sector_spectrum(config, u), eigvalsh(operator))
+            assert _bits(*solved) == reference * 3, (n, u)
+            sectors += 1
+    return sectors
+
+
+def openblas_core() -> str:
+    """The name of the kernel set that numpy's bundled OpenBLAS runs on
+    this host, or ``"unknown"`` where no bundled OpenBLAS is found or it
+    does not name its kernels."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+    if corename is None:
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def dense_operator(entries, basis) -> OperatorMatrix:

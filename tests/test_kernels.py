@@ -11,11 +11,12 @@ one shift at a time on Python floats up to ``FLOAT_LU_MAX_DIM``, and
 random tridiagonals and Wilkinson matrices, whose coincident shifts,
 clusters and vanishing last pivots run every branch of inverse iteration,
 on 2 x 2 blocks, the smallest that reach the solves, on the ladders
-``spectrum`` builds, with blocks on both sides of ``FLOAT_LU_MAX_DIM``,
-and on the oracle's sectors.  A line tracer shows that each way ``_ql``
-takes a block end from a sweep runs, and a subprocess under another
-OpenBLAS kernel checks the oracle's reduction and QL against their
-reference forms.
+``spectrum`` builds, with blocks on both sides of ``FLOAT_LU_MAX_DIM``.
+A line tracer shows that each way ``_ql`` takes a block end from a sweep
+runs.  The oracle's sectors have one check, :func:`check_oracle_sectors`,
+which holds their reduction, QL and sector solve to the reference forms:
+``test_oracle`` calls it in process, and a subprocess here calls it under
+another OpenBLAS kernel.
 """
 
 import inspect
@@ -180,15 +181,6 @@ def test_two_by_two_blocks_solve_to_the_same_bytes(monkeypatch, d, e):
         assert _same(floats, old) and _same(rows, old)
 
 
-def test_oracle_sectors_reduce_to_the_same_eigenvalues():
-    # the oracle takes eigenvalues alone: QL without the LU kernels
-    for n in range(1, 8):
-        config = ChainConfig(n_qubits=n, spacing=0.37, qubit_freq=1.0, photon_freq=1.1, coupling=0.3)
-        for u in np.arange(-n / 2, n / 2 + 1.5):
-            d, e = tridiagonalize(sector_hamiltonian(config, u).entries)
-            _check_ql(d, e)
-
-
 def _lines_run(function, *args):
     """The line numbers of ``function``'s own frame that run on ``args``,
     recorded by a line tracer that this test installs and removes."""
@@ -265,49 +257,20 @@ def test_ql_takes_each_block_end_from_the_sweep(case, branch):
     assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))
 
 
-# every oracle sector with N <= 7, up to one photon past a full chain, at two
-# spacings, at resonance and detuned, solved under another BLAS kernel
+# the in-process oracle sector check of test_oracle, at two of its spacings,
+# under another BLAS kernel, with the kernel set OpenBLAS names
 OTHER_KERNEL_SCRIPT = """
-import ctypes, glob, os
-import numpy as np
-import qchain.linalg as linalg
-from qchain import ChainConfig
-from qchain.oracle import sector_hamiltonian
-from reference_forms import ql_while, tridiagonalize_stack
-
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-core = "unknown"
-if libs:
-    corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
-    if corename is not None:
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
-sectors = 0
-for n in range(1, 8):
-    for spacing in (0.37, 2.0 / 3.0):
-        for photon_freq in (1.0, 1.1):
-            config = ChainConfig(n_qubits=n, spacing=spacing, qubit_freq=1.0,
-                                 photon_freq=photon_freq, coupling=0.3)
-            for u in np.arange(-n / 2, n / 2 + 1.5):
-                h = sector_hamiltonian(config, u).entries
-                reduced = linalg._tridiagonalize_in_place(h.copy())[:2]  # (d, e): no sector here is scaled
-                reference = tridiagonalize_stack(h)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(reduced, reference)), (n, u)
-                d, e, _ = linalg._tridiagonal(*reduced)
-                tiny = linalg.EPS * linalg._norm(d, e)
-                values = np.array(linalg._ql(d.tolist(), e.tolist(), tiny))
-                assert values.tobytes() == np.array(ql_while(d.tolist(), e.tolist(), tiny)).tobytes()
-                sectors += 1
-print(core, sectors)
+from reference_forms import check_oracle_sectors, openblas_core
+print(openblas_core(), check_oracle_sectors((0.37, 2.0 / 3.0), (1.0, 1.1)))
 """
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 BLAS kernels")
 def test_oracle_kernels_keep_their_bits_under_another_blas_kernel():
-    """The oracle's reduction and QL against their reference forms in a
-    process whose OpenBLAS runs its Prescott kernels: the column step adds
-    no dependence on the kernel that the BLAS products do not have."""
+    """The oracle's reduction, QL and sector solve against their reference
+    forms in a process whose OpenBLAS runs its Prescott kernels: the column
+    step adds no dependence on the kernel that the BLAS products do not
+    have."""
     tests = Path(__file__).resolve().parent
     env = dict(
         os.environ,

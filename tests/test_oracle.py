@@ -1,7 +1,11 @@
 """Exact-diagonalization oracle: operator identities, sectors, eigensolver.
 
 The in-house eigensolver is checked against numpy's LAPACK ``eigvalsh``,
-which the library itself never calls.
+which the library itself never calls.  Every sector of N <= 7 qubits is
+held bit for bit to the reference forms by one check,
+:func:`check_oracle_sectors`: a test here calls it in process, and the
+second-kernel test of ``test_kernels`` calls it in a subprocess under
+another OpenBLAS kernel.
 """
 
 import sys
@@ -31,6 +35,7 @@ from reference_forms import (
     SYMMETRY_TOL,
     build_excitation_number,
     build_hamiltonian,
+    check_oracle_sectors,
     collective_ops_dense,
     commutator,
     dense_operator,
@@ -471,19 +476,6 @@ def test_triplet_symmetry_check_decides_as_the_dense_one():
                 assert refused == dense_symmetry_refused(op.entries) == want, (top, trial, kind)
 
 
-def _sector_matrices(w0=1.15):
-    """The Hamiltonian of every excitation sector of N <= 7 qubits
-    (u + N/2 = 0..N; above N the dimension stays 2^N) at four spacings,
-    each with the library's :func:`sector_spectrum` of that sector, which
-    solves the builder's triplets with no operator and no symmetry check."""
-    for n in range(1, 8):
-        for l in (0.37, 2.0 / 3.0, 1.4, 0.0):
-            cfg = _config(n, l, wq=1.0, w0=w0, eta=0.3)
-            for n_max in range(n + 1):
-                u = n_max - n / 2.0
-                yield sector_hamiltonian(cfg, u), sector_spectrum(cfg, u)
-
-
 @pytest.mark.parametrize("name", ["qubit_freq", "coupling"])
 def test_sector_spectrum_refuses_entries_out_of_float_range(name):
     # finite parameters whose products overflow in the sector N = 4, u = 2:
@@ -509,17 +501,15 @@ def test_eigenvalues_beyond_float_range_are_refused():
         assert np.isfinite(tridiagonal_eigh([1e308, -1e308], [1e308])[0]).all()
 
 
-def test_eigvalsh_runs_ql_on_its_own_reduction_bit_for_bit():
-    """QL on the reduction's scaled (d, e), with no second scaling and no
-    zeroing of negligible off-diagonals, gives the bits of the checked
-    tridiagonal route on every resonant sector of N <= 7, and the library's
-    unchecked sector solve gives the bits of this checked one; the test
-    below checks the detuned ones."""
-    for op, spectrum in _sector_matrices(w0=1.0):
-        checked = tridiagonal_eigvalsh(*tridiagonalize(op.entries))
-        values = eigvalsh(op)
-        assert values.tobytes() == checked.tobytes(), op.dim
-        assert spectrum.tobytes() == values.tobytes(), op.dim
+def test_oracle_sectors_keep_the_bits_of_their_reference_forms():
+    """Every sector of N <= 7, up to one photon past a full chain, at four
+    spacings, resonant and detuned: the in-place reduction keeps the bits of
+    the ``np.stack`` form, QL those of the ``while`` form, and the library's
+    unchecked sector solve those of the checked route and of QL on the
+    reduction, with no second scaling and no zeroing of negligible
+    off-diagonals.  The subprocess test in ``test_kernels`` runs the same
+    check under another BLAS kernel."""
+    assert check_oracle_sectors((0.37, 2.0 / 3.0, 1.4, 0.0), (1.0, 1.1)) == 336
 
 
 def _random_symmetric(rng):
@@ -534,14 +524,8 @@ def _same_bits(first, second):
 
 def test_tridiagonalize_matches_stack_reference_bit_for_bit():
     # the rank-2 update's operands are built without np.stack: same BLAS
-    # product, same shapes, so the same bits, in place or on a copy; and the
-    # library's unchecked sector solve keeps the checked route's bits
-    for op, spectrum in _sector_matrices():
-        reference = tridiagonalize_stack(op.entries)
-        assert _same_bits(tridiagonalize(op.entries), reference), op.dim
-        values = eigvalsh(op)
-        assert values.tobytes() == tridiagonal_eigvalsh(*reference).tobytes()
-        assert spectrum.tobytes() == values.tobytes(), op.dim
+    # product, same shapes, so the same bits, on random symmetric matrices
+    # here and on the oracle's sectors above
     for a in _random_symmetric(np.random.default_rng(17)):
         kept = a.copy()
         assert _same_bits(tridiagonalize(a), tridiagonalize_stack(a)), a.shape
