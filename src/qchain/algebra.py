@@ -85,9 +85,9 @@ def _ladder_product(r2: int, m2: int) -> int:
     return (r2 - m2) * (r2 + m2 + 2) // 4
 
 
-def h_curve(deformation, m_min, m_max, steps: int) -> tuple[list[float], list[float]]:
+def h_curve(deformation, m_min, m_max, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform samples of the parabola h(m) = R*(m^2 + m) on [m_min, m_max],
-    for plotting the level structure, as the two columns ``(ms, hs)``.
+    for plotting the level structure, as the two float arrays ``(ms, hs)``.
     Requires 2 <= steps <= ``config.MAX_SWEEP_STEPS`` and a nonempty range.
     """
     R = _validate_deformation(deformation)
@@ -96,5 +96,4 @@ def h_curve(deformation, m_min, m_max, steps: int) -> tuple[list[float], list[fl
     if not (math.isfinite(m_min) and math.isfinite(m_max)) or m_min >= m_max:
         raise InvalidParameterError(f"empty moment range [{m_min!r}, {m_max!r}]")
     ms = np.linspace(m_min, m_max, validate_steps(steps))
-    hs = R * (ms * ms + ms)
-    return ms.tolist(), hs.tolist()
+    return ms, R * (ms * ms + ms)

@@ -4,13 +4,25 @@ Output is byte-deterministic for identical invocations: floats use the
 shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
-``float.__repr__``; both are rendered by C code a whole column or a flat
-number list at a time, not by one Python call per value.  ``spectrum``
-renders the coefficient runs of each CSV row whole, and JSON scalars and
-keys are rendered by their exact type, without building an encoder per
-value.  Commands compute only what they print, with one eigensolve per
-ladder: ``oracle-compare`` and ``table1`` take eigenvalues alone, and
-the resonant rows of ``spectrum`` are the eigenvalues of its states.
+``float.__repr__``; both are rendered by C code a column chunk or a flat
+number list chunk at a time, not by one Python call per value.
+``spectrum`` renders the coefficient runs of each CSV row whole, and JSON
+scalars and keys are rendered by their exact type, without building an
+encoder per value.
+
+Each command first computes everything it prints: every number, every
+refusal and every overflow (a ``FloatingPointError`` under ``main``'s
+``np.errstate``) comes before the first byte, so a refused command prints
+nothing and never leaves ``--out`` half-written.  It then returns an
+iterator of text chunks, and ``main`` writes each chunk to stdout or to
+``--out`` as it is rendered: a CSV column table ``OUTPUT_CHUNK_ROWS`` rows a
+chunk, a JSON number list or array that many values a chunk, and a
+``spectrum`` state one at a time, from the eigenvector matrix.  So the text
+held at once stays bounded, whatever the output's size.
+
+Commands compute only what they print, with one eigensolve per ladder:
+``oracle-compare`` and ``table1`` take eigenvalues alone, and the
+resonant rows of ``spectrum`` are the eigenvalues of its states.
 Exit codes: 0 success, 2 usage error (a non-finite number flag, a
 half-integer flag such as ``--u`` beyond 2^52, where doubles can no
 longer tell half-integers apart, an overflow or an unwritable
@@ -30,10 +42,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -78,6 +92,10 @@ def rational(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or p/q rational: {text!r}") from exc
 
 
+# the most CSV rows, or values of one JSON number list, rendered into one
+# chunk of output: the text held at once stays bounded whatever the size
+OUTPUT_CHUNK_ROWS = 65_536
+
 # renderers by exact type: every CSV cell a command forms is one of these
 _RENDER = {
     float: float.__repr__,
@@ -91,31 +109,49 @@ def _cell(x) -> str:
     return _RENDER[type(x)](x)
 
 
-def _column(values):
-    """The cells of one nonempty column whose values share one type,
-    rendered by mapping that type's renderer over the whole column."""
-    return map(_RENDER[type(values[0])], values)
+def _listed(values):
+    """A slice of a column or number list as a sequence of Python scalars."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def csv_lines(header: list[str], rows=(), columns=()) -> str:
-    """CSV text: the header line, then each of the mixed ``rows`` cell by
-    cell, then one line per entry of the single-typed ``columns``.  A str
-    cell goes out as it is, so it may hold a run of cells rendered whole."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
-    lines.extend(map(",".join, zip(*map(_column, columns))))
-    return "\n".join(lines) + "\n"
+def csv_chunks(header: list[str], rows=(), columns=()) -> Iterator[str]:
+    """CSV text in chunks: the header line, then each of the mixed ``rows``
+    cell by cell, one chunk a row, then the single-typed ``columns`` (lists,
+    ranges or 1-D arrays of one length), ``OUTPUT_CHUNK_ROWS`` lines a chunk.
+    A str cell goes out as it is, so it may hold a run of cells rendered
+    whole."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
+    if not columns:
+        return
+    k = len(columns)
+    # one line: each cell at an even place, followed by its separator
+    line = [None, ","] * k
+    line[-1] = "\n"
+    for start in range(0, len(columns[0]), OUTPUT_CHUNK_ROWS):
+        parts = [_listed(column[start : start + OUTPUT_CHUNK_ROWS]) for column in columns]
+        cells = line * len(parts[0])
+        for j, part in enumerate(parts):
+            # each column's cells mapped by its type's renderer in one call
+            cells[2 * j :: 2 * k] = map(_RENDER[type(part[0])], part)
+        yield "".join(cells)
 
 
-def json_text(obj) -> str:
-    """The bytes of ``json.dumps(obj, indent=2)`` plus a newline, for trees
-    of dicts with string keys, lists, tuples and JSON scalars.
+def json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2)`` plus a newline, in chunks,
+    for trees of dicts with string keys, lists, tuples and JSON scalars.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, one call
     per value; here each flat list of floats and ints goes through the C
-    encoder in one call instead.
+    encoder, ``OUTPUT_CHUNK_ROWS`` values a call, instead.  A dict is
+    written a member at a time.  A member may also be a 1-D numpy array,
+    written as the list of its values, or an iterator, written as the
+    nonempty list of the items it yields, each rendered whole as it is
+    formed.
     """
-    return _json(obj, "") + "\n"
+    yield from _json_chunks(obj, "")
+    yield "\n"
 
 
 # JSON scalars by exact type, as the encoder renders them; any other
@@ -126,6 +162,43 @@ _JSON_SCALAR = {
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
 }
+
+
+def _number_chunks(values, sep: str) -> Iterator[str]:
+    """The items of a flat list or 1-D array of numbers as JSON text,
+    ``OUTPUT_CHUNK_ROWS`` a chunk, each separated by ``sep`` within its
+    chunk; the chunks are joined by ``sep`` too."""
+    for start in range(0, len(values), OUTPUT_CHUNK_ROWS):
+        part = _listed(values[start : start + OUTPUT_CHUNK_ROWS])
+        yield json.dumps(part, separators=(sep, ": "))[1:-1]
+
+
+def _json_chunks(obj, indent: str) -> Iterator[str]:
+    """The JSON text of ``obj`` at ``indent``, streamed through dicts, arrays
+    and iterators; any other value is rendered whole."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict) and obj:
+        head = "{\n" + inner
+        for key, value in obj.items():
+            yield head + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value, inner)
+            head = sep
+        yield "\n" + indent + "}"
+    elif isinstance(obj, np.ndarray) and obj.size:
+        head = "[\n" + inner
+        for chunk in _number_chunks(obj, sep):
+            yield head + chunk
+            head = sep
+        yield "\n" + indent + "]"
+    elif isinstance(obj, Iterator):
+        head = "[\n" + inner
+        for item in obj:
+            yield head + _json(item, inner)
+            head = sep
+        yield "\n" + indent + "]"
+    else:  # an empty array renders as the empty list
+        yield _json(_listed(obj), indent)
 
 
 def _json(obj, indent: str) -> str:
@@ -145,8 +218,7 @@ def _json(obj, indent: str) -> str:
         )
         return "{\n" + inner + body + "\n" + indent + "}"
     if set(map(type, obj)) <= {float, int}:
-        # a JSON number never contains ", ", the C encoder's item separator
-        body = json.dumps(obj)[1:-1].replace(", ", sep)
+        body = sep.join(_number_chunks(obj, sep))
     else:
         body = sep.join([_json(item, inner) for item in obj])
     return "[\n" + inner + body + "\n" + indent + "]"
@@ -163,32 +235,31 @@ def _deformation_of(n: int, l: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cmd_deform(args) -> str:
+def cmd_deform(args) -> Iterator[str]:
     value = float(deformation_profile(args.n, args.l))
     if args.format == "json":
-        return json_text({"n": args.n, "l": args.l, "R": value})
-    return csv_lines(["N", "l", "R"], [[args.n, args.l, value]])
+        return json_chunks({"n": args.n, "l": args.l, "R": value})
+    return csv_chunks(["N", "l", "R"], [[args.n, args.l, value]])
 
 
-def cmd_deform_sweep(args) -> str:
+def cmd_deform_sweep(args) -> Iterator[str]:
     steps = validate_steps(args.steps)
     if not 0.0 < args.l_start < args.l_end:
         raise InvalidParameterError(
             f"need 0 < l-start < l-end, got {args.l_start!r}, {args.l_end!r}"
         )
     grid = np.linspace(args.l_start, args.l_end, steps)
-    spacings = grid.tolist()
-    values = deformation_profile(args.n, grid).tolist()
+    values = deformation_profile(args.n, grid)
     if args.format == "json":
-        return json_text({"n": args.n, "l": spacings, "R": values})
-    return csv_lines(["l", "R"], columns=[spacings, values])
+        return json_chunks({"n": args.n, "l": grid, "R": values})
+    return csv_chunks(["l", "R"], columns=[grid, values])
 
 
-def cmd_hcurve(args) -> str:
+def cmd_hcurve(args) -> Iterator[str]:
     ms, hs = h_curve(args.R, args.m_min, args.m_max, args.steps)
     if args.format == "json":
-        return json_text({"R": args.R, "m": ms, "h": hs})
-    return csv_lines(["m", "h"], columns=[ms, hs])
+        return json_chunks({"R": args.R, "m": ms, "h": hs})
+    return csv_chunks(["m", "h"], columns=[ms, hs])
 
 
 def _qubit_energy(args, sub: ExcitationSubspace) -> np.float64:
@@ -208,7 +279,7 @@ def _spin_of(args) -> float:
     return halves(r2)
 
 
-def cmd_spectrum(args) -> str:
+def cmd_spectrum(args) -> Iterator[str]:
     r = _spin_of(args)
     R = _deformation_of(args.n, args.l)
     detuning = args.w0 - args.wq
@@ -219,17 +290,20 @@ def cmd_spectrum(args) -> str:
     wq_u = _qubit_energy(args, sub)
     energies = (wq_u + eigenvalues).tolist()
     values = eigenvalues.tolist()
-    c0_is_one = [None] * sub.dim
+    has_vacuum = [False] * sub.dim
     if has_c0:
         # one division forms every c0 = 1 row; eta = 0 eigenstates, among
         # others, have no vacuum component and get none
-        has_vacuum = np.flatnonzero(vectors[:, 0] != 0.0)
-        scaled = vectors[has_vacuum] / vectors[has_vacuum, :1]
+        vacuum = vectors[:, 0]
+        has_vacuum = (vacuum != 0.0).tolist()
+        scaled = vectors / np.where(has_vacuum, vacuum, 1.0)[:, None]
         scaled[:, 0] = 1.0
-        for k, row in zip(has_vacuum.tolist(), scaled.tolist()):
-            c0_is_one[k] = row
-    # state k's cells, read by whichever format is printed
-    states = enumerate(zip(values, energies, c0_is_one, vectors.tolist()))
+
+    def state(k):
+        """State k's cells, read by whichever format is printed; its rows of
+        the matrices are listed only as the state is written."""
+        ratio = scaled[k].tolist() if has_vacuum[k] else None
+        return values[k], energies[k], ratio, vectors[k].tolist()
 
     weak = None
     res_canonical = None
@@ -237,16 +311,16 @@ def cmd_spectrum(args) -> str:
     if r == 2.0 and args.u == 1.0:
         if detuning != 0.0:
             try:
-                weak = weak_coupling_energies(R, detuning, args.eta, args.wq).tolist()
+                weak = weak_coupling_energies(R, detuning, args.eta, args.wq)
             except NegativeRadicandError:
                 weak = None
         else:
             # the resonant levels are this ladder's eigenvalues: no second eigensolve
-            res_canonical = values
-            res_alternate = resonant_alternate_energies(R, args.eta).tolist()
+            res_canonical = eigenvalues
+            res_alternate = resonant_alternate_energies(R, args.eta)
 
     if args.format == "json":
-        return json_text(
+        return json_chunks(
             {
                 "n": args.n,
                 "l": args.l,
@@ -258,13 +332,13 @@ def cmd_spectrum(args) -> str:
                 "eta": args.eta,
                 "detuning": detuning,
                 "photon_numbers": list(sub.photon_numbers),
-                "states": [
+                "states": (
                     {"index": k, "v": v, "E": energy, "c0_is_one": ratio, "unit_norm": coefficients}
-                    for k, (v, energy, ratio, coefficients) in states
-                ],
-                "weak_coupling": weak,
-                "resonant_canonical": res_canonical,
-                "resonant_alternate": res_alternate,
+                    for k, (v, energy, ratio, coefficients) in enumerate(map(state, range(sub.dim)))
+                ),
+                "weak_coupling": None if weak is None else weak.tolist(),
+                "resonant_canonical": None if res_canonical is None else values,
+                "resonant_alternate": None if res_alternate is None else res_alternate.tolist(),
             }
         )
 
@@ -276,24 +350,30 @@ def cmd_spectrum(args) -> str:
     # each run of coefficient cells is rendered whole, as one str cell
     blank_c = "," * (len(ns) - 1)
     blank_coeffs = blank_c + "," + blank_c if has_c0 else blank_c
-    rows = []
-    for k, (v, energy, ratio, coefficients) in states:
+
+    def state_row(k):
+        v, energy, ratio, coefficients = state(k)
         run = ",".join(map(float.__repr__, coefficients))
         if has_c0:
             run = (blank_c if ratio is None else ",".join(map(float.__repr__, ratio))) + "," + run
-        rows.append(["state", k, v, energy, R, run])
+        return ["state", k, v, energy, R, run]
+
+    # every level row is formed here, before the first byte is written
+    levels = []
     if weak is not None:
-        weak_v = (np.array(weak) - wq_u).tolist()
-        for k, (v, energy) in enumerate(zip(weak_v, weak)):
-            rows.append(["weak_coupling", k, v, energy, R, blank_coeffs])
+        levels.append(("weak_coupling", (weak - wq_u).tolist(), weak.tolist()))
     if res_canonical is not None:
-        for kind, levels in (("canonical", res_canonical), ("alternate", res_alternate)):
-            for k, (v, energy) in enumerate(zip(levels, (wq_u + np.array(levels)).tolist())):
-                rows.append([f"resonant_{kind}", k, v, energy, R, blank_coeffs])
-    return csv_lines(header, rows)
+        for kind, level_v in (("canonical", res_canonical), ("alternate", res_alternate)):
+            levels.append((f"resonant_{kind}", level_v.tolist(), (wq_u + level_v).tolist()))
+    level_rows = [
+        [kind, k, v, energy, R, blank_coeffs]
+        for kind, level_v, level_e in levels
+        for k, (v, energy) in enumerate(zip(level_v, level_e))
+    ]
+    return csv_chunks(header, itertools.chain(map(state_row, range(sub.dim)), level_rows))
 
 
-def cmd_oracle_compare(args) -> str:
+def cmd_oracle_compare(args) -> Iterator[str]:
     r = args.n / 2.0
     R = _deformation_of(args.n, args.l)
     config = ChainConfig(
@@ -323,7 +403,7 @@ def cmd_oracle_compare(args) -> str:
         )
     max_dev = max(level["deviation"] for level in levels)
     if args.format == "json":
-        return json_text(
+        return json_chunks(
             {
                 "n": args.n,
                 "l": args.l,
@@ -339,10 +419,10 @@ def cmd_oracle_compare(args) -> str:
         ["level", lv["index"], lv["model"], lv["oracle"], lv["deviation"]] for lv in levels
     ]
     rows.append(["summary", None, None, None, max_dev])
-    return csv_lines(["kind", "index", "E_model", "E_oracle", "deviation"], rows)
+    return csv_chunks(["kind", "index", "E_model", "E_oracle", "deviation"], rows)
 
 
-def cmd_table1(args) -> str:
+def cmd_table1(args) -> Iterator[str]:
     n = 4
     R = _deformation_of(n, args.l)
     detuning = args.w0 - args.wq
@@ -376,7 +456,7 @@ def cmd_table1(args) -> str:
         )
 
     if args.format == "json":
-        return json_text(
+        return json_chunks(
             {
                 "n": n,
                 "l": args.l,
@@ -406,14 +486,14 @@ def cmd_table1(args) -> str:
         cells += [f["c1"], f["c2"], f["c3"], f["c3_variant"]]
         cells += e["undeformed_ratios"]
         rows.append(cells)
-    return csv_lines(header, rows)
+    return csv_chunks(header, rows)
 
 
-def cmd_crossover(args) -> str:
+def cmd_crossover(args) -> Iterator[str]:
     report = crossover_point(args.n)
-    points = report.stationary_points.tolist()
+    points = report.stationary_points
     if args.format == "json":
-        return json_text(
+        return json_chunks(
             {
                 "n": report.n_qubits,
                 "crossover_l": report.crossover_spacing,
@@ -427,8 +507,8 @@ def cmd_crossover(args) -> str:
         ["R_at_crossover", None, report.deformation_at_crossover],
         ["spins_per_wavelength", None, report.spins_per_wavelength],
     ]
-    columns = [["stationary_point"] * len(points), range(len(points)), points]
-    return csv_lines(["key", "index", "value"], rows, columns)
+    columns = [["stationary_point"] * points.size, range(points.size), points]
+    return csv_chunks(["key", "index", "value"], rows, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +624,10 @@ def main(argv=None) -> int:
     try:
         # finite flags too large or small for floats: a usage error, not a leaked warning
         with np.errstate(all="raise", under="ignore"):
-            text = args.func(args)
+            chunks = args.func(args)
         if args.out is not None:  # an unwritable path is an OSError: a usage error
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except FloatingPointError as exc:
         print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
         return EXIT_USAGE
@@ -555,7 +635,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), EXIT_USAGE)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -10,8 +10,10 @@ import numpy as np
 from .errors import CapacityError, InvalidParameterError
 from .linalg import SMALLEST_NORMAL
 
-# Most points a sweep samples: 10^5 / 10^6 steps took 0.55 / 3.2 s and
-# 57 / 294 MB peak RSS in `deform-sweep` (2-core VM, one BLAS thread).
+# Most points a sweep samples: 10^5 / 10^6 steps took 0.43 / 1.59 s and
+# 55 / 78 MB peak RSS in `deform-sweep` as CSV, 0.30 / 1.66 s and 42 / 78 MB
+# as JSON, written in chunks (median of 3 runs of a `python -m qchain`
+# child, stdout to /dev/null; 2-core Xeon VM, one BLAS thread).
 MAX_SWEEP_STEPS = 1_000_000
 
 

@@ -50,9 +50,11 @@ __all__ = [
     "four_qubit_reference_coefficients",
 ]
 
-# Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, and took
-# 2.9 / 4.8 / 6.7 s and 196 / 289 / 403 MB as CSV at dim 801 / 1001 / 1201 (one
-# run each, wall time and peak RSS of a `python -m qchain` child; 2-core Xeon VM).
+# Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, one
+# state at a time, and took 1.4 / 2.3 / 3.5 s and 86 / 109 / 154 MB as CSV at
+# dim 801 / 1001 / 1201, and 1.3 / 2.2 / 3.3 s and the same peaks as JSON; the
+# eigensolve sets the peak (median of 3 runs of a `python -m qchain` child,
+# stdout to /dev/null; 2-core Xeon VM, one BLAS thread).
 MAX_LADDER_DIM = 1001
 
 

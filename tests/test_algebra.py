@@ -229,8 +229,9 @@ def test_h_curve_samples():
     ms, hs = h_curve(1.0, -1, 1, 3)
     assert ms == pytest.approx([-1, 0, 1])
     assert hs == pytest.approx([0, 0, 2])
-    assert type(ms) is list and type(hs) is list
-    assert {type(x) for x in ms + hs} == {float}
+    # the two columns as float arrays: no list of Python floats is built
+    assert type(ms) is np.ndarray and type(hs) is np.ndarray
+    assert ms.dtype == hs.dtype == np.float64 and ms.shape == hs.shape == (3,)
     _, hs = h_curve(0.4, -1, 1, 5)  # grid includes m = -1/2
     assert min(hs) == pytest.approx(-0.1, abs=1e-15)
     for R in (0.2, 0.7, 1.0):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import qchain.cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # worker._digest of the per-request SHA-256s of pass 0, seed 1
@@ -40,13 +42,17 @@ def perfbench():
 
 
 @pytest.mark.parametrize("workload", sorted(PASS0_DIGESTS))
-def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, workload):
+def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkeypatch, workload):
+    """The same digest with the CLI's output in chunks of
+    ``OUTPUT_CHUNK_ROWS`` rows or values and in chunks of 2."""
     worker, checks, workloads = perfbench
-    digests = []
-    for request in workloads.make_pass(workload, 1, 0):
-        code, text, value = worker.execute(request)
-        assert code == 0, request
-        assert checks.check(request, text, value) == [], request
-        digests.append(hashlib.sha256(text.encode()).hexdigest())
-    capsys.readouterr()
-    assert worker._digest(digests) == PASS0_DIGESTS[workload]
+    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+        monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
+        digests = []
+        for request in workloads.make_pass(workload, 1, 0):
+            code, text, value = worker.execute(request)
+            assert code == 0, request
+            assert checks.check(request, text, value) == [], request
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        capsys.readouterr()
+        assert worker._digest(digests) == PASS0_DIGESTS[workload], rows

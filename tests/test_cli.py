@@ -12,6 +12,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import qchain.cli
 import qchain.linalg
 import qchain.spectra
 from qchain import NegativeRadicandError, PoleError, QChainError
-from qchain.cli import EXIT_CODES, EXIT_USAGE, json_text, main
+from qchain.cli import EXIT_CODES, EXIT_USAGE, json_chunks, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -596,6 +597,26 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert target.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_flag_writes_the_chunks_stdout_gets(tmp_path, capsys, monkeypatch, fmt):
+    """An output of many chunks: in chunks of 2 rows or values, a 9-step
+    sweep goes out in 5 column chunks, or 5 chunks of each number list, and
+    --out receives the bytes that stdout gets, which are those of the
+    chunks joined."""
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 2)
+    argv = ["deform-sweep", "--n", "6", "--l-start", "0.1", "--l-end", "0.9", "--steps", "9"]
+    argv += ["--format", fmt]
+    args = qchain.cli._parse(argv)
+    chunks = list(args.func(args))
+    assert len(chunks) >= 6
+    target = tmp_path / f"sweep.{fmt}"
+    code, out = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert target.read_bytes() == out.encode() == "".join(chunks).encode()
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     """A missing directory or a directory as --out: one error line on
     stderr, nothing on stdout, exit 2, like any other bad flag value."""
@@ -754,7 +775,10 @@ GOLDEN_DIGESTS = [
 def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
     """The command's own parser reads the line as the full parser does, and
     the command prints the golden bytes while the wrappers that only
-    perfbench still calls raise: it runs on the kernels beneath them."""
+    perfbench still calls raise: it runs on the kernels beneath them.  The
+    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values and
+    in chunks of 2, where every column and number list longer than 2 is
+    written in several chunks."""
     argv = [*argv, "--format", fmt]
     by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv)
     assert isinstance(by_command, dict) and by_command == by_full_parser
@@ -764,9 +788,11 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
 
     for module, name in WRAPPERS:
         monkeypatch.setattr(module, name, refuse)
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+        monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, rows
 
 
 def test_table1_pole_prints_null_and_empty_cells(capsys):
@@ -840,7 +866,11 @@ json_trees = st.recursive(
 @example({"\u00e9t\u00e9": 1, 'q"uote': [True, None], "back\\slash\n\t\x00": {"\u2603": 1e16}})
 @example({"": [], "\x7f": {}, "\ud800": [1e-5, 5e-324, 3], "k": "\u00e9\n"})
 def test_json_text_matches_indented_json_dumps(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+    expected = json.dumps(obj, indent=2) + "\n"
+    # and with every number list longer than 2 rendered in several chunks
+    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+        with mock.patch.object(qchain.cli, "OUTPUT_CHUNK_ROWS", rows):
+            assert "".join(json_chunks(obj)) == expected, rows
 
 
 # the body of the qchain console script that setuptools generates: main()
