@@ -34,12 +34,13 @@ through the oracle's own private builders, so one Hamiltonian builder
 remains.
 
 The oracle's one sector check, :func:`check_oracle_sectors`, holds every
-sector of N <= 7 to these reference forms with plain asserts, in the test
-process or in one under another BLAS kernel; :func:`openblas_core` names
+sector of N <= 7 to these reference forms with plain asserts, once a
+process, in the test process or in one under another BLAS kernel; :func:`openblas_core` names
 the kernel set that numpy's OpenBLAS runs.
 """
 
 import ctypes
+import functools
 import glob
 import itertools
 import math
@@ -474,6 +475,12 @@ def _bits(*arrays) -> tuple:
     return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
+# the spacings and photon frequencies of the in-process oracle sector check
+SECTOR_SPACINGS = (0.37, 2.0 / 3.0, 1.4, 0.0)
+SECTOR_PHOTON_FREQS = (1.0, 1.1)
+
+
+@functools.cache
 def check_oracle_sectors(spacings, photon_freqs) -> int:
     """Check every oracle sector of N = 1..7 qubits, u = -N/2 .. N/2 + 1
     (one photon past a full chain), at w_q = 1 and eta = 0.3, at each of
@@ -485,7 +492,8 @@ def check_oracle_sectors(spacings, photon_freqs) -> int:
     scale 0), :func:`qchain.sector_spectrum`, which solves the builder's
     triplets, and :func:`eigvalsh` of the Hamiltonian agree.  Plain
     asserts, so that a process under another BLAS kernel runs the same
-    check.
+    check.  A check that passed is not run again in the same process with
+    the same arguments; one that failed raises again on its next call.
     """
     sectors = 0
     for n, spacing, photon_freq in itertools.product(range(1, 8), spacings, photon_freqs):

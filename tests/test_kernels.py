@@ -14,13 +14,17 @@ on 2 x 2 blocks, the smallest that reach the solves, on the ladders
 ``spectrum`` builds, with blocks on both sides of ``FLOAT_LU_MAX_DIM``.
 A line tracer shows that each way ``_ql`` takes a block end from a sweep
 runs.  The oracle's sectors have one check, :func:`check_oracle_sectors`,
-which holds their reduction, QL and sector solve to the reference forms;
-one test of ``test_oracle`` calls it in process and, meanwhile, in a
-subprocess under another OpenBLAS kernel.
+which holds their reduction, QL and sector solve to the reference forms
+and runs once a process: ``test_oracle`` calls it, and a test here calls
+it in process while a subprocess calls it under another OpenBLAS kernel.
 """
 
 import inspect
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,15 @@ import qchain.linalg as linalg
 from qchain import ChainConfig
 from qchain.oracle import sector_hamiltonian
 from qchain.spectra import build_h1_matrix, subspace
-from reference_forms import lu_arrays, lu_solve_arrays, ql_while, tridiagonalize
+from reference_forms import (
+    SECTOR_PHOTON_FREQS,
+    SECTOR_SPACINGS,
+    check_oracle_sectors,
+    lu_arrays,
+    lu_solve_arrays,
+    ql_while,
+    tridiagonalize,
+)
 
 
 def _same(new, old) -> bool:
@@ -252,3 +264,42 @@ def test_ql_takes_each_block_end_from_the_sweep(case, branch):
     assert _line(linalg._ql, branch) in _lines_run(linalg._ql, d, e, tiny)
     assert _same(linalg._ql(d, e, tiny), ql_while(d, e, tiny))
 
+
+# the oracle sector check at two of its spacings, with the kernel set
+# OpenBLAS names
+OTHER_KERNEL_SCRIPT = """
+from reference_forms import check_oracle_sectors, openblas_core
+print(openblas_core(), check_oracle_sectors((0.37, 2.0 / 3.0), (1.0, 1.1)))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 BLAS kernels")
+def test_oracle_kernels_keep_their_bits_under_another_blas_kernel():
+    """The oracle's reduction, QL and sector solve against their reference
+    forms in a process whose OpenBLAS runs its Prescott kernels: the column
+    step adds no dependence on the kernel that the BLAS products do not
+    have.  While the subprocess runs, this process runs the in-process
+    check of every sector, which ``test_oracle`` then finds done."""
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Prescott",
+        PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))),
+    )
+    other_kernel = subprocess.Popen(
+        [sys.executable, "-c", OTHER_KERNEL_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert check_oracle_sectors(SECTOR_SPACINGS, SECTOR_PHOTON_FREQS) == 336
+    finally:
+        stdout, stderr = other_kernel.communicate(timeout=120)
+    assert other_kernel.returncode == 0, stderr
+    core, sectors = stdout.split()
+    # OpenBLAS names the kernel set that OPENBLAS_CORETYPE=Prescott selects
+    # Katmai; "unknown" where the library does not name its kernels
+    assert core in ("Prescott", "Katmai", "unknown"), core
+    assert int(sectors) == sum(n + 2 for n in range(1, 8)) * 4

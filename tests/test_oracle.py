@@ -3,16 +3,13 @@
 The in-house eigensolver is checked against numpy's LAPACK ``eigvalsh``,
 which the library itself never calls.  Every sector of N <= 7 qubits is
 held bit for bit to the reference forms by one check,
-:func:`check_oracle_sectors`: one test here calls it in process and,
-meanwhile, in a subprocess under another OpenBLAS kernel.
+:func:`check_oracle_sectors`, which runs once a process: a test here
+calls it, and the second-kernel test of ``test_kernels`` calls it in
+process while a subprocess calls it under another OpenBLAS kernel.
 """
 
-import os
-import platform
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +32,8 @@ from qchain.linalg import tridiagonal_eigh, tridiagonal_eigvalsh
 from qchain.oracle import sector_basis, sector_hamiltonian
 from qchain.spectra import build_h1_matrix, solve_dressed, subspace
 from reference_forms import (
+    SECTOR_PHOTON_FREQS,
+    SECTOR_SPACINGS,
     SYMMETRY_TOL,
     build_excitation_number,
     build_hamiltonian,
@@ -504,53 +503,16 @@ def test_eigenvalues_beyond_float_range_are_refused():
         assert np.isfinite(tridiagonal_eigh([1e308, -1e308], [1e308])[0]).all()
 
 
-# the in-process oracle sector check, at two of its spacings, under another
-# BLAS kernel, with the kernel set OpenBLAS names
-OTHER_KERNEL_SCRIPT = """
-from reference_forms import check_oracle_sectors, openblas_core
-print(openblas_core(), check_oracle_sectors((0.37, 2.0 / 3.0), (1.0, 1.1)))
-"""
-
-
 def test_oracle_sectors_keep_the_bits_of_their_reference_forms():
     """Every sector of N <= 7, up to one photon past a full chain, at four
     spacings, resonant and detuned: the in-place reduction keeps the bits of
     the ``np.stack`` form, QL those of the ``while`` form, and the library's
     unchecked sector solve those of the checked route and of QL on the
     reduction, with no second scaling and no zeroing of negligible
-    off-diagonals.
-
-    On x86-64 a subprocess runs the same check at two of the spacings, while
-    this process runs its own, in a process whose OpenBLAS runs its Prescott
-    kernels: the column step adds no dependence on the kernel that the BLAS
-    products do not have."""
-    other_kernel = None
-    if platform.machine().lower() in ("x86_64", "amd64"):
-        tests = Path(__file__).resolve().parent
-        env = dict(
-            os.environ,
-            OPENBLAS_CORETYPE="Prescott",
-            PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))),
-        )
-        other_kernel = subprocess.Popen(
-            [sys.executable, "-c", OTHER_KERNEL_SCRIPT],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    try:
-        assert check_oracle_sectors((0.37, 2.0 / 3.0, 1.4, 0.0), (1.0, 1.1)) == 336
-    finally:
-        if other_kernel is not None:
-            stdout, stderr = other_kernel.communicate(timeout=120)
-    if other_kernel is not None:
-        assert other_kernel.returncode == 0, stderr
-        core, sectors = stdout.split()
-        # OpenBLAS names the kernel set that OPENBLAS_CORETYPE=Prescott
-        # selects Katmai; "unknown" where the library does not name its kernels
-        assert core in ("Prescott", "Katmai", "unknown"), core
-        assert int(sectors) == sum(n + 2 for n in range(1, 8)) * 4
+    off-diagonals.  The check runs once a process: on x86-64 the
+    second-kernel test of ``test_kernels`` runs it while its subprocess runs
+    the same check under another BLAS kernel."""
+    assert check_oracle_sectors(SECTOR_SPACINGS, SECTOR_PHOTON_FREQS) == 336
 
 
 def _random_symmetric(rng):
