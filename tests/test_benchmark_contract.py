@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import qchain.cli
+from test_cli import CHUNKINGS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,10 +45,12 @@ def perfbench():
 @pytest.mark.parametrize("workload", sorted(PASS0_DIGESTS))
 def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkeypatch, workload):
     """The same digest with the CLI's output in chunks of
-    ``OUTPUT_CHUNK_ROWS`` rows or values and in chunks of 2."""
+    ``OUTPUT_CHUNK_ROWS`` rows or values, in chunks of 2, and with every
+    chunk of float arrays through the bulk float route."""
     worker, checks, workloads = perfbench
-    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+    for rows, least in CHUNKINGS:
         monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
+        monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
         digests = []
         for request in workloads.make_pass(workload, 1, 0):
             code, text, value = worker.execute(request)
@@ -55,4 +58,4 @@ def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkey
             assert checks.check(request, text, value) == [], request
             digests.append(hashlib.sha256(text.encode()).hexdigest())
         capsys.readouterr()
-        assert worker._digest(digests) == PASS0_DIGESTS[workload], rows
+        assert worker._digest(digests) == PASS0_DIGESTS[workload], (rows, least)

@@ -735,6 +735,15 @@ WRAPPERS = [
     (qchain.algebra, "deformation_factor"),
 ]
 
+# (OUTPUT_CHUNK_ROWS, BULK_FLOAT_VALUES) for each run of a
+# digest test: the defaults, chunks of 2 rows or values, and every chunk of
+# float arrays through the bulk float route
+CHUNKINGS = [
+    (qchain.cli.OUTPUT_CHUNK_ROWS, qchain.cli.BULK_FLOAT_VALUES),
+    (2, qchain.cli.BULK_FLOAT_VALUES),
+    (qchain.cli.OUTPUT_CHUNK_ROWS, 1),
+]
+
 # SHA-256 of the full stdout of each command in both formats.  The cases
 # cover None cells (eta = 0 leaves states without a vacuum component), the
 # PoleError path of table1 (closed form prints as null / empty cells), a
@@ -776,9 +785,10 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
     """The command's own parser reads the line as the full parser does, and
     the command prints the golden bytes while the wrappers that only
     perfbench still calls raise: it runs on the kernels beneath them.  The
-    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values and
-    in chunks of 2, where every column and number list longer than 2 is
-    written in several chunks."""
+    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values, in
+    chunks of 2, where every column and number list longer than 2 is
+    written in several chunks, and with every chunk of float arrays sent
+    through the bulk float route."""
     argv = [*argv, "--format", fmt]
     by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv)
     assert isinstance(by_command, dict) and by_command == by_full_parser
@@ -788,11 +798,12 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
 
     for module, name in WRAPPERS:
         monkeypatch.setattr(module, name, refuse)
-    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+    for rows, least in CHUNKINGS:
         monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
+        monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
         code, out = run_cli(capsys, *argv)
         assert code == 0, rows
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (rows, least)
 
 
 def test_table1_pole_prints_null_and_empty_cells(capsys):
