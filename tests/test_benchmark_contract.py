@@ -45,10 +45,12 @@ def perfbench():
 @pytest.mark.parametrize("workload", sorted(PASS0_DIGESTS))
 def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkeypatch, workload):
     """The same digest with the CLI's output in chunks of
-    ``OUTPUT_CHUNK_ROWS`` rows or values, in chunks of 2, and with every
-    chunk of float arrays through the bulk float route."""
+    ``OUTPUT_CHUNK_ROWS`` rows or values, in chunks of 2, and, for the one
+    workload that prints float arrays, with every chunk of them through
+    the bulk float route."""
     worker, checks, workloads = perfbench
-    for rows, least in CHUNKINGS:
+    chunkings = CHUNKINGS if workload == "deform_crossover" else CHUNKINGS[:2]
+    for rows, least in chunkings:
         monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
         monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
         digests = []
