@@ -114,7 +114,61 @@ def _round_odd(y1, y0, x1):
     """g * cp * 2^-127 rounded to odd, as the JDK's ``DoubleToDecimal.rop``
     forms it from g1 * cp = y1 * 2^64 + y0 and the high word x1 of g0 * cp."""
     z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | ((z & _M63) != 0)
+    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def _products(g1, g0, cp):
+    """g1 * cp = y1 * 2^64 + y0 and g0 * cp = x1 * 2^64 + x0, exact, the
+    high words from the products of 32-bit halves (g1, g0 < 2^63, cp < 2^59)."""
+    cph = cp >> 32
+    cpl = cp & _M32
+    high = []
+    for g in (g1, g0):
+        gh = g >> 32
+        gl = g & _M32
+        high.append(gh * cph + ((((gl * cpl) >> 32) + gh * cpl + gl * cph) >> 32))
+    return high[0], g1 * cp, high[1], g0 * cp
+
+
+def _scaled(c, h2, g1, g0, uneven):
+    """vb, vbl and vbr, Schubfach's v and the ends of its rounding interval
+    times 4 * 10^-k, each rounded to odd: v and the ends are c and c +- 1/2
+    (c - 1/4 below when uneven) in units of 2^q, so, scaled by 4 * 2^h,
+    cp and cp +- 2^j.  The products at the ends are those at cp plus or
+    minus g1 * 2^j and g0 * 2^j, as high and low words."""
+    y1, y0, x1, x0 = _products(g1, g0, c << h2)
+    vb = _round_odd(y1, y0, x1)
+    j = h2 - np.uint64(1)
+    up = np.uint64(64) - j
+    a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
+    y0r = y0 + a_lo
+    x0r = x0 + b_lo
+    vbr = _round_odd(y1 + a_hi + (y0r < a_lo), y0r, x1 + b_hi + (x0r < b_lo))
+    if uneven.any():
+        j = j - uneven
+        up = np.uint64(64) - j
+        a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
+    vbl = _round_odd(y1 - a_hi - (y0 < a_lo), y0 - a_lo, x1 - b_hi - (x0 < b_lo))
+    return vb, vbl, vbr
+
+
+def _closest(vb, lower, upper):
+    """Schubfach's choice of digits from vb and the interval's ends, in the
+    units of vb: (d, shorter), the digits as d * 10^(k + shorter)."""
+    s = vb >> np.uint64(2)
+    # one digit shorter: at most one of 10 * floor(s / 10) and the next
+    # multiple of 10 lies in the interval
+    sp = s // np.uint64(10)
+    sp40 = sp * np.uint64(40)
+    wpin = sp40 + np.uint64(40) <= upper
+    shorter = (lower <= sp40) != wpin
+    # else s or s + 1: the one inside, or, with both inside, the closer, ties to even
+    s4 = vb & ~np.uint64(3)
+    win = s4 + np.uint64(4) <= upper
+    mid = s4 + np.uint64(2)
+    closer_up = (vb > mid) | ((vb == mid) & (s & np.uint64(1)).astype(bool))
+    rounds_up = np.where((lower <= s4) != win, win, closer_up)
+    return np.where(shorter, sp + wpin, s + rounds_up), shorter
 
 
 def _shortest(bits):
@@ -128,59 +182,12 @@ def _shortest(bits):
     # below a power of two the spacing of doubles halves: an uneven interval
     uneven = (t == 0) & (bq > 1)
     row = (bq | (uneven.astype(np.uint64) << 11)).view(np.int64)
-    g1_table, g0_table, k_table, shift_table = _exponent_tables()
-    g1 = g1_table.take(row)
-    g0 = g0_table.take(row)
-    # v and the interval's ends are c and c +- 1/2 (c - 1/4 below when
-    # uneven) in units of 2^q; scaled by 4 * 2^h, cp and cp +- 2^j
-    h2 = shift_table.take(row)
-    cp = c << h2
-    cph = cp >> 32
-    cpl = cp & _M32
-    # g1 * cp = y1 * 2^64 + y0 and g0 * cp = x1 * 2^64 + x0, the high words
-    # from the products of 32-bit halves
-    g1h = g1 >> 32
-    g1l = g1 & _M32
-    y1 = g1h * cph + ((((g1l * cpl) >> 32) + g1h * cpl + g1l * cph) >> 32)
-    y0 = g1 * cp
-    g0h = g0 >> 32
-    g0l = g0 & _M32
-    x1 = g0h * cph + ((((g0l * cpl) >> 32) + g0h * cpl + g0l * cph) >> 32)
-    x0 = g0 * cp
-    vb = _round_odd(y1, y0, x1)
-    # g1 * 2^j and g0 * 2^j, as high and low words, added and subtracted
-    j = h2 - np.uint64(1)
-    up = np.uint64(64) - j
-    a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
-    y0r = y0 + a_lo
-    x0r = x0 + b_lo
-    vbr = _round_odd(y1 + a_hi + (y0r < a_lo), y0r, x1 + b_hi + (x0r < b_lo))
-    if uneven.any():
-        j = j - uneven
-        up = np.uint64(64) - j
-        a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
-    vbl = _round_odd(y1 - a_hi - (y0 < a_lo), y0 - a_lo, x1 - b_hi - (x0 < b_lo))
-
+    g1, g0, k, h2 = (table.take(row) for table in _exponent_tables())
+    vb, vbl, vbr = _scaled(c, h2, g1, g0, uneven)
     # the interval's ends belong to it when c is even
     out = c & np.uint64(1)
-    lower = vbl + out
-    upper = vbr - out
-    s = vb >> np.uint64(2)
-    # one digit shorter: at most one of 10 * floor(s / 10) and the next
-    # multiple of 10 lies in the interval
-    sp = s // np.uint64(10)
-    sp40 = sp * np.uint64(40)
-    upin = lower <= sp40
-    wpin = sp40 + np.uint64(40) <= upper
-    shorter = upin != wpin
-    # else s or s + 1: the one inside, or, with both inside, the closer, ties to even
-    s4 = vb & ~np.uint64(3)
-    uin = lower <= s4
-    win = s4 + np.uint64(4) <= upper
-    mid = s4 + np.uint64(2)
-    rounds_up = np.where(uin != win, win, (vb > mid) | ((vb == mid) & (s & np.uint64(1)).astype(bool)))
-    d = np.where(shorter, sp + wpin, s + rounds_up)
-    return d, k_table.take(row) + shorter
+    d, shorter = _closest(vb, vbl + out, vbr - out)
+    return d, k + shorter
 
 
 def _quads_of(x, count):
@@ -250,10 +257,13 @@ def repr_join(columns, seps) -> str:
     return text.decode("ascii")
 
 
-def _render_block(a, tails) -> bytes:
-    """The text of one block of whole rows.  Each value's characters and
-    separator go to fixed columns of a byte matrix, NUL where a value has
-    no character, and the NULs are then deleted."""
+def _parts(a):
+    """The parts of each value's text in one block: the sign; the integer
+    part, with the count of its four-digit groups; the point and the zeros
+    after "0." as an index into _POINTS; the fraction's first digit as a
+    character (NUL where none is printed); the rest of the fraction, left-
+    aligned in its count of groups; and, if any value takes the exponent
+    form, the index of each value's exponent into _exponents() (0 for none)."""
     bits = a.view(np.uint64)
     negative = bits > _M63
     bits = bits & _M63
@@ -285,22 +295,34 @@ def _render_block(a, tails) -> bytes:
     below = _POW10.take(rest_digits)
     first = frac // below
     rest = frac - first * below
+    first = first.astype(np.uint8) + np.uint8(ord("0"))
     int_digits = np.maximum(point, 1)
     lead = np.maximum(-point, 0)  # the zeros after "0."
+    exponent = None
     if any_exp:
         int_digits = np.where(exp, 1, int_digits)
         # the exponent form of a single digit has no point: _POINTS[4]
-        lead = np.where(exp, np.where(frac == 0, 4, 0), lead)
+        bare = exp & (frac == 0)
+        lead = np.where(exp, 4 * bare, lead)
+        first[bare] = 0
+        exponent = np.where(exp, point + 324, 0)
     int_quads = -(-int(int_digits.max()) // 4)
     rest_quads = -(-int(rest_digits.max()) // 4)
     rest *= _POW10.take(4 * rest_quads - rest_digits)
+    return negative, whole, int_quads, lead, first, rest, rest_quads, exponent
+
+
+def _render_block(a, tails) -> bytes:
+    """The text of one block of whole rows.  Each value's characters and
+    separator go to fixed columns of a byte matrix, NUL where a value has
+    no character, and the NULs are then deleted."""
+    negative, whole, int_quads, lead, first, rest, rest_quads, exponent = _parts(a)
     signed = bool(negative.any())
     zeros = bool(lead.any())
-
     rows = a.size
     width = (
         signed + 4 * int_quads + (4 if zeros else 1) + 1 + 4 * rest_quads
-        + (8 if any_exp else 0) + tails.shape[1]
+        + (0 if exponent is None else 8) + tails.shape[1]
     )
     m = np.empty((rows, width), dtype=np.uint8)
     col = 0
@@ -318,13 +340,10 @@ def _render_block(a, tails) -> bytes:
         put(_POINTS.take(lead), 4)
     else:
         put(np.full(rows, ord("."), dtype=np.uint8), 1)
-    first_char = first.astype(np.uint8) + np.uint8(ord("0"))
-    if any_exp:
-        first_char[lead == 4] = 0
-    put(first_char, 1)
+    put(first, 1)
     for chars in _fraction_chars(rest.view(np.int64), rest_quads):
         put(chars, 4)
-    if any_exp:
-        put(_exponents().take(np.where(exp, point + 324, 0)), 8)
+    if exponent is not None:
+        put(_exponents().take(exponent), 8)
     m.reshape(rows // len(tails), len(tails), width)[:, :, col:] = tails
     return m.tobytes().translate(None, b"\0")

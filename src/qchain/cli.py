@@ -123,11 +123,13 @@ def _listed(values):
 
 
 # The fewest values of a chunk of float arrays that _floattext renders.  It
-# takes about 190 us a call plus 0.15 us a value, float.__repr__ 0.55 us a
-# value, so the two routes cross near 400 values, in CSV and in JSON alike:
-# at 384 values a two-column CSV chunk took 229 us by float.__repr__ and
-# 235 us in bulk, a JSON number list 207 and 207 us; at 512 values, 302 and
-# 262 us, 272 and 232 us (medians of 60 runs, 2-core Xeon VM, numpy 2.4.6).
+# takes about 210 us a call plus 0.14 us a value, float.__repr__ about
+# 0.6 us a value, so the two routes cross near 400 values, in CSV and in
+# JSON alike: at 384 values a two-column CSV chunk took 258 us by
+# float.__repr__ and 269 us in bulk, a JSON number list 233 and 239 us; at
+# 448 values, 295 and 277 us, 269 and 245 us (medians of 60 runs, 2-core
+# Xeon VM, numpy 2.4.6; in a slower stretch of that host they crossed near
+# 320 values).
 BULK_FLOAT_VALUES = 400
 
 
