@@ -10,11 +10,11 @@ import numpy as np
 from .errors import CapacityError, InvalidParameterError
 from .linalg import SMALLEST_NORMAL
 
-# Most points a sweep samples: 10^5 / 10^6 steps took 0.18 / 0.45 s and
-# 41 / 78 MB peak RSS in `deform-sweep` as CSV, 0.17 / 0.48 s and 40 / 78 MB
-# as JSON, written in chunks by the CLI's bulk float route (median of 3 runs
-# of a `python -m qchain` child, stdout to /dev/null; 2-core Xeon VM, one
-# BLAS thread).
+# Most points a sweep samples: 10^5 / 10^6 steps took 0.18-0.26 /
+# 0.45-0.48 s and 40 / 78 MB peak RSS in `deform-sweep` as CSV, 0.17-0.21 /
+# 0.48-0.49 s and 39-40 / 78 MB as JSON, written in chunks by the CLI's bulk
+# float route (medians of 3 runs of a `python -m qchain` child in each of two
+# sets, stdout to /dev/null; 2-core Xeon VM, one BLAS thread).
 MAX_SWEEP_STEPS = 1_000_000
 
 
