@@ -5,14 +5,13 @@ shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
 ``float.__repr__``.  A chunk of float arrays (a CSV table of float array
-columns, or a JSON number list from an array) of at least
-``BULK_FLOAT_VALUES`` values in all, each zero or a finite normal double,
-is rendered with those bytes by ``_floattext``, in one vectorized pass of
-exact integer arithmetic.  Every other chunk, including one that holds a
-nan, an inf or a subnormal, and every list of Python floats, such as
-``spectrum``'s rows, goes through ``float.__repr__`` in C code a column
-chunk or a flat number list chunk at a time, not by one Python call per
-value.
+columns, or a JSON number list from an array) whose values are each zero
+or a finite normal double is rendered with those bytes by ``_floattext``,
+in one vectorized pass of exact integer arithmetic, whatever its size.
+Every other chunk, including one that holds a nan, an inf or a
+subnormal, and every list of Python floats, such as ``spectrum``'s rows,
+goes through ``float.__repr__`` in C code a column chunk or a flat number
+list chunk at a time, not by one Python call per value.
 ``spectrum`` renders the coefficient runs of each CSV row whole, and JSON
 scalars and keys are rendered by their exact type, without building an
 encoder per value.
@@ -60,7 +59,6 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import _floattext
 from .algebra import deformation_profile, h_curve
 from .config import ChainConfig, halves, twice, validate_steps
 from .crossover import crossover_point
@@ -122,26 +120,20 @@ def _listed(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-# The fewest values of a chunk of float arrays that _floattext renders.  It
-# takes about 210 us a call plus 0.14 us a value, float.__repr__ about
-# 0.6 us a value, so the two routes cross near 400 values, in CSV and in
-# JSON alike: at 384 values a two-column CSV chunk took 258 us by
-# float.__repr__ and 269 us in bulk, a JSON number list 233 and 239 us; at
-# 448 values, 295 and 277 us, 269 and 245 us (medians of 60 runs, 2-core
-# Xeon VM, numpy 2.4.6; in a slower stretch of that host they crossed near
-# 320 values).
-BULK_FLOAT_VALUES = 400
+def _bulk_text(parts, seps):
+    """The text of ``repr(x) + sep`` for each row of the float64 array
+    columns ``parts``, one separator per column, from ``_floattext``; or
+    None where a part is not a float64 array or holds a value other than
+    zero or a finite normal double, which keeps ``float.__repr__``."""
+    if not all(isinstance(part, np.ndarray) and part.dtype == np.float64 for part in parts):
+        return None
+    # imported on the first float array chunk: a command that prints none
+    # never compiles it
+    from . import _floattext
 
-
-def _bulk(parts) -> bool:
-    """Whether a chunk goes to _floattext: its columns are float64 arrays of
-    at least ``BULK_FLOAT_VALUES`` values in all, each zero or a finite
-    normal double."""
-    return (
-        all(isinstance(part, np.ndarray) and part.dtype == np.float64 for part in parts)
-        and len(parts) * len(parts[0]) >= BULK_FLOAT_VALUES
-        and all(map(_floattext.renderable, parts))
-    )
+    if not all(map(_floattext.renderable, parts)):
+        return None
+    return _floattext.repr_join(parts, seps)
 
 
 def csv_chunks(header: list[str], rows=(), columns=()) -> Iterator[str]:
@@ -161,8 +153,9 @@ def csv_chunks(header: list[str], rows=(), columns=()) -> Iterator[str]:
     line[-1] = "\n"
     for start in range(0, len(columns[0]), OUTPUT_CHUNK_ROWS):
         parts = [column[start : start + OUTPUT_CHUNK_ROWS] for column in columns]
-        if _bulk(parts):
-            yield _floattext.repr_join(parts, line[1::2])
+        text = _bulk_text(parts, line[1::2])
+        if text is not None:
+            yield text
             continue
         parts = list(map(_listed, parts))
         cells = line * len(parts[0])
@@ -204,9 +197,10 @@ def _number_chunks(values, sep: str) -> Iterator[str]:
     chunk; the chunks are joined by ``sep`` too."""
     for start in range(0, len(values), OUTPUT_CHUNK_ROWS):
         part = values[start : start + OUTPUT_CHUNK_ROWS]
-        if _bulk([part]):
+        text = _bulk_text([part], [sep])
+        if text is not None:
             # the separator after the chunk's last value is the caller's
-            yield _floattext.repr_join([part], [sep])[: -len(sep)]
+            yield text[: -len(sep)]
         else:
             yield json.dumps(_listed(part), separators=(sep, ": "))[1:-1]
 

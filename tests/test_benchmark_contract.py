@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qchain.cli
-from test_cli import CHUNKINGS
+from test_cli import set_chunking
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,14 +45,11 @@ def perfbench():
 @pytest.mark.parametrize("workload", sorted(PASS0_DIGESTS))
 def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkeypatch, workload):
     """The same digest with the CLI's output in chunks of
-    ``OUTPUT_CHUNK_ROWS`` rows or values, in chunks of 2, and, for the one
-    workload that prints float arrays, with every chunk of them through
-    the bulk float route."""
+    ``OUTPUT_CHUNK_ROWS`` rows or values and in chunks of 2
+    (``set_chunking``)."""
     worker, checks, workloads = perfbench
-    chunkings = CHUNKINGS if workload == "deform_crossover" else CHUNKINGS[:2]
-    for rows, least in chunkings:
-        monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
-        monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
+    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+        set_chunking(monkeypatch, rows)
         digests = []
         for request in workloads.make_pass(workload, 1, 0):
             code, text, value = worker.execute(request)
@@ -60,4 +57,4 @@ def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkey
             assert checks.check(request, text, value) == [], request
             digests.append(hashlib.sha256(text.encode()).hexdigest())
         capsys.readouterr()
-        assert worker._digest(digests) == PASS0_DIGESTS[workload], (rows, least)
+        assert worker._digest(digests) == PASS0_DIGESTS[workload], rows

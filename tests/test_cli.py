@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qchain._floattext
 import qchain.algebra
 import qchain.cli
 import qchain.linalg
@@ -735,14 +736,17 @@ WRAPPERS = [
     (qchain.algebra, "deformation_factor"),
 ]
 
-# (OUTPUT_CHUNK_ROWS, BULK_FLOAT_VALUES) for each run of a
-# digest test: the defaults, chunks of 2 rows or values, and every chunk of
-# float arrays through the bulk float route
-CHUNKINGS = [
-    (qchain.cli.OUTPUT_CHUNK_ROWS, qchain.cli.BULK_FLOAT_VALUES),
-    (2, qchain.cli.BULK_FLOAT_VALUES),
-    (qchain.cli.OUTPUT_CHUNK_ROWS, 1),
-]
+
+def set_chunking(monkeypatch, rows):
+    """The CLI's output in chunks of ``rows`` rows or values.  In chunks of
+    2, float arrays print through ``float.__repr__``, so each digest is
+    checked on both float routes; the bulk float route's fixed cost of
+    about 0.2 ms a chunk would make thousands of 2-value chunks take
+    seconds."""
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
+    if rows == 2:
+        monkeypatch.setattr(qchain._floattext, "renderable", lambda a: False)
+
 
 # SHA-256 of the full stdout of each command in both formats.  The cases
 # cover None cells (eta = 0 leaves states without a vacuum component), the
@@ -785,10 +789,9 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
     """The command's own parser reads the line as the full parser does, and
     the command prints the golden bytes while the wrappers that only
     perfbench still calls raise: it runs on the kernels beneath them.  The
-    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values, in
-    chunks of 2, where every column and number list longer than 2 is
-    written in several chunks, and with every chunk of float arrays sent
-    through the bulk float route."""
+    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values and
+    in chunks of 2, where every column and number list longer than 2 is
+    written in several chunks (``set_chunking``)."""
     argv = [*argv, "--format", fmt]
     by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv)
     assert isinstance(by_command, dict) and by_command == by_full_parser
@@ -798,12 +801,11 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
 
     for module, name in WRAPPERS:
         monkeypatch.setattr(module, name, refuse)
-    for rows, least in CHUNKINGS:
-        monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
-        monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
+    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
+        set_chunking(monkeypatch, rows)
         code, out = run_cli(capsys, *argv)
         assert code == 0, rows
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (rows, least)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, rows
 
 
 def test_table1_pole_prints_null_and_empty_cells(capsys):

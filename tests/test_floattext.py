@@ -76,7 +76,6 @@ def test_each_notation_edge_alone():
 def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monkeypatch, odd, fmt):
     """A nan, an inf or a subnormal anywhere in a chunk keeps the whole chunk
     on float.__repr__; the other chunks still go through the bulk route."""
-    monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", 1)
     monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 4)
     values = np.linspace(-1.0, 2.0, 12)
     values[5] = odd  # in the second chunk of four

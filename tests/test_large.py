@@ -3,9 +3,8 @@ sizes where they run.  Skipped unless ``QCHAIN_LARGE=1``::
 
     QCHAIN_LARGE=1 OPENBLAS_NUM_THREADS=1 python -m pytest -q tests/test_large.py
 
-The CLI renders a chunk of float arrays of at least ``BULK_FLOAT_VALUES``
-values through ``_floattext``; no golden case reaches
-the sizes below.
+The CLI renders each chunk of float arrays of zeros and finite normal
+doubles through ``_floattext``; no golden case reaches the sizes below.
 """
 
 import hashlib
@@ -14,7 +13,6 @@ import os
 import numpy as np
 import pytest
 
-import qchain.cli
 from qchain import _floattext
 from qchain.config import MAX_SWEEP_STEPS
 from test_cli import run_cli
@@ -60,8 +58,9 @@ def test_largest_sweeps_print_the_same_bytes_on_both_routes(capsys, monkeypatch,
     the same bytes: one line a step, a finite value in every cell."""
     argv = [*argv, "--steps", str(MAX_SWEEP_STEPS), "--format", fmt]
     digests = []
-    for least in (qchain.cli.BULK_FLOAT_VALUES, 2 * MAX_SWEEP_STEPS + 1):
-        monkeypatch.setattr(qchain.cli, "BULK_FLOAT_VALUES", least)
+    for bulk in (True, False):
+        if not bulk:  # every chunk through float.__repr__
+            monkeypatch.setattr(_floattext, "renderable", lambda a: False)
         code, out = run_cli(capsys, *argv)
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
