@@ -1,6 +1,6 @@
 """Shortest round-trip text of float64 arrays, exactly as ``float.__repr__``.
 
-``repr_join(columns, seps)`` returns the text of
+``repr_join(rows, seps)`` returns the text of
 ``"".join(repr(x) + sep for row in rows for x, sep in zip(row, seps))``
 without one ``float.__repr__`` call per value.  The digits are Schubfach's
 (R. Giulietti, "The Schubfach way to render doubles", 2020; the JDK's
@@ -239,17 +239,19 @@ def renderable(a: np.ndarray) -> bool:
     return bool(((field - np.uint64(1) < np.uint64(0x7FE)) | (a == 0.0)).all())
 
 
-def repr_join(columns, seps) -> str:
-    """The text of each row's ``repr(x) + sep`` for each column's value x and
-    the column's separator, row after row.  ``columns`` are 1-D float64
-    arrays of one length, each ``renderable``; ``seps`` are ASCII strings
+def repr_join(rows: np.ndarray, seps) -> str:
+    """The text of each row's ``repr(x) + sep`` for each value x of the row
+    and its column's separator, row after row.  ``rows`` is a ``renderable``
+    float64 array read in row-major order, ``len(seps)`` values a row (a 1-D
+    array of one column, or a 2-D array of rows); ``seps`` are ASCII strings
     without NUL."""
     seps = [sep.encode("ascii") for sep in seps]
     tails = np.zeros((len(seps), max(map(len, seps))), dtype=np.uint8)
     for j, sep in enumerate(seps):
         tails[j, : len(sep)] = np.frombuffer(sep, np.uint8)
-    values = np.stack(columns, axis=1).ravel() if len(columns) > 1 else columns[0]
-    step = BLOCK - BLOCK % len(seps)  # whole rows in every block
+    values = rows.ravel()
+    # whole rows in every block, and at least one, however wide
+    step = max(BLOCK // len(seps), 1) * len(seps)
     text = b"".join(
         _render_block(values[start : start + step], tails)
         for start in range(0, values.size, step)

@@ -4,17 +4,19 @@ Output is byte-deterministic for identical invocations: floats use the
 shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
-``float.__repr__``.  A chunk of float arrays (a CSV table of float array
-columns, or a JSON number list from an array) whose values are each zero
-or a finite normal double is rendered with those bytes by ``_floattext``,
-in one vectorized pass of exact integer arithmetic, whatever its size.
-Every other chunk, including one that holds a nan, an inf or a
-subnormal, and every list of Python floats, such as ``spectrum``'s rows,
-goes through ``float.__repr__`` in C code a column chunk or a flat number
-list chunk at a time, not by one Python call per value.
-``spectrum`` renders the coefficient runs of each CSV row whole, and JSON
-scalars and keys are rendered by their exact type, without building an
-encoder per value.
+``float.__repr__``.  A chunk of one float matrix whose values are each
+zero or a finite normal double is rendered with those bytes by
+``_floattext``, in one vectorized pass of exact integer arithmetic,
+whatever its size: a CSV table of float array columns, a JSON number
+list from an array, ``crossover``'s stationary points, and a chunk of
+``spectrum`` states, whose v and E (in CSV, and R), c0 = 1 and unit-norm
+rows are one matrix; one split cuts its text into the runs of cells that
+its lines or JSON items are assembled from.  Every other chunk,
+including one that holds a nan, an inf or a subnormal, goes through
+``float.__repr__`` in C code a chunk at a time, not by one Python call
+per value, and so does every list of Python floats, such as ``table1``'s
+rows.  JSON scalars and keys are rendered by their exact type, without
+building an encoder per value.
 
 Each command first computes everything it prints: every number, every
 refusal and every overflow (a ``FloatingPointError`` under ``main``'s
@@ -22,9 +24,10 @@ refusal and every overflow (a ``FloatingPointError`` under ``main``'s
 nothing and never leaves ``--out`` half-written.  It then returns an
 iterator of text chunks, and ``main`` writes each chunk to stdout or to
 ``--out`` as it is rendered: a CSV column table ``OUTPUT_CHUNK_ROWS`` rows a
-chunk, a JSON number list or array that many values a chunk, and a
-``spectrum`` state one at a time, from the eigenvector matrix.  So the text
-held at once stays bounded, whatever the output's size.
+chunk, a JSON number list or array that many values a chunk, and
+``spectrum``'s states, from the eigenvector matrix, as many at a time as
+hold that many cells, and at least one.  So the text held at once stays
+bounded, whatever the output's size.
 
 Commands compute only what they print, with one eigensolve per ladder:
 ``oracle-compare`` and ``table1`` take eigenvalues alone, and the
@@ -120,49 +123,70 @@ def _listed(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def _bulk_text(parts, seps):
-    """The text of ``repr(x) + sep`` for each row of the float64 array
-    columns ``parts``, one separator per column, from ``_floattext``; or
-    None where a part is not a float64 array or holds a value other than
-    zero or a finite normal double, which keeps ``float.__repr__``."""
-    if not all(isinstance(part, np.ndarray) and part.dtype == np.float64 for part in parts):
+def _bulk_text(values, seps):
+    """The text of ``repr(x) + sep`` for each value of ``values``, a float64
+    array read row by row with one separator per column, from
+    ``_floattext``; or None where ``values`` is not a float64 array or holds
+    a value other than zero or a finite normal double, which keeps
+    ``float.__repr__``."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
         return None
     # imported on the first float array chunk: a command that prints none
     # never compiles it
     from . import _floattext
 
-    if not all(map(_floattext.renderable, parts)):
+    if not _floattext.renderable(values):
         return None
-    return _floattext.repr_join(parts, seps)
+    return _floattext.repr_join(values, seps)
+
+
+def _float_text(values: np.ndarray, seps) -> str:
+    """The text of ``repr(x) + sep`` for each value of the float64 array
+    ``values``, read row by row with one separator per column: one bulk
+    pass where every value is renderable, else ``float.__repr__`` per value
+    in one C-level map."""
+    text = _bulk_text(values, seps)
+    if text is not None:
+        return text
+    cells = [part for sep in seps for part in (None, sep)] * (values.size // len(seps))
+    cells[::2] = map(float.__repr__, values.ravel().tolist())
+    return "".join(cells)
+
+
+# the marks that end a run of values in one chunk's text, which a
+# str.split then cuts apart; never a character of a float's text or of a
+# separator between values
+_MARK = "|"
+
+
+def _labelled_lines(label: str, start: int, *cells) -> str:
+    """CSV lines, each the label, its index counted from ``start``, then one
+    cell text from each of the lists ``cells``, rendered whole."""
+    line = [label + ",", None] + [part for _ in cells for part in (",", None)] + ["\n"]
+    rows = len(cells[0])
+    text = line * rows
+    text[1 :: len(line)] = map(int.__repr__, range(start, start + rows))
+    for j, column in enumerate(cells):
+        text[3 + 2 * j :: len(line)] = column
+    return "".join(text)
 
 
 def csv_chunks(header: list[str], rows=(), columns=()) -> Iterator[str]:
     """CSV text in chunks: the header line, then each of the mixed ``rows``
-    cell by cell, one chunk a row, then the single-typed ``columns`` (lists,
-    ranges or 1-D arrays of one length), ``OUTPUT_CHUNK_ROWS`` lines a chunk.
-    A str cell goes out as it is, so it may hold a run of cells rendered
-    whole."""
+    cell by cell, one chunk a row, then the float64 array ``columns`` (1-D,
+    of one length), ``OUTPUT_CHUNK_ROWS`` lines a chunk.  A str cell goes
+    out as it is, so it may hold a run of cells rendered whole, and a str
+    in place of a row is text of whole lines, written as it is."""
     yield ",".join(header) + "\n"
     for row in rows:
-        yield ",".join(map(_cell, row)) + "\n"
+        yield row if type(row) is str else ",".join(map(_cell, row)) + "\n"
     if not columns:
         return
-    k = len(columns)
-    # one line: each cell at an even place, followed by its separator
-    line = [None, ","] * k
-    line[-1] = "\n"
+    seps = [","] * len(columns)
+    seps[-1] = "\n"
     for start in range(0, len(columns[0]), OUTPUT_CHUNK_ROWS):
         parts = [column[start : start + OUTPUT_CHUNK_ROWS] for column in columns]
-        text = _bulk_text(parts, line[1::2])
-        if text is not None:
-            yield text
-            continue
-        parts = list(map(_listed, parts))
-        cells = line * len(parts[0])
-        for j, part in enumerate(parts):
-            # each column's cells mapped by its type's renderer in one call
-            cells[2 * j :: 2 * k] = map(_RENDER[type(part[0])], part)
-        yield "".join(cells)
+        yield _float_text(np.stack(parts, axis=1), seps)
 
 
 def json_chunks(obj) -> Iterator[str]:
@@ -175,7 +199,8 @@ def json_chunks(obj) -> Iterator[str]:
     written a member at a time.  A member may also be a 1-D numpy array,
     written as the list of its values, or an iterator, written as the
     nonempty list of the items it yields, each rendered whole as it is
-    formed.
+    formed; a str item is taken to be JSON text already rendered at the
+    list's indent, and is written as it is.
     """
     yield from _json_chunks(obj, "")
     yield "\n"
@@ -197,7 +222,7 @@ def _number_chunks(values, sep: str) -> Iterator[str]:
     chunk; the chunks are joined by ``sep`` too."""
     for start in range(0, len(values), OUTPUT_CHUNK_ROWS):
         part = values[start : start + OUTPUT_CHUNK_ROWS]
-        text = _bulk_text([part], [sep])
+        text = _bulk_text(part, [sep])
         if text is not None:
             # the separator after the chunk's last value is the caller's
             yield text[: -len(sep)]
@@ -226,7 +251,8 @@ def _json_chunks(obj, indent: str) -> Iterator[str]:
     elif isinstance(obj, Iterator):
         head = "[\n" + inner
         for item in obj:
-            yield head + _json(item, inner)
+            # a str item is its JSON text, rendered at this indent
+            yield head + (item if type(item) is str else _json(item, inner))
             head = sep
         yield "\n" + indent + "]"
     else:  # an empty array renders as the empty list
@@ -311,31 +337,55 @@ def _spin_of(args) -> float:
     return halves(r2)
 
 
+# a spectrum state's JSON text, at the fixed indent of the "states" list
+_STATE_JSON = (
+    '{{\n      "index": {},\n      "v": {},\n      "E": {},\n      "c0_is_one": {},'
+    '\n      "unit_norm": [\n        {}\n      ]\n    }}'
+)
+_C_LIST_JSON = "[\n        {}\n      ]"
+
+
 def cmd_spectrum(args) -> Iterator[str]:
     r = _spin_of(args)
     R = _deformation_of(args.n, args.l)
     detuning = args.w0 - args.wq
     sub = ExcitationSubspace(args.u, r)
+    dim = sub.dim
     eigenvalues, vectors = tridiagonal_eigh(*build_h1_matrix(sub, R, detuning, args.eta))
     vectors = vectors.T  # row k: state k
     has_c0 = sub.photon_numbers[0] == 0
     wq_u = _qubit_energy(args, sub)
-    energies = (wq_u + eigenvalues).tolist()
+    energies = wq_u + eigenvalues
     values = eigenvalues.tolist()
-    has_vacuum = [False] * sub.dim
+    coefficients = [vectors]  # the matrices of each state's printed rows, in order
     if has_c0:
         # one division forms every c0 = 1 row; eta = 0 eigenstates, among
         # others, have no vacuum component and get none
         vacuum = vectors[:, 0]
-        has_vacuum = (vacuum != 0.0).tolist()
+        has_vacuum = vacuum != 0.0
         scaled = vectors / np.where(has_vacuum, vacuum, 1.0)[:, None]
         scaled[:, 0] = 1.0
+        coefficients.insert(0, scaled)
 
-    def state(k):
-        """State k's cells, read by whichever format is printed; its rows of
-        the matrices are listed only as the state is written."""
-        ratio = scaled[k].tolist() if has_vacuum[k] else None
-        return values[k], energies[k], ratio, vectors[k].tolist()
+    def state_chunks(lead, lead_seps, sep):
+        """Each chunk of whole states, at most ``OUTPUT_CHUNK_ROWS`` cells but
+        at least one state, rendered as one float matrix: a state's ``lead``
+        values, followed by ``lead_seps``, then its rows of ``coefficients``,
+        ``sep`` between the values of a row and a mark after it, so that one
+        split cuts the text into runs.  Yields the chunk's first index, its
+        runs (state k's j-th run is ``runs[j][k - start]``) and the places
+        ``k - start`` of its states without a vacuum component, whose c0 = 1
+        run is not printed."""
+        seps = lead_seps + ([sep] * (dim - 1) + [_MARK]) * len(coefficients)
+        per_state = seps.count(_MARK)
+        step = max(OUTPUT_CHUNK_ROWS // len(seps), 1)
+        for start in range(0, dim, step):
+            rows = slice(start, start + step)
+            matrix = np.concatenate([lead[rows]] + [c[rows] for c in coefficients], axis=1)
+            pieces = _float_text(matrix, seps).split(_MARK)
+            runs = [pieces[j : -1 : per_state] for j in range(per_state)]
+            missing = np.flatnonzero(~has_vacuum[rows]).tolist() if has_c0 else []
+            yield start, runs, missing
 
     weak = None
     res_canonical = None
@@ -352,6 +402,16 @@ def cmd_spectrum(args) -> Iterator[str]:
             res_alternate = resonant_alternate_energies(R, args.eta)
 
     if args.format == "json":
+
+        def json_states():
+            lead = np.stack([eigenvalues, energies], axis=1)
+            for start, runs, missing in state_chunks(lead, [_MARK, _MARK], ",\n        "):
+                vs, es, *c_runs, a_runs = runs
+                c_lists = [_C_LIST_JSON.format(c) for c in c_runs[0]] if has_c0 else ["null"] * len(vs)
+                for k in missing:
+                    c_lists[k] = "null"
+                yield from map(_STATE_JSON.format, itertools.count(start), vs, es, c_lists, a_runs)
+
         return json_chunks(
             {
                 "n": args.n,
@@ -364,10 +424,7 @@ def cmd_spectrum(args) -> Iterator[str]:
                 "eta": args.eta,
                 "detuning": detuning,
                 "photon_numbers": list(sub.photon_numbers),
-                "states": (
-                    {"index": k, "v": v, "E": energy, "c0_is_one": ratio, "unit_norm": coefficients}
-                    for k, (v, energy, ratio, coefficients) in enumerate(map(state, range(sub.dim)))
-                ),
+                "states": json_states(),
                 "weak_coupling": None if weak is None else weak.tolist(),
                 "resonant_canonical": None if res_canonical is None else values,
                 "resonant_alternate": None if res_alternate is None else res_alternate.tolist(),
@@ -383,12 +440,12 @@ def cmd_spectrum(args) -> Iterator[str]:
     blank_c = "," * (len(ns) - 1)
     blank_coeffs = blank_c + "," + blank_c if has_c0 else blank_c
 
-    def state_row(k):
-        v, energy, ratio, coefficients = state(k)
-        run = ",".join(map(float.__repr__, coefficients))
-        if has_c0:
-            run = (blank_c if ratio is None else ",".join(map(float.__repr__, ratio))) + "," + run
-        return ["state", k, v, energy, R, run]
+    def csv_states():
+        lead = np.stack([eigenvalues, energies, np.full(dim, R)], axis=1)
+        for start, runs, missing in state_chunks(lead, [",", ",", _MARK], ","):
+            for k in missing:
+                runs[1][k] = blank_c
+            yield _labelled_lines("state", start, *runs)
 
     # every level row is formed here, before the first byte is written
     levels = []
@@ -402,7 +459,7 @@ def cmd_spectrum(args) -> Iterator[str]:
         for kind, level_v, level_e in levels
         for k, (v, energy) in enumerate(zip(level_v, level_e))
     ]
-    return csv_chunks(header, itertools.chain(map(state_row, range(sub.dim)), level_rows))
+    return csv_chunks(header, itertools.chain(csv_states(), level_rows))
 
 
 def cmd_oracle_compare(args) -> Iterator[str]:
@@ -539,8 +596,13 @@ def cmd_crossover(args) -> Iterator[str]:
         ["R_at_crossover", None, report.deformation_at_crossover],
         ["spins_per_wavelength", None, report.spins_per_wavelength],
     ]
-    columns = [["stationary_point"] * points.size, range(points.size), points]
-    return csv_chunks(["key", "index", "value"], rows, columns)
+
+    def point_lines():
+        for start in range(0, points.size, OUTPUT_CHUNK_ROWS):
+            part = points[start : start + OUTPUT_CHUNK_ROWS]
+            yield _labelled_lines("stationary_point", start, _float_text(part, [_MARK]).split(_MARK)[:-1])
+
+    return csv_chunks(["key", "index", "value"], itertools.chain(rows, point_lines()))
 
 
 # ---------------------------------------------------------------------------

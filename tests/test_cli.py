@@ -738,8 +738,9 @@ WRAPPERS = [
 
 
 def set_chunking(monkeypatch, rows):
-    """The CLI's output in chunks of ``rows`` rows or values.  In chunks of
-    2, float arrays print through ``float.__repr__``, so each digest is
+    """The CLI's output in chunks of ``rows`` rows, values or cells, and
+    ``spectrum``'s one state at a time.  In chunks of 2, float arrays and
+    chunks of states print through ``float.__repr__``, so each digest is
     checked on both float routes; the bulk float route's fixed cost of
     about 0.2 ms a chunk would make thousands of 2-value chunks take
     seconds."""

@@ -3,13 +3,14 @@ text of ``float.__repr__`` per value, and the CLI sends it only chunks of
 zeros and finite normal doubles."""
 
 import json
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 import qchain.cli
 from qchain import _floattext
-from test_cli import NOTATION_EDGES
+from test_cli import NOTATION_EDGES, run_cli
 
 JSON_SEP = ",\n    "
 
@@ -55,8 +56,17 @@ def test_repr_join_writes_float_repr(values_and_reprs, seps, count):
     start = 0 if count is None else size - count
     values = values[start:size]
     assert _floattext.renderable(values)
-    columns = [values[j :: len(seps)] for j in range(len(seps))]
-    assert _floattext.repr_join(columns, seps) == _reference(reprs[start:size], seps)
+    rows = values.reshape(-1, len(seps))
+    assert _floattext.repr_join(rows, seps) == _reference(reprs[start:size], seps)
+
+
+def test_repr_join_on_rows_wider_than_a_block(values_and_reprs):
+    """A row of more than ``BLOCK`` values is rendered as a block of its own."""
+    values, reprs = values_and_reprs
+    width = _floattext.BLOCK + 808
+    seps = [","] * (width - 1) + ["\n"]
+    rows = values[: 3 * width].reshape(3, width)
+    assert _floattext.repr_join(rows, seps) == _reference(reprs[: 3 * width], seps)
 
 
 def test_each_notation_edge_alone():
@@ -66,7 +76,7 @@ def test_each_notation_edge_alone():
     for value in NOTATION_EDGES:
         if _floattext.renderable(np.array([value])):
             for sign in (1.0, -1.0):
-                assert _floattext.repr_join([np.array([sign * value])], ["\n"]) == repr(sign * value) + "\n"
+                assert _floattext.repr_join(np.array([sign * value]), ["\n"]) == repr(sign * value) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -83,9 +93,9 @@ def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monke
     rendered = []
     repr_join = _floattext.repr_join
 
-    def counted(columns, seps):
-        rendered.append(columns[0][0])
-        return repr_join(columns, seps)
+    def counted(rows, seps):
+        rendered.append(rows.flat[0])
+        return repr_join(rows, seps)
 
     monkeypatch.setattr(_floattext, "repr_join", counted)
     if fmt == "csv":
@@ -97,3 +107,84 @@ def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monke
         expected = json.dumps(values.tolist(), separators=(JSON_SEP, ": "))[1:-1]
     assert text == expected
     assert rendered == [values[0], values[8]]
+
+
+# ladders beyond the golden sizes: dims 31, 61 and 101, resonant and detuned;
+# lower irreps with a c0 column (dim 31) and without one (dim 61); and eta = 0,
+# whose states but one have no vacuum component
+SPECTRA = {
+    "31": ["--n", "30", "--l", "0.37", "--u", "15"],
+    "31-detuned": ["--n", "30", "--l", "2/3", "--u", "15", "--w0", "1.3", "--eta", "0.4"],
+    "61": ["--n", "60", "--l", "0.37", "--u", "30"],
+    "61-detuned": ["--n", "60", "--l", "0.21", "--u", "30", "--w0", "0.8"],
+    "101": ["--n", "100", "--l", "0.37", "--u", "50"],
+    "101-detuned": ["--n", "100", "--l", "0.9", "--u", "50", "--w0", "1.05", "--eta", "0.02"],
+    "31-lower-irrep": ["--n", "100", "--l", "0.37", "--u", "0", "--r", "30"],
+    "61-lower-irrep-no-c0": ["--n", "100", "--l", "0.37", "--u", "40", "--r", "30", "--w0", "1.2"],
+    "61-eta-0": ["--n", "60", "--l", "0.37", "--u", "30", "--w0", "1.3", "--eta", "0"],
+}
+CHUNK_CELLS = 500  # 2 to 7 states a chunk on these ladders, never a whole number of chunks
+
+
+def _spectrum(capsys, argv, fmt):
+    code, out = run_cli(capsys, "spectrum", *argv, "--format", fmt)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", SPECTRA.values(), ids=SPECTRA.keys())
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch, argv, fmt):
+    """One chunk of the whole ladder, chunks of at most ``CHUNK_CELLS`` cells
+    that end mid-ladder, and ``float.__repr__`` per value print the same
+    bytes: a rectangular table, or indented ``json.dumps`` text.  Each chunk
+    of states is one float matrix of whole states, in one ``repr_join``."""
+    whole = _spectrum(capsys, argv, fmt)
+    shapes = []
+    repr_join = _floattext.repr_join
+    monkeypatch.setattr(
+        _floattext, "repr_join", lambda rows, seps: shapes.append(rows.shape) or repr_join(rows, seps)
+    )
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", CHUNK_CELLS)
+    chunked = _spectrum(capsys, argv, fmt)
+    monkeypatch.setattr(_floattext, "renderable", lambda a: False)
+    assert whole == chunked == _spectrum(capsys, argv, fmt)
+    if fmt == "csv":
+        lines = whole.splitlines()
+        assert len({line.count(",") for line in lines}) == 1
+        states = [line for line in lines if line.startswith("state,")]
+        blank = [",,," in line for line in states]
+    else:
+        doc = json.loads(whole)
+        assert whole == json.dumps(doc, indent=2) + "\n"
+        states = doc["states"]
+        blank = [doc["photon_numbers"][0] == 0 and state["c0_is_one"] is None for state in states]
+    # states without a vacuum component: blank c cells, or null
+    assert any(blank) == (("--eta", "0") in zip(argv, argv[1:]))
+    # whole states, as many as fit in CHUNK_CELLS, from the first to the last
+    per_chunk = CHUNK_CELLS // shapes[0][1]
+    assert {width for _, width in shapes} == {shapes[0][1]}
+    assert [rows for rows, _ in shapes[:-1]] == [per_chunk] * (len(shapes) - 1)
+    assert list(accumulate(rows for rows, _ in shapes))[-1] == len(states)
+    assert 0 < shapes[-1][0] < per_chunk
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_subnormal_level_sends_only_its_chunk_of_states_to_float_repr(capsys, monkeypatch, fmt):
+    """At eta = 1e-300 the middle level of the resonant dim-21 ladder is a
+    subnormal v.  In chunks of four states the chunk that holds it goes
+    through ``float.__repr__``, and the others through the bulk route."""
+    argv = ["--n", "20", "--l", "0.37", "--u", "10", "--eta", "1e-300"]
+    vs = [state["v"] for state in json.loads(_spectrum(capsys, argv, "json"))["states"]]
+    assert [k for k, v in enumerate(vs) if 0.0 < abs(v) < np.finfo(np.float64).tiny] == [10]
+    rendered = []
+    repr_join = _floattext.repr_join
+    monkeypatch.setattr(
+        _floattext, "repr_join", lambda rows, seps: rendered.extend(rows[:, 0]) or repr_join(rows, seps)
+    )
+    # the lead values (v, E and, in CSV, R), then 21 c0 = 1 cells and 21 unit-norm cells
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 4 * ({"csv": 3, "json": 2}[fmt] + 42))
+    bulk = _spectrum(capsys, argv, fmt)
+    assert rendered == vs[:8] + vs[12:]
+    monkeypatch.setattr(_floattext, "renderable", lambda a: False)
+    assert bulk == _spectrum(capsys, argv, fmt)

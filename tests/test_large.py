@@ -3,8 +3,9 @@ sizes where they run.  Skipped unless ``QCHAIN_LARGE=1``::
 
     QCHAIN_LARGE=1 OPENBLAS_NUM_THREADS=1 python -m pytest -q tests/test_large.py
 
-The CLI renders each chunk of float arrays of zeros and finite normal
-doubles through ``_floattext``; no golden case reaches the sizes below.
+The CLI renders each chunk of float arrays, and each chunk of ``spectrum``
+states, whose values are zeros and finite normal doubles through
+``_floattext``; no golden case reaches the sizes below.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 
 from qchain import _floattext
 from qchain.config import MAX_SWEEP_STEPS
-from test_cli import run_cli
+from test_cli import _strict_json, parse_csv, run_cli
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("QCHAIN_LARGE") != "1", reason="the large tier runs with QCHAIN_LARGE=1"
@@ -36,11 +37,11 @@ def test_ten_million_random_bit_patterns_print_as_float_repr():
         values = values[: values.size // 2 * 2]
         reprs = list(map(float.__repr__, values.tolist()))
         pairs = zip(*[iter(reprs)] * 2)
-        assert _floattext.repr_join([values[0::2], values[1::2]], [",", "\n"]) == (
+        assert _floattext.repr_join(values.reshape(-1, 2), [",", "\n"]) == (
             "\n".join(map(",".join, pairs)) + "\n"
         ), checked
         sep = ",\n    "
-        assert _floattext.repr_join([values], [sep]) == sep.join(reprs) + sep, checked
+        assert _floattext.repr_join(values, [sep]) == sep.join(reprs) + sep, checked
         checked += values.size
 
 
@@ -72,3 +73,25 @@ def test_largest_sweeps_print_the_same_bytes_on_both_routes(capsys, monkeypatch,
     else:
         assert out.count("\n") == 7 + 2 * MAX_SWEEP_STEPS
         assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_largest_ladder_prints_the_same_bytes_on_both_routes(capsys, monkeypatch, fmt):
+    """At the ladder cap, dim 1001, the bulk route and float.__repr__ per
+    value print the same bytes: a rectangular table of 1001 states, or
+    strict JSON of 1001 states."""
+    argv = ["spectrum", "--n", "2000", "--l", "0.3", "--u", "0", "--format", fmt]
+    digests = []
+    for bulk in (True, False):
+        if not bulk:  # every chunk of states through float.__repr__
+            monkeypatch.setattr(_floattext, "renderable", lambda a: False)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert digests[0] == digests[1]
+    if fmt == "csv":
+        header, rows = parse_csv(out)
+        assert len(header) == 5 + 2 * 1001
+        assert len(rows) == 1001 and all(len(row) == len(header) for row in rows)
+    else:
+        assert len(_strict_json(out)["states"]) == 1001
