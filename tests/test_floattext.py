@@ -164,6 +164,7 @@ def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch
     # whole states, as many as fit in CHUNK_CELLS, from the first to the last
     per_chunk = CHUNK_CELLS // shapes[0][1]
     assert {width for _, width in shapes} == {shapes[0][1]}
+    assert all(rows * width <= CHUNK_CELLS for rows, width in shapes)
     assert [rows for rows, _ in shapes[:-1]] == [per_chunk] * (len(shapes) - 1)
     assert list(accumulate(rows for rows, _ in shapes))[-1] == len(states)
     assert 0 < shapes[-1][0] < per_chunk
