@@ -4,30 +4,29 @@ Output is byte-deterministic for identical invocations: floats use the
 shortest round-trip representation, rows keep a fixed order, and CSV
 always starts with a header line.  JSON output is exactly the bytes of
 ``json.dumps(obj, indent=2)`` plus a newline, and each CSV float is its
-``float.__repr__``.  A chunk of one float matrix whose values are each
-zero or a finite normal double is rendered with those bytes by
-``_floattext``, in one vectorized pass of exact integer arithmetic,
-whatever its size: a CSV table of float array columns, a JSON number
-list from an array, ``crossover``'s stationary points, and a chunk of
-``spectrum`` states, whose v and E (in CSV, and R), c0 = 1 and unit-norm
-rows are one matrix; one split cuts its text into the runs of cells that
-its lines or JSON items are assembled from.  Every other chunk,
-including one that holds a nan, an inf or a subnormal, goes through
-``float.__repr__`` in C code a chunk at a time, not by one Python call
-per value, and so does every list of Python floats, such as ``table1``'s
-rows.  JSON scalars and keys are rendered by their exact type, without
-building an encoder per value.
+``float.__repr__``.  Every float array a command prints goes through one
+chunker, ``_float_chunks``, under one rule: a chunk is a float matrix of
+whole rows, at most ``OUTPUT_CHUNK_CELLS`` cells and at least one row.
+The arrays are a CSV table's float columns, a JSON number list from an
+array, ``crossover``'s stationary points, and ``spectrum``'s states, whose
+v and E (in CSV, and R), c0 = 1 and unit-norm rows are one matrix; one
+split cuts its text into the runs of cells that its lines or JSON items
+are assembled from.  A chunk whose values are each zero or a finite
+normal double is rendered by ``_floattext``, in one vectorized pass of
+exact integer arithmetic, whatever its size; any other chunk, one that
+holds a nan, an inf or a subnormal, value by value (``float.__repr__`` in
+one C-level map in CSV, ``NaN`` and ``Infinity`` in JSON).  A flat list of
+Python numbers, such as ``table1``'s rows in JSON, goes through the C JSON
+encoder in one call, and JSON scalars and keys are rendered by their exact
+type, without building an encoder per value.
 
 Each command first computes everything it prints: every number, every
 refusal and every overflow (a ``FloatingPointError`` under ``main``'s
 ``np.errstate``) comes before the first byte, so a refused command prints
 nothing and never leaves ``--out`` half-written.  It then returns an
 iterator of text chunks, and ``main`` writes each chunk to stdout or to
-``--out`` as it is rendered: a CSV column table ``OUTPUT_CHUNK_ROWS`` rows a
-chunk, a JSON number list or array that many values a chunk, and
-``spectrum``'s states, from the eigenvector matrix, as many at a time as
-hold that many cells, and at least one.  So the text held at once stays
-bounded, whatever the output's size.
+``--out`` as it is rendered.  So the text held at once stays bounded by
+the chunk rule, whatever the output's size.
 
 Commands compute only what they print, with one eigensolve per ladder:
 ``oracle-compare`` and ``table1`` take eigenvalues alone, and the
@@ -101,9 +100,9 @@ def rational(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number or p/q rational: {text!r}") from exc
 
 
-# the most CSV rows, or values of one JSON number list, rendered into one
-# chunk of output: the text held at once stays bounded whatever the size
-OUTPUT_CHUNK_ROWS = 65_536
+# the most float cells rendered into one chunk of output, which holds whole
+# rows, and at least one: the text held at once stays bounded whatever the size
+OUTPUT_CHUNK_CELLS = 65_536
 
 # renderers by exact type: every CSV cell a command forms is one of these
 _RENDER = {
@@ -118,39 +117,31 @@ def _cell(x) -> str:
     return _RENDER[type(x)](x)
 
 
-def _listed(values):
-    """A slice of a column or number list as a sequence of Python scalars."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
-
-
-def _bulk_text(values, seps):
-    """The text of ``repr(x) + sep`` for each value of ``values``, a float64
-    array read row by row with one separator per column, from
-    ``_floattext``; or None where ``values`` is not a float64 array or holds
-    a value other than zero or a finite normal double, which keeps
-    ``float.__repr__``."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
-        return None
+def _float_text(values: np.ndarray, seps, render=float.__repr__) -> str:
+    """The text of ``render(x) + sep`` for each value of the float64 array
+    ``values``, read row by row with one separator per column: one
+    ``_floattext`` pass where every value is zero or a finite normal double,
+    which ``render`` prints as ``float.__repr__`` does, else ``render`` per
+    value in one map."""
     # imported on the first float array chunk: a command that prints none
     # never compiles it
     from . import _floattext
 
-    if not _floattext.renderable(values):
-        return None
-    return _floattext.repr_join(values, seps)
-
-
-def _float_text(values: np.ndarray, seps) -> str:
-    """The text of ``repr(x) + sep`` for each value of the float64 array
-    ``values``, read row by row with one separator per column: one bulk
-    pass where every value is renderable, else ``float.__repr__`` per value
-    in one C-level map."""
-    text = _bulk_text(values, seps)
-    if text is not None:
-        return text
+    if _floattext.renderable(values):
+        return _floattext.repr_join(values, seps)
     cells = [part for sep in seps for part in (None, sep)] * (values.size // len(seps))
-    cells[::2] = map(float.__repr__, values.ravel().tolist())
+    cells[::2] = map(render, values.ravel().tolist())
     return "".join(cells)
+
+
+def _float_chunks(blocks, seps, render=float.__repr__) -> Iterator[tuple[int, str]]:
+    """The float64 arrays ``blocks`` side by side (a 1-D array is one
+    column), in chunks of whole rows of at most ``OUTPUT_CHUNK_CELLS`` cells
+    and at least one row: each chunk's first row and its ``_float_text``."""
+    step = max(OUTPUT_CHUNK_CELLS // len(seps), 1)
+    for start in range(0, len(blocks[0]), step):
+        rows = np.column_stack([block[start : start + step] for block in blocks])
+        yield start, _float_text(rows, seps, render)
 
 
 # the marks that end a run of values in one chunk's text, which a
@@ -174,19 +165,16 @@ def _labelled_lines(label: str, start: int, *cells) -> str:
 def csv_chunks(header: list[str], rows=(), columns=()) -> Iterator[str]:
     """CSV text in chunks: the header line, then each of the mixed ``rows``
     cell by cell, one chunk a row, then the float64 array ``columns`` (1-D,
-    of one length), ``OUTPUT_CHUNK_ROWS`` lines a chunk.  A str cell goes
-    out as it is, so it may hold a run of cells rendered whole, and a str
-    in place of a row is text of whole lines, written as it is."""
+    of one length), whole lines of at most ``OUTPUT_CHUNK_CELLS`` cells a
+    chunk.  A str cell goes out as it is, so it may hold a run of cells
+    rendered whole, and a str in place of a row is text of whole lines,
+    written as it is."""
     yield ",".join(header) + "\n"
     for row in rows:
         yield row if type(row) is str else ",".join(map(_cell, row)) + "\n"
-    if not columns:
-        return
-    seps = [","] * len(columns)
-    seps[-1] = "\n"
-    for start in range(0, len(columns[0]), OUTPUT_CHUNK_ROWS):
-        parts = [column[start : start + OUTPUT_CHUNK_ROWS] for column in columns]
-        yield _float_text(np.stack(parts, axis=1), seps)
+    if columns:
+        seps = [","] * (len(columns) - 1) + ["\n"]
+        yield from (text for _, text in _float_chunks(columns, seps))
 
 
 def json_chunks(obj) -> Iterator[str]:
@@ -195,91 +183,69 @@ def json_chunks(obj) -> Iterator[str]:
 
     With an indent, ``json.dumps`` runs its pure-Python encoder, one call
     per value; here each flat list of floats and ints goes through the C
-    encoder, ``OUTPUT_CHUNK_ROWS`` values a call, instead.  A dict is
-    written a member at a time.  A member may also be a 1-D numpy array,
-    written as the list of its values, or an iterator, written as the
-    nonempty list of the items it yields, each rendered whole as it is
-    formed; a str item is taken to be JSON text already rendered at the
-    list's indent, and is written as it is.
+    encoder in one call instead.  A dict or list is written a member at a
+    time.  A member may also be a 1-D float64 array, written as the list of
+    its values, ``OUTPUT_CHUNK_CELLS`` values a chunk, or an iterator of
+    str, written as the list of the items it yields, each JSON text already
+    rendered at the list's indent.
     """
     yield from _json_chunks(obj, "")
     yield "\n"
 
 
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 # JSON scalars by exact type, as the encoder renders them; any other
 # scalar (bool, a float subclass) goes through json.dumps
 _JSON_SCALAR = {
-    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    float: _json_float,
     int: int.__repr__,
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
 }
 
 
-def _number_chunks(values, sep: str) -> Iterator[str]:
-    """The items of a flat list or 1-D array of numbers as JSON text,
-    ``OUTPUT_CHUNK_ROWS`` a chunk, each separated by ``sep`` within its
-    chunk; the chunks are joined by ``sep`` too."""
-    for start in range(0, len(values), OUTPUT_CHUNK_ROWS):
-        part = values[start : start + OUTPUT_CHUNK_ROWS]
-        text = _bulk_text(part, [sep])
-        if text is not None:
-            # the separator after the chunk's last value is the caller's
-            yield text[: -len(sep)]
-        else:
-            yield json.dumps(_listed(part), separators=(sep, ": "))[1:-1]
-
-
 def _json_chunks(obj, indent: str) -> Iterator[str]:
-    """The JSON text of ``obj`` at ``indent``, streamed through dicts, arrays
-    and iterators; any other value is rendered whole."""
+    """The JSON text of ``obj`` at ``indent``, in chunks: a scalar whole; a
+    dict, or a list or tuple of other than floats and ints, a member at a
+    time; and a float64 array, an iterator of rendered items or a flat list
+    of numbers a run of its items' text at a time."""
+    render = _JSON_SCALAR.get(type(obj))
+    if render is not None:
+        yield render(obj)
+        return
+    if not isinstance(obj, (dict, list, tuple, np.ndarray, Iterator)):
+        yield json.dumps(obj)
+        return
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(obj, dict) and obj:
-        head = "{\n" + inner
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    head = brackets[0] + "\n" + inner
+    if isinstance(obj, dict):
         for key, value in obj.items():
             yield head + encode_basestring_ascii(key) + ": "
             yield from _json_chunks(value, inner)
             head = sep
-        yield "\n" + indent + "}"
-    elif isinstance(obj, np.ndarray) and obj.size:
-        head = "[\n" + inner
-        for chunk in _number_chunks(obj, sep):
-            yield head + chunk
-            head = sep
-        yield "\n" + indent + "]"
-    elif isinstance(obj, Iterator):
-        head = "[\n" + inner
+    elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= {float, int}:
         for item in obj:
-            # a str item is its JSON text, rendered at this indent
-            yield head + (item if type(item) is str else _json(item, inner))
+            yield head
+            yield from _json_chunks(item, inner)
             head = sep
-        yield "\n" + indent + "]"
-    else:  # an empty array renders as the empty list
-        yield _json(_listed(obj), indent)
-
-
-def _json(obj, indent: str) -> str:
-    render = _JSON_SCALAR.get(type(obj))
-    if render is not None:
-        return render(obj)
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return json.dumps(obj)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        body = sep.join(
-            [
-                f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
-                for key, value in obj.items()
-            ]
-        )
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if set(map(type, obj)) <= {float, int}:
-        body = sep.join(_number_chunks(obj, sep))
     else:
-        body = sep.join([_json(item, inner) for item in obj])
-    return "[\n" + inner + body + "\n" + indent + "]"
+        if isinstance(obj, np.ndarray):
+            # the separator after a chunk's last value is written before the next
+            items = (text[: -len(sep)] for _, text in _float_chunks([obj], [sep], _json_float))
+        elif isinstance(obj, Iterator):
+            items = obj
+        else:  # one call of the C encoder
+            items = [json.dumps(obj, separators=(sep, ": "))[1:-1]] if obj else []
+        for item in items:
+            yield head + item
+            head = sep
+    # an empty container never wrote its opening
+    yield "\n" + indent + brackets[1] if head is sep else brackets
 
 
 def _deformation_of(n: int, l: float) -> float:
@@ -368,22 +334,20 @@ def cmd_spectrum(args) -> Iterator[str]:
         coefficients.insert(0, scaled)
 
     def state_chunks(lead, lead_seps, sep):
-        """Each chunk of whole states, at most ``OUTPUT_CHUNK_ROWS`` cells but
-        at least one state, rendered as one float matrix: a state's ``lead``
-        values, followed by ``lead_seps``, then its rows of ``coefficients``,
-        ``sep`` between the values of a row and a mark after it, so that one
-        split cuts the text into runs.  Yields the chunk's first index, its
-        runs (state k's j-th run is ``runs[j][k - start]``) and the places
-        ``k - start`` of its states without a vacuum component, whose c0 = 1
-        run is not printed."""
+        """Each chunk of whole states from ``_float_chunks``, one float
+        matrix: a state's values in the 1-D arrays ``lead``, followed by
+        ``lead_seps``, then its rows of ``coefficients``, ``sep`` between
+        the values of a row and a mark after it, so that one split cuts the
+        text into runs.  Yields the chunk's first index, its runs (state k's
+        j-th run is ``runs[j][k - start]``) and the places ``k - start`` of
+        its states without a vacuum component, whose c0 = 1 run is not
+        printed."""
         seps = lead_seps + ([sep] * (dim - 1) + [_MARK]) * len(coefficients)
         per_state = seps.count(_MARK)
-        step = max(OUTPUT_CHUNK_ROWS // len(seps), 1)
-        for start in range(0, dim, step):
-            rows = slice(start, start + step)
-            matrix = np.concatenate([lead[rows]] + [c[rows] for c in coefficients], axis=1)
-            pieces = _float_text(matrix, seps).split(_MARK)
+        for start, text in _float_chunks(lead + coefficients, seps):
+            pieces = text.split(_MARK)
             runs = [pieces[j : -1 : per_state] for j in range(per_state)]
+            rows = slice(start, start + len(runs[0]))
             missing = np.flatnonzero(~has_vacuum[rows]).tolist() if has_c0 else []
             yield start, runs, missing
 
@@ -404,7 +368,7 @@ def cmd_spectrum(args) -> Iterator[str]:
     if args.format == "json":
 
         def json_states():
-            lead = np.stack([eigenvalues, energies], axis=1)
+            lead = [eigenvalues, energies]
             for start, runs, missing in state_chunks(lead, [_MARK, _MARK], ",\n        "):
                 vs, es, *c_runs, a_runs = runs
                 c_lists = [_C_LIST_JSON.format(c) for c in c_runs[0]] if has_c0 else ["null"] * len(vs)
@@ -441,7 +405,7 @@ def cmd_spectrum(args) -> Iterator[str]:
     blank_coeffs = blank_c + "," + blank_c if has_c0 else blank_c
 
     def csv_states():
-        lead = np.stack([eigenvalues, energies, np.full(dim, R)], axis=1)
+        lead = [eigenvalues, energies, np.full(dim, R)]
         for start, runs, missing in state_chunks(lead, [",", ",", _MARK], ","):
             for k in missing:
                 runs[1][k] = blank_c
@@ -597,12 +561,11 @@ def cmd_crossover(args) -> Iterator[str]:
         ["spins_per_wavelength", None, report.spins_per_wavelength],
     ]
 
-    def point_lines():
-        for start in range(0, points.size, OUTPUT_CHUNK_ROWS):
-            part = points[start : start + OUTPUT_CHUNK_ROWS]
-            yield _labelled_lines("stationary_point", start, _float_text(part, [_MARK]).split(_MARK)[:-1])
-
-    return csv_chunks(["key", "index", "value"], itertools.chain(rows, point_lines()))
+    point_lines = (
+        _labelled_lines("stationary_point", start, text.split(_MARK)[:-1])
+        for start, text in _float_chunks([points], [_MARK])
+    )
+    return csv_chunks(["key", "index", "value"], itertools.chain(rows, point_lines))
 
 
 # ---------------------------------------------------------------------------

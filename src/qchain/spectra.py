@@ -50,11 +50,12 @@ __all__ = [
     "four_qubit_reference_coefficients",
 ]
 
-# Largest ladder a subspace admits: `spectrum` prints dim^2 coefficients, one
-# state at a time, and took 1.4 / 2.3 / 3.5 s and 86 / 109 / 154 MB as CSV at
-# dim 801 / 1001 / 1201, and 1.3 / 2.2 / 3.3 s and the same peaks as JSON; the
-# eigensolve sets the peak (median of 3 runs of a `python -m qchain` child,
-# stdout to /dev/null; 2-core Xeon VM, one BLAS thread).
+# Largest ladder a subspace admits: `spectrum` prints up to 2 * dim^2
+# coefficients, in chunks of whole states, and took 0.76 / 1.08 s as CSV and
+# 0.80 / 1.15 s as JSON at dim 801 / 1001, peaking at 81 / 109 MB in either
+# format; the eigensolve sets the peak (median of 3 runs of a `python -m
+# qchain spectrum --n 1600 / 2000 --l 0.3 --u 0` child, stdout to /dev/null;
+# 2-core Xeon VM, one BLAS thread).
 MAX_LADDER_DIM = 1001
 
 

@@ -45,11 +45,10 @@ def perfbench():
 @pytest.mark.parametrize("workload", sorted(PASS0_DIGESTS))
 def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkeypatch, workload):
     """The same digest with the CLI's output in chunks of
-    ``OUTPUT_CHUNK_ROWS`` rows or values and in chunks of 2
-    (``set_chunking``)."""
+    ``OUTPUT_CHUNK_CELLS`` cells and in chunks of 2 (``set_chunking``)."""
     worker, checks, workloads = perfbench
-    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
-        set_chunking(monkeypatch, rows)
+    for cells in (qchain.cli.OUTPUT_CHUNK_CELLS, 2):
+        set_chunking(monkeypatch, cells)
         digests = []
         for request in workloads.make_pass(workload, 1, 0):
             code, text, value = worker.execute(request)
@@ -57,4 +56,4 @@ def test_pass0_runs_passes_checks_and_keeps_its_digest(perfbench, capsys, monkey
             assert checks.check(request, text, value) == [], request
             digests.append(hashlib.sha256(text.encode()).hexdigest())
         capsys.readouterr()
-        assert worker._digest(digests) == PASS0_DIGESTS[workload], rows
+        assert worker._digest(digests) == PASS0_DIGESTS[workload], cells

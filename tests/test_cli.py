@@ -600,11 +600,11 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_out_flag_writes_the_chunks_stdout_gets(tmp_path, capsys, monkeypatch, fmt):
-    """An output of many chunks: in chunks of 2 rows or values, a 9-step
-    sweep goes out in 5 column chunks, or 5 chunks of each number list, and
-    --out receives the bytes that stdout gets, which are those of the
+    """An output of many chunks: in chunks of 2 cells, a 9-step sweep's two
+    columns go out a line a chunk, or each number list 2 values a chunk,
+    and --out receives the bytes that stdout gets, which are those of the
     chunks joined."""
-    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 2)
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", 2)
     argv = ["deform-sweep", "--n", "6", "--l-start", "0.1", "--l-end", "0.9", "--steps", "9"]
     argv += ["--format", fmt]
     args = qchain.cli._parse(argv)
@@ -737,15 +737,16 @@ WRAPPERS = [
 ]
 
 
-def set_chunking(monkeypatch, rows):
-    """The CLI's output in chunks of ``rows`` rows, values or cells, and
-    ``spectrum``'s one state at a time.  In chunks of 2, float arrays and
-    chunks of states print through ``float.__repr__``, so each digest is
-    checked on both float routes; the bulk float route's fixed cost of
-    about 0.2 ms a chunk would make thousands of 2-value chunks take
-    seconds."""
-    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", rows)
-    if rows == 2:
+def set_chunking(monkeypatch, cells):
+    """The CLI's float arrays in chunks of whole rows of at most ``cells``
+    cells, and at least one row.  In chunks of 2 cells, a CSV table of two
+    float columns, a JSON number list and ``spectrum``'s states go out one
+    or two rows at a time, and print through ``float.__repr__``, so each
+    digest is checked on both float routes; the bulk float route's fixed
+    cost of about 0.2 ms a chunk would make thousands of 2-cell chunks
+    take seconds."""
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", cells)
+    if cells == 2:
         monkeypatch.setattr(qchain._floattext, "renderable", lambda a: False)
 
 
@@ -790,9 +791,9 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
     """The command's own parser reads the line as the full parser does, and
     the command prints the golden bytes while the wrappers that only
     perfbench still calls raise: it runs on the kernels beneath them.  The
-    bytes are the same in chunks of ``OUTPUT_CHUNK_ROWS`` rows or values and
-    in chunks of 2, where every column and number list longer than 2 is
-    written in several chunks (``set_chunking``)."""
+    bytes are the same in chunks of ``OUTPUT_CHUNK_CELLS`` cells and in
+    chunks of 2, where every float table, number array and ladder of more
+    than 2 cells is written in several chunks (``set_chunking``)."""
     argv = [*argv, "--format", fmt]
     by_command, by_full_parser = _parsed_by_command_and_by_full_parser(argv)
     assert isinstance(by_command, dict) and by_command == by_full_parser
@@ -802,11 +803,11 @@ def test_golden_output_digests(capsys, monkeypatch, argv, fmt, digest):
 
     for module, name in WRAPPERS:
         monkeypatch.setattr(module, name, refuse)
-    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
-        set_chunking(monkeypatch, rows)
+    for cells in (qchain.cli.OUTPUT_CHUNK_CELLS, 2):
+        set_chunking(monkeypatch, cells)
         code, out = run_cli(capsys, *argv)
-        assert code == 0, rows
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, rows
+        assert code == 0, cells
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, cells
 
 
 def test_table1_pole_prints_null_and_empty_cells(capsys):
@@ -847,6 +848,12 @@ NOTATION_EDGES = [
     1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05, -1e16, 1e22, 1e-7,
     5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
 ]
+# 1-D float64 arrays, with the values that leave the bulk float route:
+# nan, infs and subnormals, and -0.0, which keeps its sign
+float_arrays = st.lists(
+    st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]),
+    max_size=6,
+).map(lambda xs: np.array(xs, dtype=np.float64))
 json_leaves = (
     st.none()
     | st.booleans()
@@ -856,6 +863,7 @@ json_leaves = (
     | st.sampled_from(NOTATION_EDGES)
     | st.floats().map(np.float64)
     | st.text()
+    | float_arrays
 )
 json_trees = st.recursive(
     json_leaves,
@@ -880,11 +888,32 @@ json_trees = st.recursive(
 @example({"\u00e9t\u00e9": 1, 'q"uote': [True, None], "back\\slash\n\t\x00": {"\u2603": 1e16}})
 @example({"": [], "\x7f": {}, "\ud800": [1e-5, 5e-324, 3], "k": "\u00e9\n"})
 def test_json_text_matches_indented_json_dumps(obj):
-    expected = json.dumps(obj, indent=2) + "\n"
-    # and with every number list longer than 2 rendered in several chunks
-    for rows in (qchain.cli.OUTPUT_CHUNK_ROWS, 2):
-        with mock.patch.object(qchain.cli, "OUTPUT_CHUNK_ROWS", rows):
-            assert "".join(json_chunks(obj)) == expected, rows
+    """As ``json.dumps`` of the same tree with each array as its list."""
+    expected = json.dumps(_listed(obj), indent=2) + "\n"
+    # and with every array longer than 2 rendered in several chunks
+    for cells in (qchain.cli.OUTPUT_CHUNK_CELLS, 2):
+        with mock.patch.object(qchain.cli, "OUTPUT_CHUNK_CELLS", cells):
+            assert "".join(json_chunks(obj)) == expected, cells
+
+
+def _listed(obj):
+    """A JSON tree with each numpy array replaced by the list of its values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return list(map(_listed, obj))
+    return obj
+
+
+def test_json_iterator_items_are_written_as_rendered_text():
+    """An iterator's str items go out as they are, as a list's members; an
+    empty iterator is the empty list."""
+    items = iter(["1.5", '"a"', "[\n      null\n    ]"])
+    assert "".join(json_chunks({"a": items, "b": iter([])})) == (
+        json.dumps({"a": [1.5, "a", [None]], "b": []}, indent=2) + "\n"
+    )
 
 
 # the body of the qchain console script that setuptools generates: main()

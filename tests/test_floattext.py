@@ -85,10 +85,13 @@ def test_each_notation_edge_alone():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monkeypatch, odd, fmt):
     """A nan, an inf or a subnormal anywhere in a chunk keeps the whole chunk
-    on float.__repr__; the other chunks still go through the bulk route."""
-    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 4)
+    on per-value rendering, ``float.__repr__`` (or ``NaN`` and ``Infinity``
+    in JSON); the other chunks still go through the bulk route.  In chunks
+    of 8 cells a two-column CSV table takes 4 rows a chunk, and a JSON
+    number list in chunks of 4 cells 4 values a chunk."""
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", {"csv": 8, "json": 4}[fmt])
     values = np.linspace(-1.0, 2.0, 12)
-    values[5] = odd  # in the second chunk of four
+    values[5] = odd  # in the second chunk of four rows
     assert not _floattext.renderable(values[4:8])
     rendered = []
     repr_join = _floattext.repr_join
@@ -103,8 +106,8 @@ def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monke
         rows = np.stack([values, values[::-1]], axis=1).ravel().tolist()
         expected = "a,b\n" + _reference(map(float.__repr__, rows), [",", "\n"])
     else:
-        text = JSON_SEP.join(qchain.cli._number_chunks(values, JSON_SEP))
-        expected = json.dumps(values.tolist(), separators=(JSON_SEP, ": "))[1:-1]
+        text = "".join(qchain.cli.json_chunks({"a": values}))
+        expected = json.dumps({"a": values.tolist()}, indent=2) + "\n"
     assert text == expected
     assert rendered == [values[0], values[8]]
 
@@ -145,7 +148,7 @@ def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch
     monkeypatch.setattr(
         _floattext, "repr_join", lambda rows, seps: shapes.append(rows.shape) or repr_join(rows, seps)
     )
-    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", CHUNK_CELLS)
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", CHUNK_CELLS)
     chunked = _spectrum(capsys, argv, fmt)
     monkeypatch.setattr(_floattext, "renderable", lambda a: False)
     assert whole == chunked == _spectrum(capsys, argv, fmt)
@@ -184,7 +187,7 @@ def test_a_subnormal_level_sends_only_its_chunk_of_states_to_float_repr(capsys, 
         _floattext, "repr_join", lambda rows, seps: rendered.extend(rows[:, 0]) or repr_join(rows, seps)
     )
     # the lead values (v, E and, in CSV, R), then 21 c0 = 1 cells and 21 unit-norm cells
-    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_ROWS", 4 * ({"csv": 3, "json": 2}[fmt] + 42))
+    monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", 4 * ({"csv": 3, "json": 2}[fmt] + 42))
     bulk = _spectrum(capsys, argv, fmt)
     assert rendered == vs[:8] + vs[12:]
     monkeypatch.setattr(_floattext, "renderable", lambda a: False)
