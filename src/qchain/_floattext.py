@@ -245,10 +245,9 @@ def repr_join(rows: np.ndarray, seps) -> str:
     float64 array read in row-major order, ``len(seps)`` values a row (a 1-D
     array of one column, or a 2-D array of rows); ``seps`` are ASCII strings
     without NUL."""
-    seps = [sep.encode("ascii") for sep in seps]
-    tails = np.zeros((len(seps), max(map(len, seps))), dtype=np.uint8)
-    for j, sep in enumerate(seps):
-        tails[j, : len(sep)] = np.frombuffer(sep, np.uint8)
+    width = max(map(len, seps))
+    padded = "".join(sep.ljust(width, "\0") for sep in seps).encode("ascii")
+    tails = np.frombuffer(padded, np.uint8).reshape(len(seps), width)
     values = rows.ravel()
     # whole rows in every block, and at least one, however wide
     step = max(BLOCK // len(seps), 1) * len(seps)

@@ -33,9 +33,9 @@ Commands compute only what they print, with one eigensolve per ladder:
 resonant rows of ``spectrum`` are the eigenvalues of its states.
 Exit codes: 0 success, 2 usage error (a non-finite number flag, a
 half-integer flag such as ``--u`` beyond 2^52, where doubles can no
-longer tell half-integers apart, an overflow or an unwritable
-``--out``), 3 empty sector, 4 capacity exceeded, 5 eigensolver did not
-converge; ``EXIT_CODES`` maps each refusal to its code.  Exit 4 comes
+longer tell half-integers apart, an overflow, an unwritable ``--out``
+or a closed stdout), 3 empty sector, 4 capacity exceeded, 5 eigensolver
+did not converge; ``EXIT_CODES`` maps each refusal to its code.  Exit 4 comes
 before any large allocation: a ladder over 1001 states, an oracle over
 12 qubits, a sweep over 10^6 steps, or a crossover scan over
 ``crossover.MAX_SCAN_POINTS`` points.  Every CSV cell is a float, int,
@@ -49,10 +49,12 @@ help or refuses it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterator
@@ -682,19 +684,21 @@ def main(argv=None) -> int:
         # finite flags too large or small for floats: a usage error, not a leaked warning
         with np.errstate(all="raise", under="ignore"):
             chunks = args.func(args)
-        if args.out is not None:  # an unwritable path is an OSError: a usage error
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(chunks)
+        # an unwritable path or a closed stdout is an OSError: a usage error
+        target = contextlib.nullcontext(sys.stdout)
+        if args.out is not None:
+            target = open(args.out, "w", encoding="utf-8", newline="")
+        with target as fh:
+            fh.writelines(chunks)
+            fh.flush()
     except FloatingPointError as exc:
         print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except (EmptySectorError, CapacityError, ConvergenceError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
+            # stdout's buffered bytes then go to devnull at exit, with no second error
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), EXIT_USAGE)
-    if args.out is None:
-        sys.stdout.writelines(chunks)
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

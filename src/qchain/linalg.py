@@ -31,10 +31,12 @@ A matrix whose largest entry lies outside 2**-SAFE_EXPONENT to
 2**SAFE_EXPONENT is solved scaled by 2**-scale, where scale is the binary
 exponent of that entry, and its output is scaled back, as LAPACK
 ``dsterf`` and ``dsyev`` scale through ``dlascl`` outside their safe
-range.  :func:`_scale_down` alone scales a dense matrix and a (d, e);
-:func:`_eigenvalues` runs QL and scales back for ``tridiagonal_eigvalsh``
-and ``oracle.sector_spectrum``; ``tridiagonal_eigh`` cuts its blocks at
-QL's threshold and scales back itself, both through :func:`_scale_back`.
+range.  :func:`_scale_down` alone decides and applies that scaling, for a
+dense matrix, a (d, e) and copies of the two operators that
+``oracle.hs_projection`` sums over; :func:`_eigenvalues` runs QL and
+scales back for ``tridiagonal_eigvalsh`` and ``oracle.sector_spectrum``;
+``tridiagonal_eigh`` cuts its blocks at QL's threshold and scales back
+itself, both through :func:`_scale_back`.
 So no square of an entry overflows, and none underflows unless the
 entries span more than 2**111 (2**511 once scaled); inside the safe range
 nothing is scaled, and outside it, as a power of two commutes with
@@ -108,21 +110,16 @@ def as_real(array, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def _scale_exponent(*arrays: np.ndarray) -> int:
-    """0 while the largest absolute entry of ``arrays`` lies within
-    2**(+-SAFE_EXPONENT), else the binary exponent of that entry."""
+def _scale_down(*arrays: np.ndarray) -> int:
+    """Scale ``arrays`` in place by 2**-scale and return scale: 0 while
+    their largest absolute entry lies within 2**(+-SAFE_EXPONENT), else the
+    binary exponent of that entry."""
     top = max(max(x.max(initial=0.0), -x.min(initial=0.0)) for x in arrays)
     scale = math.frexp(top)[1]
-    return scale if abs(scale) > SAFE_EXPONENT else 0
-
-
-def _scale_down(*arrays: np.ndarray) -> int:
-    """Scale ``arrays`` in place by 2**-scale and return scale, the
-    exponent :func:`_scale_exponent` gives them."""
-    scale = _scale_exponent(*arrays)
-    if scale:
-        for x in arrays:
-            np.ldexp(x, -scale, out=x)
+    if abs(scale) <= SAFE_EXPONENT:
+        return 0
+    for x in arrays:
+        np.ldexp(x, -scale, out=x)
     return scale
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ChainConfig, check_normal_hops, twice
 from .errors import CapacityError, EmptySectorError, InvalidParameterError
-from .linalg import _eigenvalues, _scale_exponent, _tridiagonalize_in_place, as_real
+from .linalg import _eigenvalues, _scale_down, _tridiagonalize_in_place, as_real
 
 __all__ = [
     "MAX_QUBITS",
@@ -171,10 +171,11 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     so the sums over its triplets are sums over its dense matrix.
 
     An operator whose largest entry lies outside 2**(+-SAFE_EXPONENT) is
-    summed scaled by its own power of two, on a copy, by the rule of
-    :mod:`qchain.linalg`'s eigensolver, and the quotient is scaled back by
-    the difference of the two exponents; so no sum over- or underflows,
-    and inside that range nothing is scaled.  Raises
+    summed scaled by its own power of two: a copy of its values goes
+    through the eigensolver's :func:`qchain.linalg._scale_down`, and the
+    quotient is scaled back by the difference of the two exponents (by
+    ``np.ldexp``, which leaves every bit of it at a difference of 0); so no
+    sum over- or underflows, and inside that range nothing is scaled.  Raises
     :class:`InvalidParameterError` for a zero target or a coefficient
     beyond float range.
     """
@@ -183,13 +184,11 @@ def hs_projection(sigma_z: OperatorMatrix, s_z: OperatorMatrix) -> np.float64:
     # tr(A^T B) sums A_ij * B_ij over the pairs (i, j) both operators store
     keys = [op.rows * op.dim + op.cols for op in (sigma_z, s_z)]
     _, ia, ib = np.intersect1d(*keys, assume_unique=True, return_indices=True)
-    scales = [_scale_exponent(op.values) for op in (sigma_z, s_z)]
-    a, b = (np.ldexp(op.values, -k) if k else op.values for op, k in zip((sigma_z, s_z), scales))
+    a, b = sigma_z.values.copy(), s_z.values.copy()
+    shift_a, shift_b = _scale_down(a), _scale_down(b)
     # a zero target (0/0) or a coefficient beyond float range: refused below, not warned about
     with np.errstate(all="ignore"):
-        projection = a[ia] @ b[ib] / (b @ b)
-        if scales[0] != scales[1]:
-            projection = np.ldexp(projection, scales[0] - scales[1])
+        projection = np.ldexp(a[ia] @ b[ib] / (b @ b), shift_a - shift_b)
     if not np.isfinite(projection):
         tops = (np.abs(op.values).max(initial=0.0) for op in (sigma_z, s_z))
         raise InvalidParameterError(

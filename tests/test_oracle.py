@@ -110,20 +110,6 @@ def test_collective_projection_forms_no_dense_matrix():
     assert value == pytest.approx(deformation_factor(12, 0.37).value, abs=1e-10)
 
 
-def test_collective_commutator_identities():
-    for n in range(1, 7):
-        for l in (0.1, 0.37, 2 / 3, 1.4):
-            ops = build_collective_ops(_config(n, l))
-            lhs = commutator(ops.s_plus, ops.s_minus).entries
-            assert np.abs(lhs - 2.0 * ops.sigma_z.entries).max() <= 1e-12
-            assert np.abs(
-                commutator(ops.s_z, ops.s_plus).entries - ops.s_plus.entries
-            ).max() <= 1e-12
-            assert np.abs(
-                commutator(ops.s_z, ops.s_minus).entries + ops.s_minus.entries
-            ).max() <= 1e-12
-
-
 def test_deformed_commutator_is_only_an_approximation_with_vanishing_limit():
     # ||[S+,S-] - 2 R S_z||_F -> 0 toward both the small-l and integer-l limits
     for seq in ([0.1, 0.01, 0.001], [1.1, 1.01, 1.001]):
@@ -259,14 +245,6 @@ def test_single_qubit_vacuum_doublet():
     cfg = _config(1, 0.9, wq=1.0, w0=1.0, eta=0.25)
     values = sector_spectrum(cfg, 0.5)
     assert values == pytest.approx([0.5 - 0.25, 0.5 + 0.25], abs=1e-12)
-
-
-def test_hamiltonian_conserves_excitation_number():
-    for n, l in ((2, 0.37), (4, 2 / 3), (5, 1.21)):
-        cfg = _config(n, l, wq=1.1, w0=0.8, eta=0.3)
-        h = build_hamiltonian(cfg, 2)
-        n_exc = build_excitation_number(cfg, 2)
-        assert np.abs(commutator(h, n_exc).entries).max() <= 1e-12
 
 
 def test_sector_decomposition_is_complete():
