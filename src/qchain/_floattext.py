@@ -18,10 +18,10 @@ into one byte matrix at fixed columns (sign, integer digits right-aligned,
 point, fraction digits left-aligned, exponent, separator), with NUL in
 each column a value does not use, and one pass deletes the NULs.
 
-Only zeros and finite normal doubles are rendered here: ``renderable``
-says whether an array holds nothing else.  On the smallest subnormals
-Schubfach's digits are not ``repr``'s (it prints ``7.9e-323`` for
-``8e-323``), and nan and inf have no digits.
+Every finite double is rendered, subnormals too: a subnormal's c has no
+hidden bit and takes the exponent q = -1074 of the smallest normals, and
+its digits, unlike a normal double's 15 to 17, may be as few as one.  A
+nan or an inf has no digits, and ``repr_join`` refuses it.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import numpy as np
 # whatever the size of the input
 BLOCK = 8192
 
-_K_MIN, _K_MAX = -324, 292  # the k of the powers 10^-k that normal doubles need
+_K_MIN, _K_MAX = -324, 292  # the k of the powers 10^-k that finite doubles need
 _M32 = np.uint64(0xFFFF_FFFF)
 _M63 = np.uint64((1 << 63) - 1)
-_EXP_FIELD = np.uint64(0x7FF)
+_INF = np.uint64(0x7FF0_0000_0000_0000)  # the bits of inf; a nan's are above
 _FRACTION = np.uint64((1 << 52) - 1)
 _HIDDEN = np.uint64(1 << 52)
 _ONE = np.uint64(0x3FF0_0000_0000_0000)  # the bits of 1.0
@@ -69,18 +69,18 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
     """Schubfach's constants of each double's exponent, indexed by the biased
     exponent, plus 2048 for a double whose interval is uneven (a power of
     two): g1 and g0, with g = g1 * 2^63 + g0 = floor(10^-k * 2^-r) + 1 in
-    [2^125, 2^126) from exact ints; k; and h + 2, the shift of c.  Built on
-    the first call that needs them, not at import."""
+    [2^125, 2^126) from exact ints; k; and h + 2, the shift of c.  Row 0,
+    of the subnormals, holds row 1's constants: both have q = -1074.  Built
+    on the first call that needs them, not at import."""
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 125 - _flog2pow10(-k)
         num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
         g.append(((num << shift) // den if shift >= 0 else num // (den << -shift)) + 1)
-    bq = np.tile(np.arange(2048), 2)
-    q = bq - 1075
+    q = np.maximum(np.tile(np.arange(2048), 2), 1) - 1075
     uneven = np.arange(4096) >= 2048
     k = np.where(uneven, _flog10_three_quarters_pow2(q), _flog10pow2(q))
-    row = np.clip(k - _K_MIN, 0, len(g) - 1)  # bq = 0 and 2047 are never looked up
+    row = k - _K_MIN
     g1 = np.array([x >> 63 for x in g], dtype=np.uint64)[row]
     g0 = np.array([x & ((1 << 63) - 1) for x in g], dtype=np.uint64)[row]
     shift = (q + _flog2pow10(-k) + 4).astype(np.uint64)
@@ -171,14 +171,16 @@ def _closest(vb, lower, upper):
     return np.where(shorter, sp + wpin, s + rounds_up), shorter
 
 
-def _shortest(bits):
+def _shortest(bits, any_subnormal):
     """(d, e) with d * 10^e the shortest decimal in the rounding interval of
-    each positive normal double whose bits are given, and the closest to it
-    of those, ties to even: Schubfach's digits.  d has 15 to 17 digits and
-    may end in zeros."""
+    each positive finite double whose bits are given, and the closest to it
+    of those, ties to even: Schubfach's digits.  d has 15 to 17 digits for
+    a normal double, 1 to 17 for a subnormal, and may end in zeros."""
     t = bits & _FRACTION
     c = t | _HIDDEN
     bq = bits >> 52
+    if any_subnormal:  # no hidden bit below the normals
+        c = np.where(bq == 0, t, c)
     # below a power of two the spacing of doubles halves: an uneven interval
     uneven = (t == 0) & (bq > 1)
     row = (bq | (uneven.astype(np.uint64) << 11)).view(np.int64)
@@ -233,18 +235,12 @@ def _fraction_chars(x, count):
 _POINTS = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", dtype=np.uint32)
 
 
-def renderable(a: np.ndarray) -> bool:
-    """Whether every value of the float64 array is zero or a finite normal."""
-    field = (a.view(np.uint64) >> np.uint64(52)) & _EXP_FIELD
-    return bool(((field - np.uint64(1) < np.uint64(0x7FE)) | (a == 0.0)).all())
-
-
 def repr_join(rows: np.ndarray, seps) -> str:
     """The text of each row's ``repr(x) + sep`` for each value x of the row
-    and its column's separator, row after row.  ``rows`` is a ``renderable``
-    float64 array read in row-major order, ``len(seps)`` values a row (a 1-D
-    array of one column, or a 2-D array of rows); ``seps`` are ASCII strings
-    without NUL."""
+    and its column's separator, row after row.  ``rows`` is a float64 array
+    read in row-major order, ``len(seps)`` values a row (a 1-D array of one
+    column, or a 2-D array of rows); ``seps`` are ASCII strings without
+    NUL.  Raises ValueError if ``rows`` holds a nan or an inf."""
     width = max(map(len, seps))
     padded = "".join(sep.ljust(width, "\0") for sep in seps).encode("ascii")
     tails = np.frombuffer(padded, np.uint8).reshape(len(seps), width)
@@ -268,12 +264,22 @@ def _parts(a):
     bits = a.view(np.uint64)
     negative = bits > _M63
     bits = bits & _M63
-    zero = bits == 0
-    any_zero = zero.any()
-    if any_zero:  # a zero is rendered as 1.0, then its digit is set to 0
+    any_zero = any_subnormal = False
+    # one test for the rare values: less 2^52, a zero or a subnormal wraps
+    # round to inf's bits or above, where a nan's and an inf's stay
+    if (bits - _HIDDEN >= _INF - _HIDDEN).any():
+        if (bits >= _INF).any():
+            raise ValueError("a nan or an inf has no digits to render")
+        zero = bits == 0
+        any_zero = zero.any()
+        # a zero is rendered as 1.0, then its digit is set to 0
         bits = np.where(zero, _ONE, bits)
-    d, e = _shortest(bits)
-    n = (d >= _POW10[15]).astype(np.int64) + (d >= _POW10[16]) + 15
+        any_subnormal = (bits < _HIDDEN).any()
+    d, e = _shortest(bits, any_subnormal)
+    if any_subnormal:  # the only doubles whose digits may be fewer than 15
+        n = _POW10.searchsorted(d, side="right").astype(np.int64)
+    else:
+        n = (d >= _POW10[15]).astype(np.int64) + (d >= _POW10[16]) + 15
     point = n + e  # the value is 0.ddd * 10^point
     exp = (point < -3) | (point > 16)
     any_exp = bool(exp.any())

@@ -11,18 +11,19 @@ The arrays are a CSV table's float columns, a JSON number list from an
 array, ``crossover``'s stationary points, and ``spectrum``'s states, whose
 v and E (in CSV, and R), c0 = 1 and unit-norm rows are one matrix; one
 split cuts its text into the runs of cells that its lines or JSON items
-are assembled from.  A chunk whose values are each zero or a finite
-normal double is rendered by ``_floattext``, in one vectorized pass of
-exact integer arithmetic, whatever its size; any other chunk, one that
-holds a nan, an inf or a subnormal, value by value (``float.__repr__`` in
-one C-level map in CSV, ``NaN`` and ``Infinity`` in JSON).  A flat list of
-Python numbers, such as ``table1``'s rows in JSON, goes through the C JSON
-encoder in one call, and JSON scalars and keys are rendered by their exact
-type, without building an encoder per value.
+are assembled from.  Each chunk is rendered by ``_floattext``, in one
+vectorized pass of exact integer arithmetic, whatever its size.  It holds
+finite values only, since a command computes under ``np.errstate`` with
+overflow and invalid operations raising; a chunk holding a nan or an inf
+is refused with a ValueError.  A flat list of Python numbers, such as
+``table1``'s rows in JSON, goes through the C JSON encoder in one call,
+and JSON scalars and keys are rendered by their exact type, without
+building an encoder per value.
 
 Each command first computes everything it prints: every number, every
 refusal and every overflow (a ``FloatingPointError`` under ``main``'s
-``np.errstate``) comes before the first byte, so a refused command prints
+``np.errstate``, or the ``OverflowError`` of an ``--n`` too large for a
+float) comes before the first byte, so a refused command prints
 nothing and never leaves ``--out`` half-written.  It then returns an
 iterator of text chunks, and ``main`` writes each chunk to stdout or to
 ``--out`` as it is rendered.  So the text held at once stays bounded by
@@ -119,31 +120,20 @@ def _cell(x) -> str:
     return _RENDER[type(x)](x)
 
 
-def _float_text(values: np.ndarray, seps, render=float.__repr__) -> str:
-    """The text of ``render(x) + sep`` for each value of the float64 array
-    ``values``, read row by row with one separator per column: one
-    ``_floattext`` pass where every value is zero or a finite normal double,
-    which ``render`` prints as ``float.__repr__`` does, else ``render`` per
-    value in one map."""
+def _float_chunks(blocks, seps) -> Iterator[tuple[int, str]]:
+    """The finite float64 arrays ``blocks`` side by side (a 1-D array is one
+    column), in chunks of whole rows of at most ``OUTPUT_CHUNK_CELLS`` cells
+    and at least one row: each chunk's first row and the text of each
+    value's ``float.__repr__`` followed by its column's separator, read row
+    by row, from ``_floattext.repr_join``."""
     # imported on the first float array chunk: a command that prints none
     # never compiles it
     from . import _floattext
 
-    if _floattext.renderable(values):
-        return _floattext.repr_join(values, seps)
-    cells = [part for sep in seps for part in (None, sep)] * (values.size // len(seps))
-    cells[::2] = map(render, values.ravel().tolist())
-    return "".join(cells)
-
-
-def _float_chunks(blocks, seps, render=float.__repr__) -> Iterator[tuple[int, str]]:
-    """The float64 arrays ``blocks`` side by side (a 1-D array is one
-    column), in chunks of whole rows of at most ``OUTPUT_CHUNK_CELLS`` cells
-    and at least one row: each chunk's first row and its ``_float_text``."""
     step = max(OUTPUT_CHUNK_CELLS // len(seps), 1)
     for start in range(0, len(blocks[0]), step):
         rows = np.column_stack([block[start : start + step] for block in blocks])
-        yield start, _float_text(rows, seps, render)
+        yield start, _floattext.repr_join(rows, seps)
 
 
 # the marks that end a run of values in one chunk's text, which a
@@ -186,9 +176,10 @@ def json_chunks(obj) -> Iterator[str]:
     With an indent, ``json.dumps`` runs its pure-Python encoder, one call
     per value; here each flat list of floats and ints goes through the C
     encoder in one call instead.  A dict or list is written a member at a
-    time.  A member may also be a 1-D float64 array, written as the list of
-    its values, ``OUTPUT_CHUNK_CELLS`` values a chunk, or an iterator of
-    str, written as the list of the items it yields, each JSON text already
+    time.  A member may also be a finite 1-D float64 array, written as the
+    list of its values, ``OUTPUT_CHUNK_CELLS`` values a chunk (an array
+    holding a nan or an inf raises ValueError), or an iterator of str,
+    written as the list of the items it yields, each JSON text already
     rendered at the list's indent.
     """
     yield from _json_chunks(obj, "")
@@ -238,7 +229,7 @@ def _json_chunks(obj, indent: str) -> Iterator[str]:
     else:
         if isinstance(obj, np.ndarray):
             # the separator after a chunk's last value is written before the next
-            items = (text[: -len(sep)] for _, text in _float_chunks([obj], [sep], _json_float))
+            items = (text[: -len(sep)] for _, text in _float_chunks([obj], [sep]))
         elif isinstance(obj, Iterator):
             items = obj
         else:  # one call of the C encoder
@@ -691,7 +682,7 @@ def main(argv=None) -> int:
         with target as fh:
             fh.writelines(chunks)
             fh.flush()
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"error: flag values overflow or underflow floats ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except (EmptySectorError, CapacityError, ConvergenceError, ValueError, OSError) as exc:

@@ -17,6 +17,10 @@ bisection :func:`refine_brackets` evaluates every midpoint, and
 :func:`scanned_crossover`, which scans the grid of
 :func:`qchain.find_stationary_points` whole.
 
+The CLI's float text by ``float.__repr__`` per value,
+:func:`float_repr_join`, for its one float renderer,
+``_floattext.repr_join``.
+
 Forms that no command prints and only the tests check: the Chebyshev
 stationarity residual, the ladder's characteristic polynomial, the
 truncated weak-coupling quartic, the deformed ladder elements, the
@@ -283,6 +287,15 @@ def lu_solve_arrays(factors, b: np.ndarray) -> np.ndarray:
     for i in range(m - 3, -1, -1):
         x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
     return x
+
+
+def float_repr_join(rows: np.ndarray, seps) -> str:
+    """The text of ``_floattext.repr_join(rows, seps)`` by ``float.__repr__``
+    per value, in one C-level map: each value of the float64 array ``rows``,
+    read row by row, then its column's separator."""
+    cells = [part for sep in seps for part in (None, sep)] * (rows.size // len(seps))
+    cells[::2] = map(float.__repr__, rows.ravel().tolist())
+    return "".join(cells)
 
 
 def chebyshev_residual(n_qubits: int, spacing):

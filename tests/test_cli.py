@@ -26,6 +26,7 @@ import qchain.linalg
 import qchain.spectra
 from qchain import NegativeRadicandError, PoleError, QChainError
 from qchain.cli import EXIT_CODES, EXIT_USAGE, json_chunks, main
+from reference_forms import float_repr_join
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -741,13 +742,14 @@ def set_chunking(monkeypatch, cells):
     """The CLI's float arrays in chunks of whole rows of at most ``cells``
     cells, and at least one row.  In chunks of 2 cells, a CSV table of two
     float columns, a JSON number list and ``spectrum``'s states go out one
-    or two rows at a time, and print through ``float.__repr__``, so each
-    digest is checked on both float routes; the bulk float route's fixed
-    cost of about 0.2 ms a chunk would make thousands of 2-cell chunks
-    take seconds."""
+    or two rows at a time, and print through ``float.__repr__`` per value
+    (``reference_forms.float_repr_join`` in place of ``repr_join``), so
+    each digest is checked on both renderers; the bulk route's fixed cost
+    of about 0.2 ms a chunk would make thousands of 2-cell chunks take
+    seconds."""
     monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", cells)
     if cells == 2:
-        monkeypatch.setattr(qchain._floattext, "renderable", lambda a: False)
+        monkeypatch.setattr(qchain._floattext, "repr_join", float_repr_join)
 
 
 # SHA-256 of the full stdout of each command in both formats.  The cases
@@ -848,10 +850,11 @@ NOTATION_EDGES = [
     1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05, -1e16, 1e22, 1e-7,
     5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
 ]
-# 1-D float64 arrays, with the values that leave the bulk float route:
-# nan, infs and subnormals, and -0.0, which keeps its sign
+# finite 1-D float64 arrays, the only ones a command prints, with subnormals
+# and -0.0, which keeps its sign
 float_arrays = st.lists(
-    st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -1e-310, 2.225073858507201e-308]),
     max_size=6,
 ).map(lambda xs: np.array(xs, dtype=np.float64))
 json_leaves = (
@@ -1012,7 +1015,9 @@ HALVES = _mostly(st.integers(-8, 82).map("{}/2".format), RATIONALS)
 
 
 def _integers(largest):
-    return _mostly(st.integers(-1, largest).map(str), st.sampled_from(["1000001", "1" + "0" * 30, "x"]))
+    # 10^400 is an int beyond float range
+    rare = st.sampled_from(["1000001", "1" + "0" * 30, "1" + "0" * 400, "x"])
+    return _mostly(st.integers(-1, largest).map(str), rare)
 
 
 FREQUENCIES = {"--wq": DECIMALS, "--w0": DECIMALS, "--eta": DECIMALS}
@@ -1080,6 +1085,12 @@ def _run_in_process(argv):
 @example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307"])
 @example(["spectrum", "--n", "4", "--l", "2/3", "--u", "1", "--eta", "4.1e307", "--format", "json"])
 @example(["oracle-compare", "--n", "2", "--l", "0.3", "--u", "2", "--wq", "1e308", "--w0", "5e307", "--format", "json"])
+# an --n beyond float range overflows N / 2 or N * l: exit 2, not a traceback
+@example(["deform", "--n", "1" + "0" * 400, "--l", "0.3"])
+@example(["deform-sweep", "--n", "1" + "0" * 400, "--l-start", "0.1", "--l-end", "0.3", "--steps", "3"])
+@example(["crossover", "--n", "1" + "0" * 400])
+@example(["spectrum", "--n", "1" + "0" * 400, "--l", "0.3", "--u", "1"])
+@example(["oracle-compare", "--n", "1" + "0" * 400, "--l", "0.3", "--u", "1"])
 def test_every_command_line_ends_in_a_whole_answer_or_one_refusal(argv):
     """The command's own parser gives the full parser's flags, less the
     command name, and refuses what the full parser refuses.  Exit 0 prints

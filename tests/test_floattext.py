@@ -1,6 +1,6 @@
-"""The CLI's bulk float route: ``_floattext.repr_join`` writes exactly the
-text of ``float.__repr__`` per value, and the CLI sends it only chunks of
-zeros and finite normal doubles."""
+"""The CLI's one float route: ``_floattext.repr_join`` writes exactly the
+text of ``float.__repr__`` per value for every finite double, subnormals
+too, and refuses a nan or an inf."""
 
 import json
 from itertools import accumulate
@@ -10,6 +10,7 @@ import pytest
 
 import qchain.cli
 from qchain import _floattext
+from reference_forms import float_repr_join
 from test_cli import NOTATION_EDGES, run_cli
 
 JSON_SEP = ",\n    "
@@ -26,18 +27,18 @@ def _reference(reprs, seps):
 
 @pytest.fixture(scope="module")
 def values_and_reprs():
-    """Seeded random bit patterns, kept where they are zero or normal, with
-    +-0.0 among them; then mantissas 0, 1 and 2^52 - 1 at every normal
-    exponent, and the normal notation edges, each with both signs; and the
-    ``float.__repr__`` of each, formed once: dtoa takes 1.5 us a value on
-    random bit patterns."""
+    """Seeded random bit patterns, kept where they are finite, with +-0.0
+    among them; then mantissas 0, 1 and 2^52 - 1 at every finite exponent,
+    the subnormal one (0) included, and the notation edges, each with both
+    signs; and the ``float.__repr__`` of each, formed once: dtoa takes
+    1.5 us a value on random bit patterns."""
     bits = np.random.default_rng(20_260_531).integers(0, 2**64, 201_000, dtype=np.uint64)
     bits[::1000] &= np.uint64(1 << 63)
     mantissas = np.array([0, 1, 2**52 - 1], dtype=np.uint64)
-    exponents = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    exponents = np.arange(0, 2047, dtype=np.uint64) << np.uint64(52)
     edges = np.concatenate([(exponents[:, None] | mantissas).view(np.float64).ravel(), NOTATION_EDGES])
     values = np.concatenate([bits.view(np.float64), edges, -edges])
-    keep = np.isfinite(values) & ((np.abs(values) >= np.finfo(np.float64).tiny) | (values == 0.0))
+    keep = np.isfinite(values)
     assert keep[: bits.size].sum() >= 200_000
     values = values[keep]
     return values, list(map(float.__repr__, values.tolist()))
@@ -55,7 +56,6 @@ def test_repr_join_writes_float_repr(values_and_reprs, seps, count):
     size = values.size - values.size % len(seps)
     start = 0 if count is None else size - count
     values = values[start:size]
-    assert _floattext.renderable(values)
     rows = values.reshape(-1, len(seps))
     assert _floattext.repr_join(rows, seps) == _reference(reprs[start:size], seps)
 
@@ -72,28 +72,18 @@ def test_repr_join_on_rows_wider_than_a_block(values_and_reprs):
 def test_each_notation_edge_alone():
     """A block of one value sizes its columns to that value alone: no
     fraction digits after the first (9999999999999998.0), no point
-    (1e+16), the zeros after "0." (0.0001)."""
+    (1e+16), the zeros after "0." (0.0001), a single digit (5e-324)."""
     for value in NOTATION_EDGES:
-        if _floattext.renderable(np.array([value])):
-            for sign in (1.0, -1.0):
-                assert _floattext.repr_join(np.array([sign * value]), ["\n"]) == repr(sign * value) + "\n"
+        for sign in (1.0, -1.0):
+            assert _floattext.repr_join(np.array([sign * value]), ["\n"]) == repr(sign * value) + "\n"
 
 
-@pytest.mark.parametrize(
-    "odd", [float("nan"), float("inf"), -float("inf"), 5e-324, -2.225073858507201e-308]
-)
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monkeypatch, odd, fmt):
-    """A nan, an inf or a subnormal anywhere in a chunk keeps the whole chunk
-    on per-value rendering, ``float.__repr__`` (or ``NaN`` and ``Infinity``
-    in JSON); the other chunks still go through the bulk route.  In chunks
-    of 8 cells a two-column CSV table takes 4 rows a chunk, and a JSON
-    number list in chunks of 4 cells 4 values a chunk."""
+def _chunked_text(monkeypatch, values, fmt, rendered):
+    """A two-column CSV table of ``values`` and their reverse in chunks of 8
+    cells (4 rows), or a JSON number list of them in chunks of 4 cells (4
+    values): its text and the text by ``float.__repr__``.  The first value
+    of each chunk handed to ``repr_join`` is appended to ``rendered``."""
     monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", {"csv": 8, "json": 4}[fmt])
-    values = np.linspace(-1.0, 2.0, 12)
-    values[5] = odd  # in the second chunk of four rows
-    assert not _floattext.renderable(values[4:8])
-    rendered = []
     repr_join = _floattext.repr_join
 
     def counted(rows, seps):
@@ -108,8 +98,34 @@ def test_a_value_without_digits_or_subnormal_sends_the_chunk_to_float_repr(monke
     else:
         text = "".join(qchain.cli.json_chunks({"a": values}))
         expected = json.dumps({"a": values.tolist()}, indent=2) + "\n"
+    return text, expected
+
+
+@pytest.mark.parametrize("subnormal", [5e-324, -2.225073858507201e-308])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_subnormal_prints_through_repr_join_with_its_chunk(monkeypatch, subnormal, fmt):
+    """A subnormal in the second chunk prints as ``float.__repr__`` prints
+    it, and every chunk goes through ``repr_join``."""
+    values = np.linspace(-1.0, 2.0, 12)
+    values[5] = subnormal
+    rendered = []
+    text, expected = _chunked_text(monkeypatch, values, fmt, rendered)
     assert text == expected
-    assert rendered == [values[0], values[8]]
+    assert rendered == [values[0], values[4], values[8]]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nan_or_inf_refuses_its_chunk(monkeypatch, value, fmt):
+    """No command prints a nan or an inf: one in the second chunk of a CSV
+    column or a JSON number list has no digits, and ``repr_join`` raises
+    ValueError on that chunk, after rendering the first."""
+    values = np.linspace(-1.0, 2.0, 12)
+    values[5] = value
+    rendered = []
+    with pytest.raises(ValueError, match="nan or an inf"):
+        _chunked_text(monkeypatch, values, fmt, rendered)
+    assert rendered == [values[0], values[4]]
 
 
 # ladders beyond the golden sizes: dims 31, 61 and 101, resonant and detuned;
@@ -139,7 +155,8 @@ def _spectrum(capsys, argv, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch, argv, fmt):
     """One chunk of the whole ladder, chunks of at most ``CHUNK_CELLS`` cells
-    that end mid-ladder, and ``float.__repr__`` per value print the same
+    that end mid-ladder, and ``float.__repr__`` per value
+    (``reference_forms.float_repr_join``) print the same
     bytes: a rectangular table, or indented ``json.dumps`` text.  Each chunk
     of states is one float matrix of whole states, in one ``repr_join``."""
     whole = _spectrum(capsys, argv, fmt)
@@ -150,7 +167,7 @@ def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch
     )
     monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", CHUNK_CELLS)
     chunked = _spectrum(capsys, argv, fmt)
-    monkeypatch.setattr(_floattext, "renderable", lambda a: False)
+    monkeypatch.setattr(_floattext, "repr_join", float_repr_join)
     assert whole == chunked == _spectrum(capsys, argv, fmt)
     if fmt == "csv":
         lines = whole.splitlines()
@@ -174,10 +191,11 @@ def test_spectrum_prints_the_same_bytes_on_both_float_routes(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_subnormal_level_sends_only_its_chunk_of_states_to_float_repr(capsys, monkeypatch, fmt):
+def test_a_subnormal_level_prints_through_repr_join_with_its_chunk_of_states(capsys, monkeypatch, fmt):
     """At eta = 1e-300 the middle level of the resonant dim-21 ladder is a
-    subnormal v.  In chunks of four states the chunk that holds it goes
-    through ``float.__repr__``, and the others through the bulk route."""
+    subnormal v.  In chunks of four states every chunk, the one that holds
+    it too, goes through ``repr_join``, and prints the bytes of
+    ``float.__repr__`` per value (``reference_forms.float_repr_join``)."""
     argv = ["--n", "20", "--l", "0.37", "--u", "10", "--eta", "1e-300"]
     vs = [state["v"] for state in json.loads(_spectrum(capsys, argv, "json"))["states"]]
     assert [k for k, v in enumerate(vs) if 0.0 < abs(v) < np.finfo(np.float64).tiny] == [10]
@@ -189,6 +207,6 @@ def test_a_subnormal_level_sends_only_its_chunk_of_states_to_float_repr(capsys, 
     # the lead values (v, E and, in CSV, R), then 21 c0 = 1 cells and 21 unit-norm cells
     monkeypatch.setattr(qchain.cli, "OUTPUT_CHUNK_CELLS", 4 * ({"csv": 3, "json": 2}[fmt] + 42))
     bulk = _spectrum(capsys, argv, fmt)
-    assert rendered == vs[:8] + vs[12:]
-    monkeypatch.setattr(_floattext, "renderable", lambda a: False)
+    assert rendered == vs
+    monkeypatch.setattr(_floattext, "repr_join", float_repr_join)
     assert bulk == _spectrum(capsys, argv, fmt)
