@@ -18,10 +18,30 @@ into one byte matrix at fixed columns (sign, integer digits right-aligned,
 point, fraction digits left-aligned, exponent, separator), with NUL in
 each column a value does not use, and one pass deletes the NULs.
 
-Every finite double is rendered, subnormals too: a subnormal's c has no
-hidden bit and takes the exponent q = -1074 of the smallest normals, and
-its digits, unlike a normal double's 15 to 17, may be as few as one.  A
-nan or an inf has no digits, and ``repr_join`` refuses it.
+Every finite double is rendered, subnormals and zeros too: a subnormal's
+c has no hidden bit and takes the exponent q = -1074 of the smallest
+normals, and its digits, unlike a normal double's 15 to 17, may be as few
+as one; a zero has c = 0 and no digits.  A nan or an inf has no digits,
+and ``repr_join`` refuses it.
+
+A block costs a fixed number of numpy calls whatever its size, and on a
+few values that fixed cost is all of it, so the calls are kept few:
+
+- every constant is a 0-d array of its operands' dtype, whose operations
+  cost least;
+- one ``take`` reads every constant that a double's exponent selects (the
+  two words of g, the shift of c, k, the hidden bit and the products'
+  offsets at the interval's ends, which also hold the uneven intervals,
+  the subnormals and the zeros, so none needs a case of its own);
+- the products of g1 and g0, the three values that Schubfach rounds to
+  odd and the two candidates of ``_closest`` are each one stacked array;
+- no division by an array splits a value's digits at its point in fixed
+  notation, whose integer part is the double's own (see ``_parts``); only
+  the exponent form divides d by a power of ten;
+  the four-digit groups are split by one constant, and each takes its
+  characters and the next group's NUL rule from two table lookups;
+- each row of the byte matrix is one record of a structured dtype, one
+  per layout, so a column is written in one call.
 """
 
 from __future__ import annotations
@@ -30,23 +50,52 @@ import functools
 
 import numpy as np
 
-# values rendered per block: the arrays of one block stay near 64 kB each,
-# whatever the size of the input
+# values rendered per block: a block's largest arrays, its columns of the
+# exponent table and its stacked products, stay under 1 MB each, whatever
+# the size of the input
 BLOCK = 8192
 
 _K_MIN, _K_MAX = -324, 292  # the k of the powers 10^-k that finite doubles need
-_M32 = np.uint64(0xFFFF_FFFF)
-_M63 = np.uint64((1 << 63) - 1)
-_INF = np.uint64(0x7FF0_0000_0000_0000)  # the bits of inf; a nan's are above
-_FRACTION = np.uint64((1 << 52) - 1)
-_HIDDEN = np.uint64(1 << 52)
-_ONE = np.uint64(0x3FF0_0000_0000_0000)  # the bits of 1.0
-_POW10 = np.array([10**i for i in range(20)], dtype=np.uint64)
+
+
+def _u64(x):
+    return np.array(x, dtype=np.uint64)
+
+
+def _i64(x):
+    return np.array(x, dtype=np.int64)
+
+
+_M32 = _u64(0xFFFF_FFFF)
+_M63 = _u64((1 << 63) - 1)
+_INF = 0x7FF0_0000_0000_0000  # the bits of inf; a nan's are above
+_FRACTION = _u64((1 << 52) - 1)
+_U1, _U2, _U7, _U10, _U32, _U40, _U52, _U63 = map(_u64, (1, 2, 7, 10, 32, 40, 52, 63))
+_NOT3 = ~_u64(3)
+_I2048, _I10K = _i64(2048), _i64(10_000)
+# the rounding choice below the digit s, by vb & 7: up past the midpoint,
+# or at it to an even s + 1
+_ROUNDS_UP = np.array([0, 0, 0, 1, 0, 0, 1, 1], dtype=np.uint64)
+_STEPS = _u64([[40], [4]])  # the spacings of one digit shorter and of s, times 4
+_POW10 = np.array([10**i for i in range(19)], dtype=np.int64)
+# 10^-e, or 1, by e + 20 for e in -20..16: d mod 10^-e is the fraction of
+# d * 10^e, and d < 10^17
+_DIVISORS = np.array([10 ** min(max(-e, 0), 18) for e in range(-20, 17)], dtype=np.int64)
+# by a fraction's count of digits, what left-aligns it in 1 + 4 * r digits
+# for r = 0..4; no digits (an integer) zero it
+_ALIGN = np.array(
+    [[0] + [10 ** max(1 + 4 * r - digits, 0) for digits in range(1, 18)] for r in range(5)],
+    dtype=np.int64,
+)
+_FIRST = np.frombuffer(b"0123456789" + b"\0" * 10, dtype=np.uint8)  # digit, or NUL if bare
 
 # offsets into the table of _quads(), after the four digits as they are:
-# with their trailing zeros as NUL, with their leading zeros as NUL, and
-# with their leading zeros but the last as NUL
-_TRAIL, _LEAD, _LEAD_BUT_LAST = 10_000, 20_000, 30_000
+# with their leading zeros as NUL, with their leading zeros but the last
+# as NUL (twice _LEAD), and with their trailing zeros as NUL
+_LEAD, _LEAD_BUT_LAST, _TRAIL = 10_000, 20_000, 30_000
+# the fields of a row's four-digit groups, most significant first
+_INT_FIELDS = ("int0", "int1", "int2", "int3")
+_FRAC_FIELDS = ("frac0", "frac1", "frac2", "frac3")
 
 
 def _flog10pow2(e):
@@ -65,32 +114,54 @@ def _flog2pow10(e):
 
 
 @functools.cache
-def _exponent_tables() -> tuple[np.ndarray, ...]:
-    """Schubfach's constants of each double's exponent, indexed by the biased
-    exponent, plus 2048 for a double whose interval is uneven (a power of
-    two): g1 and g0, with g = g1 * 2^63 + g0 = floor(10^-k * 2^-r) + 1 in
-    [2^125, 2^126) from exact ints; k; and h + 2, the shift of c.  Row 0,
-    of the subnormals, holds row 1's constants: both have q = -1074.  Built
-    on the first call that needs them, not at import."""
+def _exponent_table() -> np.ndarray:
+    """Schubfach's constants of each double's exponent as the columns of one
+    uint64 array, indexed by the biased exponent, plus 2048 for a double
+    with no fraction bits.  Its rows: g1 and g0, with g = g1 * 2^63 + g0 =
+    floor(10^-k * 2^-r) + 1 in [2^125, 2^126) from exact ints; h + 2, the
+    shift of c; k; the hidden bit; and the 128-bit offsets, high words then
+    low words, of the products of g1 and of g0 at the interval's upper end
+    and at its lower end from those at c: +g * 2^j and -g * 2^j', with
+    j' = j - 1 below a power of two, whose interval is uneven.  Column 0,
+    of the subnormals, has column 1's constants but no hidden bit: both
+    have q = -1074.  Column 2048, of the zeros, is all zeros but k = -1, so
+    that a zero has d = 0 and e = 0.  Built on the first call that needs
+    it, not at import."""
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 125 - _flog2pow10(-k)
         num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
         g.append(((num << shift) // den if shift >= 0 else num // (den << -shift)) + 1)
-    q = np.maximum(np.tile(np.arange(2048), 2), 1) - 1075
-    uneven = np.arange(4096) >= 2048
+    bq = np.tile(np.arange(2048), 2)
+    q = np.maximum(bq, 1) - 1075
+    uneven = (np.arange(4096) >= 2048) & (bq > 1)
     k = np.where(uneven, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     row = k - _K_MIN
     g1 = np.array([x >> 63 for x in g], dtype=np.uint64)[row]
     g0 = np.array([x & ((1 << 63) - 1) for x in g], dtype=np.uint64)[row]
-    shift = (q + _flog2pow10(-k) + 4).astype(np.uint64)
-    return g1, g0, k, shift
+    h2 = (q + _flog2pow10(-k) + 4).astype(np.uint64)
+    j = h2 - _U1
+    ends = []
+    for word in (g1, g0):
+        for shift, sign in ((j, 1), (j - uneven.astype(np.uint64), -1)):
+            low, high = word << shift, word >> (np.uint64(64) - shift)
+            if sign < 0:  # the two's complement of the 128-bit high:low
+                low, high = -low, ~high + (low == 0)
+            ends.append((high, low))
+    hidden = np.where(bq > 0, 1 << 52, 0).astype(np.uint64)
+    table = np.stack([g1, g0, h2, k.astype(np.int64).view(np.uint64), hidden]
+                     + [high for high, _ in ends] + [low for _, low in ends])
+    table[:, 2048] = 0
+    table[3, 2048] = (1 << 64) - 1  # k = -1
+    return table
 
 
 @functools.cache
-def _quads() -> np.ndarray:
+def _quads() -> tuple[np.ndarray, np.ndarray]:
     """The four ASCII digits of each of 0..9999, as one uint32 in memory
-    order, at offset 0 and at each offset _TRAIL, _LEAD and _LEAD_BUT_LAST."""
+    order, at offset 0 and at each offset _LEAD, _LEAD_BUT_LAST and _TRAIL;
+    and, by the same index, the offset of the next group: _LEAD after a
+    leading zero group, _TRAIL before a trailing one, else 0."""
     digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     nonzero = digits != 0
     trail = np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] > 0
@@ -98,8 +169,10 @@ def _quads() -> np.ndarray:
     lead_but_last = lead.copy()
     lead_but_last[:, 3] = True
     chars = (digits + ord("0")).astype(np.uint8)
-    kept = np.concatenate([np.ones_like(lead), trail, lead, lead_but_last])
-    return (np.tile(chars, (4, 1)) * kept).view(np.uint32).ravel()
+    kept = np.concatenate([np.ones_like(lead), lead, lead_but_last, trail])
+    following = np.zeros(40_000, dtype=np.uint16)
+    following[[_LEAD, _TRAIL]] = _LEAD, _TRAIL
+    return (np.tile(chars, (4, 1)) * kept).view(np.uint32).ravel(), following
 
 
 @functools.cache
@@ -113,121 +186,106 @@ def _exponents() -> np.ndarray:
 def _round_odd(y1, y0, x1):
     """g * cp * 2^-127 rounded to odd, as the JDK's ``DoubleToDecimal.rop``
     forms it from g1 * cp = y1 * 2^64 + y0 and the high word x1 of g0 * cp."""
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    z = (y0 >> _U1) + x1
+    return (y1 + (z >> _U63)) | np.minimum(z << _U1, _U1)
 
 
-def _products(g1, g0, cp):
-    """g1 * cp = y1 * 2^64 + y0 and g0 * cp = x1 * 2^64 + x0, exact, the
-    high words from the products of 32-bit halves (g1, g0 < 2^63, cp < 2^59)."""
-    cph = cp >> 32
-    cpl = cp & _M32
-    high = []
-    for g in (g1, g0):
-        gh = g >> 32
-        gl = g & _M32
-        high.append(gh * cph + ((((gl * cpl) >> 32) + gh * cpl + gl * cph) >> 32))
-    return high[0], g1 * cp, high[1], g0 * cp
-
-
-def _scaled(c, h2, g1, g0, uneven):
-    """vb, vbl and vbr, Schubfach's v and the ends of its rounding interval
-    times 4 * 10^-k, each rounded to odd: v and the ends are c and c +- 1/2
-    (c - 1/4 below when uneven) in units of 2^q, so, scaled by 4 * 2^h,
-    cp and cp +- 2^j.  The products at the ends are those at cp plus or
-    minus g1 * 2^j and g0 * 2^j, as high and low words."""
-    y1, y0, x1, x0 = _products(g1, g0, c << h2)
-    vb = _round_odd(y1, y0, x1)
-    j = h2 - np.uint64(1)
-    up = np.uint64(64) - j
-    a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
-    y0r = y0 + a_lo
-    x0r = x0 + b_lo
-    vbr = _round_odd(y1 + a_hi + (y0r < a_lo), y0r, x1 + b_hi + (x0r < b_lo))
-    if uneven.any():
-        j = j - uneven
-        up = np.uint64(64) - j
-        a_lo, a_hi, b_lo, b_hi = g1 << j, g1 >> up, g0 << j, g0 >> up
-    vbl = _round_odd(y1 - a_hi - (y0 < a_lo), y0 - a_lo, x1 - b_hi - (x0 < b_lo))
-    return vb, vbl, vbr
+def _scaled(c, cols):
+    """vb, vbr and vbl as one (3, n) array: Schubfach's v and the upper and
+    lower ends of its rounding interval times 4 * 10^-k, each rounded to
+    odd.  v and the ends are c and c +- 1/2 (c - 1/4 below when uneven) in
+    units of 2^q, so, scaled by 4 * 2^h, cp and cp +- 2^j: the products of
+    g1 and g0 at cp, from 32-bit halves (g1, g0 < 2^63, cp < 2^59), plus the
+    offsets of ``cols`` at the ends, with the carry from the low words."""
+    cp = c << cols[2]
+    cph, cpl = cp >> _U32, cp & _M32
+    g = cols[:2]
+    gh, gl = g >> _U32, g & _M32
+    # [g1, g0] by [v, upper end, lower end]
+    high, low = np.empty((2, 2, 3, c.size), dtype=np.uint64)
+    np.add(gh * cph, (((gl * cpl) >> _U32) + gh * cpl + gl * cph) >> _U32, out=high[:, 0])
+    np.multiply(g, cp, out=low[:, 0])
+    ends = cols[5:].reshape(2, 2, 2, -1)
+    np.add(low[:, :1], ends[1], out=low[:, 1:])
+    np.add(high[:, :1], ends[0], out=high[:, 1:])
+    high[:, 1:] += low[:, 1:] < ends[1]
+    return _round_odd(high[0], low[0], high[1])
 
 
 def _closest(vb, lower, upper):
     """Schubfach's choice of digits from vb and the interval's ends, in the
     units of vb: (d, shorter), the digits as d * 10^(k + shorter)."""
-    s = vb >> np.uint64(2)
+    s = vb >> _U2
     # one digit shorter: at most one of 10 * floor(s / 10) and the next
-    # multiple of 10 lies in the interval
-    sp = s // np.uint64(10)
-    sp40 = sp * np.uint64(40)
-    wpin = sp40 + np.uint64(40) <= upper
-    shorter = (lower <= sp40) != wpin
-    # else s or s + 1: the one inside, or, with both inside, the closer, ties to even
-    s4 = vb & ~np.uint64(3)
-    win = s4 + np.uint64(4) <= upper
-    mid = s4 + np.uint64(2)
-    closer_up = (vb > mid) | ((vb == mid) & (s & np.uint64(1)).astype(bool))
-    rounds_up = np.where((lower <= s4) != win, win, closer_up)
-    return np.where(shorter, sp + wpin, s + rounds_up), shorter
+    # multiple of 10 lies in the interval; else s or s + 1: the one inside,
+    # or, with both inside, the closer, ties to even
+    sp = s // _U10
+    below = np.empty((2, vb.size), dtype=np.uint64)
+    np.multiply(sp, _U40, out=below[0])
+    np.bitwise_and(vb, _NOT3, out=below[1])
+    # whether the candidate above lies in the interval, and whether just one does
+    inside = below + _STEPS <= upper
+    one = (lower <= below) != inside
+    rounds_up = np.where(one[1], inside[1], _ROUNDS_UP.take((vb & _U7).view(np.int64)))
+    return np.where(one[0], sp + inside[0], s + rounds_up), one[0]
 
 
-def _shortest(bits, any_subnormal):
+def _shortest(bits):
     """(d, e) with d * 10^e the shortest decimal in the rounding interval of
-    each positive finite double whose bits are given, and the closest to it
-    of those, ties to even: Schubfach's digits.  d has 15 to 17 digits for
-    a normal double, 1 to 17 for a subnormal, and may end in zeros."""
+    each nonnegative finite double whose bits are given, and the closest to
+    it of those, ties to even: Schubfach's digits.  d has 15 to 17 digits for
+    a normal double, 1 to 17 for a subnormal, none (d = 0) for a zero, and
+    may end in zeros."""
     t = bits & _FRACTION
-    c = t | _HIDDEN
-    bq = bits >> 52
-    if any_subnormal:  # no hidden bit below the normals
-        c = np.where(bq == 0, t, c)
-    # below a power of two the spacing of doubles halves: an uneven interval
-    uneven = (t == 0) & (bq > 1)
-    row = (bq | (uneven.astype(np.uint64) << 11)).view(np.int64)
-    g1, g0, k, h2 = (table.take(row) for table in _exponent_tables())
-    vb, vbl, vbr = _scaled(c, h2, g1, g0, uneven)
+    bq = (bits >> _U52).view(np.int64)
+    # with no fraction bits, below a power of two the spacing of doubles
+    # halves: an uneven interval
+    cols = _exponent_table().take(bq + (t == 0) * _I2048, axis=1)
+    c = t | cols[4]
+    vb, vbr, vbl = _scaled(c, cols)
     # the interval's ends belong to it when c is even
-    out = c & np.uint64(1)
+    out = c & _U1
     d, shorter = _closest(vb, vbl + out, vbr - out)
-    return d, k + shorter
+    return d.view(np.int64), cols[3].view(np.int64) + shorter
 
 
-def _quads_of(x, count):
+def _groups(x, count):
     """The ``count`` four-digit groups of each int64 x < 10^(4 * count),
-    most significant first."""
-    quads = []
+    least significant first."""
+    groups = []
     for _ in range(count - 1):
-        y = x // 10_000
-        quads.append(x - y * 10_000)
+        y = x // _I10K
+        groups.append(x - y * _I10K)
         x = y
-    if count:
-        quads.append(x)
-    return quads[::-1]
+    return groups + [x]
 
 
-def _integer_chars(x, count):
-    """The ASCII digits of each x as ``count`` uint32 columns, right-aligned,
-    with NUL for each leading zero but a last one."""
-    table = _quads()
-    columns = []
-    leading = np.ones(x.shape, dtype=bool)  # every group so far is zero
-    for i, quad in enumerate(_quads_of(x, count)):
-        offset = _LEAD_BUT_LAST if i == count - 1 else _LEAD
-        columns.append(table.take(quad + offset * leading))
-        leading &= quad == 0
-    return columns
+def _group_chars(groups, offset, m, names):
+    """Each group's characters into its field of ``m``, in order, the first
+    at ``offset`` into the table of _quads() and each next at the offset the
+    table gives; returns the offset after the last."""
+    table, following = _quads()
+    for group, name in zip(groups, names):
+        index = group + offset
+        m[name] = table.take(index)
+        offset = following.take(index)
+    return offset
 
 
-def _fraction_chars(x, count):
-    """The ASCII digits of each x as ``count`` uint32 columns, with NUL for
-    each trailing zero."""
-    table = _quads()
-    columns = []
-    trailing = np.ones(x.shape, dtype=bool)  # every group after this one is zero
-    for quad in _quads_of(x, count)[::-1]:
-        columns.append(table.take(quad + _TRAIL * trailing))
-        trailing &= quad == 0
-    return columns[::-1]
+@functools.cache
+def _row(signed, int_quads, zeros, rest_quads, exp, tail):
+    """The dtype of one row of a block's byte matrix: the fields of the
+    sign, the integer part's groups, most significant first, the point and
+    the zeros after it, the fraction's first digit, the rest of its groups,
+    the exponent and the separator."""
+    return np.dtype(
+        [("sign", "u1")] * signed
+        + [(name, "u4") for name in _INT_FIELDS[:int_quads]]
+        + [("point", "u4" if zeros else "u1"), ("first", "u1")]
+        + [(name, "u4") for name in _FRAC_FIELDS[:rest_quads]]
+        + [("exp", "u8")] * exp
+        + [("tail", tail)]
+    )
 
 
 # the point and the zeros after "0." by their count, and nothing, for the
@@ -237,16 +295,24 @@ _POINTS = np.frombuffer(b".\0\0\0.0\0\0.00\0.000\0\0\0\0", dtype=np.uint32)
 
 def repr_join(rows: np.ndarray, seps) -> str:
     """The text of each row's ``repr(x) + sep`` for each value x of the row
-    and its column's separator, row after row.  ``rows`` is a float64 array
-    read in row-major order, ``len(seps)`` values a row (a 1-D array of one
-    column, or a 2-D array of rows); ``seps`` are ASCII strings without
-    NUL.  Raises ValueError if ``rows`` holds a nan or an inf."""
-    width = max(map(len, seps))
-    padded = "".join(sep.ljust(width, "\0") for sep in seps).encode("ascii")
-    tails = np.frombuffer(padded, np.uint8).reshape(len(seps), width)
+    and its column's separator, row after row.  ``rows`` is a native-endian
+    float64 array read in row-major order, ``len(seps)`` values a row (a 1-D
+    array of one column, or a 2-D array of rows); ``seps`` are one or more
+    ASCII strings without NUL.  Raises ValueError, before any rendering, for
+    another array or separator, and if ``rows`` holds a nan or an inf."""
+    if not isinstance(rows, np.ndarray) or rows.dtype != np.dtype("=f8"):
+        kind = rows.dtype if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise ValueError(f"repr_join renders native float64 arrays, not {kind}")
+    joined = "".join(seps)
+    if not seps or not joined.isascii() or "\0" in joined:
+        raise ValueError(f"repr_join's separators are ASCII without NUL: {seps!r}")
+    width = max(1, *map(len, seps))
     values = rows.ravel()
     # whole rows in every block, and at least one, however wide
     step = max(BLOCK // len(seps), 1) * len(seps)
+    # each value's separator, NUL-padded to one width, for the largest block
+    padded = "".join(sep.ljust(width, "\0") for sep in seps).encode("ascii")
+    tails = np.frombuffer(padded * (min(step, values.size) // len(seps)), (np.void, width))
     text = b"".join(
         _render_block(values[start : start + step], tails)
         for start in range(0, values.size, step)
@@ -255,102 +321,86 @@ def repr_join(rows: np.ndarray, seps) -> str:
 
 
 def _parts(a):
-    """The parts of each value's text in one block: the sign; the integer
-    part, with the count of its four-digit groups; the point and the zeros
-    after "0." as an index into _POINTS; the fraction's first digit as a
-    character (NUL where none is printed); the rest of the fraction, left-
-    aligned in its count of groups; and, if any value takes the exponent
-    form, the index of each value's exponent into _exponents() (0 for none)."""
+    """The parts of each value's text in one block: a table of rows, by
+    value, of its point's place (the count of its integer digits; less, the
+    zeros after "0."), minus it, its count of fraction digits and its sign,
+    with the block's maximum of each row; the integer part; the fraction,
+    left-aligned in 1 + 4 * rest_quads digits, and rest_quads; and, if any
+    value takes the exponent form, the index of each value's exponent into
+    _exponents() (0 for none) and the mask of the bare single digits."""
     bits = a.view(np.uint64)
-    negative = bits > _M63
-    bits = bits & _M63
-    any_zero = any_subnormal = False
-    # one test for the rare values: less 2^52, a zero or a subnormal wraps
-    # round to inf's bits or above, where a nan's and an inf's stay
-    if (bits - _HIDDEN >= _INF - _HIDDEN).any():
-        if (bits >= _INF).any():
-            raise ValueError("a nan or an inf has no digits to render")
-        zero = bits == 0
-        any_zero = zero.any()
-        # a zero is rendered as 1.0, then its digit is set to 0
-        bits = np.where(zero, _ONE, bits)
-        any_subnormal = (bits < _HIDDEN).any()
-    d, e = _shortest(bits, any_subnormal)
-    if any_subnormal:  # the only doubles whose digits may be fewer than 15
-        n = _POW10.searchsorted(d, side="right").astype(np.int64)
-    else:
-        n = (d >= _POW10[15]).astype(np.int64) + (d >= _POW10[16]) + 15
-    point = n + e  # the value is 0.ddd * 10^point
-    exp = (point < -3) | (point > 16)
-    any_exp = bool(exp.any())
-    # the integer part is d's first `split` digits, padded with zeros to
-    # `point` digits; the fraction is the rest
-    split = np.minimum(np.maximum(point, 0), n)
-    if any_exp:
-        split = np.where(exp, 1, split)
-    below = _POW10.take(n - split)
-    whole = d // below
-    frac = d - whole * below
-    pad = point - split
-    if any_exp:
-        pad = np.where(exp, 0, pad)
-    whole *= _POW10.take(np.maximum(pad, 0))
-    if any_zero:
-        whole = np.where(zero, np.uint64(0), whole)
-    # the fraction's first digit, always printed in the fixed form, and the rest
-    rest_digits = np.maximum(n - split - 1, 0)
-    below = _POW10.take(rest_digits)
-    first = frac // below
-    rest = frac - first * below
-    first = first.astype(np.uint8) + np.uint8(ord("0"))
-    int_digits = np.maximum(point, 1)
-    lead = np.maximum(-point, 0)  # the zeros after "0."
+    mag = bits & _M63
+    if np.maximum.reduce(mag) >= _INF:  # a nan's bits and an inf's are the largest
+        raise ValueError("a nan or an inf has no digits to render")
+    d, e = _shortest(mag)
+    n = _POW10.searchsorted(d, side="right")  # d's digits
+    # rows: the point's place (the value is 0.ddd * 10^point), minus it,
+    # the fraction's digits from d, and the sign
+    table = np.empty((4, a.size), dtype=np.int64)
+    point = table[0]
+    np.add(n, e, out=point)
+    np.right_shift(bits, _U63, out=table[3].view(np.uint64))
     exponent = None
-    if any_exp:
-        int_digits = np.where(exp, 1, int_digits)
-        # the exponent form of a single digit has no point: _POINTS[4]
-        bare = exp & (frac == 0)
-        lead = np.where(exp, 4 * bare, lead)
-        first[bare] = 0
+    most = _sizes(table, n)
+    if most[0] > 16 or most[1] > 3:
+        exp = (point > 16) | (point < -3)
         exponent = np.where(exp, point + 324, 0)
-    int_quads = -(-int(int_digits.max()) // 4)
-    rest_quads = -(-int(rest_digits.max()) // 4)
-    rest *= _POW10.take(4 * rest_quads - rest_digits)
-    return negative, whole, int_quads, lead, first, rest, rest_quads, exponent
+        point[exp] = 1  # d.ddd
+        most = _sizes(table, n)
+        e = point - n
+    # the integer part in fixed notation is the double's, since whole
+    # numbers below 2^53 are doubles and doubles above are whole numbers;
+    # in the exponent form, d's first digit.  The fraction is d's other digits
+    divisor = _DIVISORS.take(e + 20)
+    magnitude = mag.view(np.float64)
+    if exponent is None:
+        whole = magnitude.astype(np.int64)
+    else:
+        whole = np.where(exp, d // divisor, np.where(exp, 0.0, magnitude).astype(np.int64))
+    frac = d - whole * divisor
+    bare = None if exponent is None else exp & (frac == 0)
+    rest_quads = -(-max(most[2] - 1, 0) // 4)
+    frac *= _ALIGN[rest_quads].take(table[2])
+    return table, most, whole, frac, rest_quads, exponent, bare
+
+
+def _sizes(table, n):
+    """Rows 1 and 2 of ``table`` from its row 0, and each row's maximum."""
+    np.negative(table[0], out=table[1])
+    np.subtract(n, np.minimum(np.maximum(table[0], 0), n), out=table[2])
+    return np.maximum.reduce(table, axis=1).tolist()
 
 
 def _render_block(a, tails) -> bytes:
     """The text of one block of whole rows.  Each value's characters and
     separator go to fixed columns of a byte matrix, NUL where a value has
     no character, and the NULs are then deleted."""
-    negative, whole, int_quads, lead, first, rest, rest_quads, exponent = _parts(a)
-    signed = bool(negative.any())
-    zeros = bool(lead.any())
-    rows = a.size
-    width = (
-        signed + 4 * int_quads + (4 if zeros else 1) + 1 + 4 * rest_quads
-        + (0 if exponent is None else 8) + tails.shape[1]
-    )
-    m = np.empty((rows, width), dtype=np.uint8)
-    col = 0
-
-    def put(chars, size):
-        nonlocal col
-        m[:, col : col + size].view(chars.dtype)[:, 0] = chars
-        col += size
-
+    table, most, whole, frac, rest_quads, exponent, bare = _parts(a)
+    signed = most[3] > 0
+    int_quads = -(-max(most[0], 1) // 4)
+    zeros = most[1] > 0 or (bare is not None and bool(bare.any()))
+    layout = _row(signed, int_quads, zeros, rest_quads, exponent is not None, tails.dtype)
+    m = np.empty(a.size, layout)
     if signed:
-        put(negative.view(np.uint8) * np.uint8(ord("-")), 1)
-    for chars in _integer_chars(whole.view(np.int64), int_quads):
-        put(chars, 4)
+        np.multiply(table[3], ord("-"), out=m["sign"], casting="unsafe")
+    groups = _groups(whole, int_quads)[::-1]
+    offset = _group_chars(groups[:-1], _LEAD, m, _INT_FIELDS)
+    # a last group led by zeros keeps its last one: _LEAD_BUT_LAST
+    m[_INT_FIELDS[int_quads - 1]] = _quads()[0].take(groups[-1] + 2 * offset)
     if zeros:
-        put(_POINTS.take(lead), 4)
+        lead = np.maximum(table[1], 0)
+        if bare is not None:
+            lead[bare] = 4  # _POINTS[4]: no point
+        m["point"] = _POINTS.take(lead)
     else:
-        put(np.full(rows, ord("."), dtype=np.uint8), 1)
-    put(first, 1)
-    for chars in _fraction_chars(rest.view(np.int64), rest_quads):
-        put(chars, 4)
+        m["point"] = ord(".")
+    groups = _groups(frac, rest_quads + 1)
+    first = groups.pop()
+    if bare is not None:
+        first = first + 10 * bare
+    m["first"] = _FIRST.take(first)
+    _group_chars(groups, _TRAIL, m, _FRAC_FIELDS[:rest_quads][::-1])
     if exponent is not None:
-        put(_exponents().take(exponent), 8)
-    m.reshape(rows // len(tails), len(tails), width)[:, :, col:] = tails
+        m["exp"] = _exponents().take(exponent)
+    m["tail"] = tails[: a.size]
     return m.tobytes().translate(None, b"\0")

@@ -1,9 +1,15 @@
 """The CLI's one float route: ``_floattext.repr_join`` writes exactly the
 text of ``float.__repr__`` per value for every finite double, subnormals
-too, and refuses a nan or an inf."""
+too, and refuses a nan or an inf, an array that is not native float64 and
+a separator that is not ASCII without NUL."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +82,105 @@ def test_each_notation_edge_alone():
     for value in NOTATION_EDGES:
         for sign in (1.0, -1.0):
             assert _floattext.repr_join(np.array([sign * value]), ["\n"]) == repr(sign * value) + "\n"
+
+
+# the rare values of a block: each switches on a block-wide column or
+# case for the values beside it (a sign, the zeros after "0.", the exponent
+# form, digits fewer than 15, no digits at all, an uneven rounding interval)
+RARE = [
+    0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    2.0**-1000, 0.5, 1.0, 2.0, 2.0**52, 2.0**53, 2.0**1023, 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1e-4, 1e-5,
+    3.0, 7e22, 2e-7, 0.30000000000000004, 1.0000000000000002, 123456789012345.67,
+]
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_small_blocks_that_mix_a_rare_value_with_ordinary_ones(size):
+    """Blocks of 1 to 8 values, one of them rare with either sign and the
+    rest ordinary (positive, 15 to 17 digits, fixed notation without zeros
+    after the point), at each place in the block: one column and two."""
+    ordinary = np.random.default_rng(size).uniform(1.0, 100.0, size).tolist()
+    for rare in RARE:
+        for value in (rare, -rare):
+            for place in range(size):
+                block = np.array(ordinary[:place] + [value] + ordinary[place + 1 :])
+                reprs = list(map(float.__repr__, block.tolist()))
+                assert _floattext.repr_join(block, ["\n"]) == _reference(reprs, ["\n"]), block
+                if size % 2 == 0:
+                    rows = block.reshape(-1, 2)
+                    assert _floattext.repr_join(rows, [",", "\n"]) == _reference(reprs, [",", "\n"])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([1, 2]),
+        np.array([1.0, 2.0], dtype=">f8"),
+        np.array([1.0, 2.0], dtype=np.float32),
+        [1.0, 2.0],
+    ],
+    ids=["int64", "big-endian", "float32", "list"],
+)
+def test_repr_join_refuses_what_is_not_a_native_float64_array(monkeypatch, rows):
+    """Its bytes would be read as the bits of float64s: 1 as 5e-324.  The
+    refusal comes before any block is rendered."""
+    monkeypatch.setattr(_floattext, "_render_block", None)
+    with pytest.raises(ValueError, match="native float64"):
+        _floattext.repr_join(rows, [","])
+
+
+@pytest.mark.parametrize("seps", [["a\0b"], [",", "\0"], ["\u00e9"], [",", "\u2028"]])
+def test_repr_join_refuses_a_separator_with_a_nul_or_beyond_ascii(monkeypatch, seps):
+    """The byte matrix pads with NUL and deletes every NUL, so a NUL in a
+    separator would vanish; the text is ASCII.  The refusal comes before
+    any block is rendered."""
+    monkeypatch.setattr(_floattext, "_render_block", None)
+    with pytest.raises(ValueError, match="ASCII without NUL"):
+        _floattext.repr_join(np.array([1.0] * len(seps)), seps)
+
+
+DISPATCH_SCRIPT = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from qchain import _floattext
+bits = np.random.default_rng(20_261_022).integers(0, 2**64, 50_000, dtype=np.uint64)
+values = bits.view(np.float64)
+values = values[np.isfinite(values)]
+expected = "".join(repr(x) + "\\n" for x in values.tolist())
+assert _floattext.repr_join(values, ["\\n"]) == expected
+print(values.size, *(__cpu_features__[name] for name in sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch")
+def test_repr_join_does_not_depend_on_numpys_simd_dispatch():
+    """About 50,000 random finite bit patterns print as ``float.__repr__``
+    in two processes whose numpy dispatches no AVX-512 kernels, and no
+    AVX2 ones either, run side by side."""
+    tests = Path(__file__).resolve().parent
+    disabled = ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", DISPATCH_SCRIPT, *features.split()],
+            env=dict(
+                os.environ,
+                NPY_DISABLE_CPU_FEATURES=features,
+                PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))),
+            ),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for features in disabled
+    ]
+    outputs = [run.communicate(timeout=120) for run in runs]
+    for run, (stdout, stderr) in zip(runs, outputs):
+        assert run.returncode == 0, stderr
+        size, *enabled = stdout.split()
+        assert int(size) > 49_000
+        assert enabled == ["False"] * len(enabled)
 
 
 def _chunked_text(monkeypatch, values, fmt, rendered):
