@@ -315,7 +315,6 @@ def cmd_spectrum(args) -> Iterator[str]:
     has_c0 = sub.photon_numbers[0] == 0
     wq_u = _qubit_energy(args, sub)
     energies = wq_u + eigenvalues
-    values = eigenvalues.tolist()
     coefficients = [vectors]  # the matrices of each state's printed rows, in order
     if has_c0:
         # one division forms every c0 = 1 row; eta = 0 eigenstates, among
@@ -383,7 +382,7 @@ def cmd_spectrum(args) -> Iterator[str]:
                 "photon_numbers": list(sub.photon_numbers),
                 "states": json_states(),
                 "weak_coupling": None if weak is None else weak.tolist(),
-                "resonant_canonical": None if res_canonical is None else values,
+                "resonant_canonical": None if res_canonical is None else res_canonical.tolist(),
                 "resonant_alternate": None if res_alternate is None else res_alternate.tolist(),
             }
         )
@@ -436,19 +435,14 @@ def cmd_oracle_compare(args) -> Iterator[str]:
     values = tridiagonal_eigvalsh(*build_h1_matrix(sub, R, args.w0 - args.wq, args.eta))
     energies = _qubit_energy(args, sub) + values
     # each level's nearest oracle eigenvalue, the first of equally near ones
-    nearest_values = oracle[np.abs(oracle - energies[:, None]).argmin(axis=1)]
-    levels = []
-    for k, (energy, nearest) in enumerate(zip(energies.tolist(), nearest_values.tolist())):
-        levels.append(
-            {
-                "index": k,
-                "model": energy,
-                "oracle": nearest,
-                "deviation": abs(energy - nearest),
-            }
-        )
-    max_dev = max(level["deviation"] for level in levels)
+    nearest = oracle[np.abs(oracle - energies[:, None]).argmin(axis=1)]
+    columns = energies.tolist(), nearest.tolist(), np.abs(energies - nearest).tolist()
+    max_dev = max(columns[2])
     if args.format == "json":
+        levels = [
+            {"index": k, "model": model, "oracle": near, "deviation": dev}
+            for k, (model, near, dev) in enumerate(zip(*columns))
+        ]
         return json_chunks(
             {
                 "n": args.n,
@@ -461,9 +455,7 @@ def cmd_oracle_compare(args) -> Iterator[str]:
                 "max_deviation": max_dev,
             }
         )
-    rows = [
-        ["level", lv["index"], lv["model"], lv["oracle"], lv["deviation"]] for lv in levels
-    ]
+    rows = [["level", k, *level] for k, level in enumerate(zip(*columns))]
     rows.append(["summary", None, None, None, max_dev])
     return csv_chunks(["kind", "index", "E_model", "E_oracle", "deviation"], rows)
 

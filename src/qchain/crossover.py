@@ -22,8 +22,12 @@ exactly as ``np.linspace`` forms its points, and g is evaluated there
 only.  The bisection of each cell takes the half its estimate names
 wherever the midpoint lies outside a margin around it, and evaluates g
 only inside.  The brackets are therefore those of a scan of the whole grid
-that evaluates every midpoint, and the secant polish and dedupe give the
-same bits, at about ten evaluations per root instead of thirty.
+that evaluates every midpoint, and the secant polish gives the same bits,
+at about ten evaluations per root instead of thirty.  Each branch yields
+one root: its estimate names one cell, or that cell's two neighbours when
+its ends show neither a sign change nor a 0, and the zeros lie about 20
+cells apart, so no two searched cells of a branch both hold one and no
+root is deduplicated.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
 ]
 
 BISECT_WIDTH = 1e-12
-DEDUPE_TOL = 1e-10
 # Fixed-point steps of each branch estimate.  Each shrinks the error at least
 # 9-fold (about (1 + pi**2)-fold at large N): six leave it below 2.3e-8 of a
 # grid cell, eight reach the rounding of l (6.7e-10 of a cell at N = 10**5,
@@ -105,12 +108,11 @@ def stationarity_residual(n_qubits: int, spacing):
     return float(out) if np.isscalar(spacing) else out
 
 
-def _refine_brackets(n, a, b, fa, estimates, zeros) -> np.ndarray:
-    """Zeros of :func:`stationarity_residual` of an ``n``-qubit chain,
-    ascending: bisect each sign-change bracket [a, b] (``fa`` the residual
-    at a) to width <= 1e-12, polish with secant steps, add the exact
-    ``zeros`` and deduplicate within 1e-10, comparing each root with the
-    last one kept.
+def _refine_brackets(n, a, b, fa, estimates) -> np.ndarray:
+    """The zero of :func:`stationarity_residual` of an ``n``-qubit chain
+    in each sign-change bracket [a, b] (``fa`` the residual at a), in the
+    brackets' order: bisect to width <= 1e-12, then polish with secant
+    steps.
 
     ``estimates`` holds each bracket's zero to well within
     :data:`ESTIMATE_MARGIN` of the bracket's width.  A midpoint farther than
@@ -122,39 +124,35 @@ def _refine_brackets(n, a, b, fa, estimates, zeros) -> np.ndarray:
     The secant polish matters for steep residuals (large N), where a
     1e-12 interval alone still leaves |f| far above rounding noise.
     """
-    if a.size:
-        margin = ESTIMATE_MARGIN * (b - a)
-        # the sign of f at the left end never changes: a moves only to a
-        # midpoint where f has that sign
-        while np.max(b - a) > BISECT_WIDTH:
-            mid = 0.5 * (a + b)
-            take_left = mid > estimates
-            doubt = np.flatnonzero(np.abs(mid - estimates) <= margin)
-            if doubt.size:
-                fm = stationarity_residual(n, mid[doubt])
-                take_left[doubt] = fa[doubt] * fm <= 0.0
-            b = np.where(take_left, mid, b)
-            a = np.where(take_left, a, mid)
-        fa = stationarity_residual(n, a)
-        fb = stationarity_residual(n, b)
-        x = 0.5 * (a + b)
-        for _ in range(4):
-            df = fb - fa
-            safe = df != 0.0
-            x = np.where(safe, b - fb * (b - a) / np.where(safe, df, 1.0), x)
-            x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
-            fx = stationarity_residual(n, x)
-            root_on_left = fa * fx <= 0.0
-            b = np.where(root_on_left, x, b)
-            fb = np.where(root_on_left, fx, fb)
-            a = np.where(root_on_left, a, x)
-            fa = np.where(root_on_left, fa, fx)
-        zeros = np.concatenate((zeros, np.where(np.abs(fa) <= np.abs(fb), a, b)))
-    deduped = []
-    for root in np.sort(zeros).tolist():
-        if not deduped or root - deduped[-1] > DEDUPE_TOL:
-            deduped.append(root)
-    return np.array(deduped)
+    if not a.size:
+        return a
+    margin = ESTIMATE_MARGIN * (b - a)
+    # the sign of f at the left end never changes: a moves only to a
+    # midpoint where f has that sign
+    while np.max(b - a) > BISECT_WIDTH:
+        mid = 0.5 * (a + b)
+        take_left = mid > estimates
+        doubt = np.flatnonzero(np.abs(mid - estimates) <= margin)
+        if doubt.size:
+            fm = stationarity_residual(n, mid[doubt])
+            take_left[doubt] = fa[doubt] * fm <= 0.0
+        b = np.where(take_left, mid, b)
+        a = np.where(take_left, a, mid)
+    fa = stationarity_residual(n, a)
+    fb = stationarity_residual(n, b)
+    x = 0.5 * (a + b)
+    for _ in range(4):
+        df = fb - fa
+        safe = df != 0.0
+        x = np.where(safe, b - fb * (b - a) / np.where(safe, df, 1.0), x)
+        x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
+        fx = stationarity_residual(n, x)
+        root_on_left = fa * fx <= 0.0
+        b = np.where(root_on_left, x, b)
+        fb = np.where(root_on_left, fx, fb)
+        a = np.where(root_on_left, a, x)
+        fa = np.where(root_on_left, fa, fx)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def _zero_estimates(n: int) -> np.ndarray:
@@ -221,8 +219,8 @@ def find_stationary_points(n_qubits: int) -> np.ndarray:
         a, b, fa, fb = (np.concatenate(ends) for ends in zip((a, b, fa, fb), cells(near)))
         estimates = np.concatenate((estimates, np.repeat(estimates[missed], 2)))
     flips = np.sign(fa) * np.sign(fb) < 0
-    zeros = np.concatenate((a[fa == 0.0], b[fb == 0.0]))
-    return _refine_brackets(n, a[flips], b[flips], fa[flips], estimates[flips], zeros)
+    roots = _refine_brackets(n, a[flips], b[flips], fa[flips], estimates[flips])
+    return np.sort(np.concatenate((a[fa == 0.0], b[fb == 0.0], roots)))
 
 
 def crossover_point(n_qubits: int) -> CrossoverReport:

@@ -66,7 +66,7 @@ from qchain import (
 )
 from qchain.algebra import _ladder_product, _validate_deformation
 from qchain.config import twice, validate_n_qubits
-from qchain.crossover import BISECT_WIDTH, DEDUPE_TOL, _validate_n
+from qchain.crossover import BISECT_WIDTH, _validate_n
 from qchain.linalg import (
     EPS,
     QL_MAX_ITERATIONS,
@@ -315,6 +315,11 @@ def chebyshev_residual(n_qubits: int, spacing):
         u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
     out = u_cur - 2.0 * n * t_cur
     return float(out) if np.isscalar(spacing) else out
+
+
+# roots closer than this to the last one kept are dropped: a full scan of a
+# grid finer than the rounding noise around a zero can bracket it twice
+DEDUPE_TOL = 1e-10
 
 
 def refine_brackets(func, a, b, fa, fb, zeros) -> np.ndarray:

@@ -91,7 +91,11 @@ def test_find_stationary_points_basics():
 
 
 def test_crossover_point_is_the_full_scan_bit_for_bit():
-    for n in [*range(2, 1201, 13), 1500, 4000, 10**4]:
+    # N = 7, 9, 11, 13 and 25, with 15 and 28 of the stride, are the
+    # smallest chains where an estimate names a cell whose ends show
+    # neither a sign change nor a 0, so that its two neighbours are
+    # searched: the one place where two cells of a branch are searched
+    for n in [7, 9, 11, 13, 25, *range(2, 1201, 13), 1500, 4000, 10**4]:
         report = crossover_point(n)
         points, l_star = scanned_crossover(n)
         assert np.array_equal(report.stationary_points, points), n

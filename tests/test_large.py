@@ -5,6 +5,8 @@ sizes where they run.  Skipped unless ``QCHAIN_LARGE=1``::
 
 The CLI renders each chunk of float arrays, and each chunk of ``spectrum``
 states, through ``_floattext``; no golden case reaches the sizes below.
+The crossover's branch structure is checked at N = 10**5 and at the cap
+of its grid, N = 2.5*10**5.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from qchain import _floattext
+from qchain import _floattext, crossover_point, stationarity_residual
 from qchain.config import MAX_SWEEP_STEPS
 from reference_forms import float_repr_join
 from test_cli import _strict_json, parse_csv, run_cli
@@ -112,3 +114,21 @@ def test_largest_ladder_prints_the_same_bytes_on_both_routes(capsys, monkeypatch
         assert len(rows) == 1001 and all(len(row) == len(header) for row in rows)
     else:
         assert len(_strict_json(out)["states"]) == 1001
+
+
+@pytest.mark.parametrize("n", [10**5, 250_000], ids=["1e5", "cap"])
+def test_crossover_has_one_stationary_point_per_branch(n):
+    """N - 1 points, each a sign change of the residual within 1e-12, the
+    last at 1/2 and l* on the first negative lobe, l*(2N-1) ~ 1.4303.  The
+    float branch bounds m*pi < k*pi*p < m*pi + pi/2 are not checked: at the
+    cap the last roots lie within one float spacing of m*pi + pi/2."""
+    report = crossover_point(n)
+    points = report.stationary_points
+    assert points.size == n - 1
+    assert np.all(np.diff(points) > 0.0)
+    assert points[-1] == pytest.approx(0.5, abs=1e-12)
+    below = stationarity_residual(n, points - 1e-12)
+    above = stationarity_residual(n, points + 1e-12)
+    assert np.all(np.sign(below) * np.sign(above) < 0)
+    assert report.crossover_spacing == points[0]
+    assert report.crossover_spacing * (2 * n - 1) == pytest.approx(1.4303, abs=1e-4)
